@@ -13,6 +13,7 @@ from .identities import (
     IdentityReport,
     averaged_alpha_recovery,
     ft_one_over_xsq_check,
+    identity_suite,
     local_factor_chain_check,
     local_factor_chain_sample,
     mobius_indicator_check,

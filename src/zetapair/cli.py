@@ -74,9 +74,11 @@ def _load_zero_list(args, cfg: RunConfig) -> zeros.ZeroList:
     if getattr(args, "compute", None):
         t_min, t_max = (float(x) for x in args.compute.split(":"))
         if cfg.cache_dir:
-            cache = Path(cfg.cache_dir) / f"zeros-{t_min:g}-{t_max:g}.txt"
+            # repr round-trips, so distinct ranges never share a file
+            cache = Path(cfg.cache_dir) / f"zeros-{t_min!r}-{t_max!r}.txt"
             if cache.is_file():
-                return zeros.load_zeros(cache)
+                # the table ends at its outermost zeros, not at the range
+                return replace(zeros.load_zeros(cache), range=(t_min, t_max))
             zl = zeros.compute_zeros(t_min, t_max)
             zeros.save_zeros(zl, cache)
             return zl
@@ -258,53 +260,13 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
     return 0
 
 
-_SUITES = ("triangle", "ft", "local-factor", "mobius", "ramanujan", "averaged")
-
-
 def _cmd_identities(args, cfg: RunConfig) -> int:
-    wanted = _SUITES if args.suite == "all" else (args.suite,)
+    wanted = idmod.SUITES if args.suite == "all" else (args.suite,)
     tables = _sieve_for(cfg, max(cfg.series_cutoff, 10_000) + 1)
-    rng = np.random.default_rng(cfg.seed)
-    reports = []
-    for suite in wanted:
-        if suite == "triangle":
-            xs = rng.uniform(-3.0, 3.0, 1000)
-            xs = xs[(np.abs(xs) > 1e-6) & (np.abs(np.abs(xs) - 1.0) > 1e-6)]
-            reports.append(idmod.triangle_relation_check(xs))
-        elif suite == "ft":
-            reports.append(idmod.ft_one_over_xsq_check([0.0, 0.5, -0.7, 1.8, 2.0]))
-        elif suite == "local-factor":
-            reports.append(
-                idmod.local_factor_chain_sample(tables, 1000, seed=cfg.seed)
-            )
-        elif suite == "mobius":
-            reports.append(idmod.mobius_indicator_check(500, 500, tables))
-        elif suite == "ramanujan":
-            c2 = singular.twin_prime_constant(cfg.series_cutoff, tables)
-            worst = None
-            for h in list(range(1, 101)):
-                rep = idmod.ramanujan_closure_check(h, tables, cfg.series_cutoff, c2)
-                if worst is None or rep.max_residual > worst.max_residual:
-                    worst = rep
-            reports.append(
-                idmod.IdentityReport(
-                    "ramanujan_closure", [(h,) for h in range(1, 101)],
-                    worst.max_residual, worst.tolerance,
-                )
-            )
-        elif suite == "averaged":
-            res = []
-            for h in (100.0, 1000.0):
-                a = idmod.averaged_alpha_recovery(h)
-                res.append(abs(a.integral_value - a.si_form))
-            # the quadrature/si agreement is the tested residual
-            reports.append(
-                idmod.IdentityReport("averaged_alpha", [(100.0,), (1000.0,)],
-                                     max(res), 1e-6)
-            )
-    rows = [r.row() for r in reports]
+    c2 = singular.twin_prime_constant(cfg.series_cutoff, tables)
+    reports = idmod.identity_suite(tables, c2, cfg.series_cutoff, cfg.seed, wanted)
     emit(["identity_name", "samples", "max_residual", "tolerance", "passed"],
-         rows, cfg.output_format)
+         [r.row() for r in reports], cfg.output_format)
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(f"FAILED {r.identity_name}: max_residual {r.max_residual:.6g} "
@@ -406,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
             pe.add_argument("--power-cutoff", type=int, default=20)
 
     p = sub.add_parser("identities", help="run the derivation-chain checks")
-    p.add_argument("--suite", choices=("all",) + _SUITES, default="all")
+    p.add_argument("--suite", choices=("all",) + idmod.SUITES, default="all")
 
     p = sub.add_parser("invert", help="windowed inversion of the off-diagonal curve")
     p.add_argument("--h", required=True, help="comma-separated shifts")

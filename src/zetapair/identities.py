@@ -13,6 +13,10 @@ The steps are
   * the Mobius gcd indicator,
   * the Ramanujan-sum product closing onto the singular series.
 
+``identity_suite`` runs the whole chain, or the named parts of it, as one
+list of reports; the CLI's ``identities`` command and the acceptance
+suite both take their rows from it.
+
 The conditionally convergent double sum over (n, l) that the chain
 passes through is deliberately never summed directly; it diverges
 termwise on the 1-line, and the per-prime identities are the exact
@@ -32,7 +36,9 @@ from .singular import TwinPrimeConstant, alpha_product
 from .special import sgn, sine_integral, triangle
 
 __all__ = [
+    "SUITES",
     "IdentityReport",
+    "identity_suite",
     "triangle_relation_check",
     "ft_one_over_xsq_check",
     "AveragedAlphaRecovery",
@@ -50,6 +56,11 @@ class IdentityReport:
     sampled_points: list = field(repr=False)
     max_residual: float
     tolerance: float
+
+    def __post_init__(self):
+        # numpy scalars would make ``passed`` a numpy bool
+        object.__setattr__(self, "max_residual", float(self.max_residual))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
     @property
     def passed(self) -> bool:
@@ -248,3 +259,59 @@ def ramanujan_closure_check(
     return IdentityReport(
         "ramanujan_closure", [(h, int(p_cut))], abs(value - target), 1e-6
     )
+
+
+#: the independently selectable parts of the chain, in report order
+SUITES = ("triangle", "ft", "local-factor", "mobius", "ramanujan", "averaged")
+
+
+def identity_suite(
+    tables: SieveTables,
+    c2: TwinPrimeConstant,
+    p_cut: int,
+    seed: int,
+    suites=SUITES,
+) -> list[IdentityReport]:
+    """Reports for each named part of the chain, in the order given.
+
+    The triangle points and the local-factor pairs are drawn from
+    ``seed``; the Ramanujan closure runs h = 1..100 with primes up to
+    ``p_cut`` against the product form built on ``c2``, as one row for
+    even h and one for odd h (where the product is exactly zero).
+    """
+    reports = []
+    for suite in suites:
+        if suite == "triangle":
+            xs = np.random.default_rng(seed).uniform(-3.0, 3.0, 1000)
+            xs = xs[(np.abs(xs) > 1e-9) & (np.abs(np.abs(xs) - 1.0) > 1e-9)]
+            reports.append(triangle_relation_check(xs))
+        elif suite == "ft":
+            reports.append(ft_one_over_xsq_check([0.0, 0.5, -0.7, 1.8, 2.0]))
+        elif suite == "local-factor":
+            reports.append(local_factor_chain_sample(tables, 1000, seed=seed))
+        elif suite == "mobius":
+            reports.append(mobius_indicator_check(500, 500, tables))
+        elif suite == "ramanujan":
+            for parity, first, tol in (("even", 2, 1e-6), ("odd", 1, 0.0)):
+                hs = range(first, 101, 2)
+                worst = max(
+                    ramanujan_closure_check(h, tables, p_cut, c2).max_residual
+                    for h in hs
+                )
+                reports.append(IdentityReport(
+                    f"ramanujan_closure_{parity}", [(h, p_cut) for h in hs], worst, tol
+                ))
+        elif suite == "averaged":
+            recs = [averaged_alpha_recovery(h) for h in (100.0, 1000.0)]
+            reports.append(IdentityReport(
+                "averaged_alpha", [(r.h,) for r in recs],
+                max(abs(r.integral_value - r.si_form) for r in recs), 1e-6,
+            ))
+            far = recs[-1]
+            reports.append(IdentityReport(
+                "averaged_alpha_asymptote", [(far.h,)],
+                abs(far.si_form - far.asymptote), 2.0 / (math.pi * far.h**2),
+            ))
+        else:
+            raise ValueError(f"unknown identity suite {suite!r}")
+    return reports

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paircorr import _off_product
+from .paircorr import off_diagonal_product
 from .sieve import SieveTables
 from .special import TWO_PI, ZetaEvaluator, zeta_one_line
 
@@ -84,7 +84,7 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll,
     zeta = zeta_one_line(cfg, eps_x)
     x_val = (
         np.real(zeta * np.conj(zeta))
-        * _off_product(tables, p_cut, eps_x)
+        * off_diagonal_product(tables, p_cut, eps_x)
         / (4.0 * np.pi**2)
     )
     coef = eps_w * w_eps * x_val

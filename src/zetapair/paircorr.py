@@ -41,6 +41,7 @@ __all__ = [
     "gue_r2",
     "r2_diag_finite",
     "r2_off_finite",
+    "off_diagonal_product",
     "theory_curve",
     "theory_on_bins",
     "gue_on_bins",
@@ -193,11 +194,7 @@ def gue_r2(eps):
 # -- finite-height theory ------------------------------------------------------
 
 def _prime_power_terms(tables: SieveTables, p_cut: int, k_cut: int):
-    """Weights/log-frequencies of the diagonal prime-power sum, cached."""
-    key = ("ppw", p_cut, k_cut)
-    hit = tables._bulk.get(key)
-    if hit is not None:
-        return hit
+    """Weights/log-frequencies of the diagonal prime-power sum."""
     ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
     ps = ps.astype(np.float64)
     logs, weights = [], []
@@ -208,9 +205,7 @@ def _prime_power_terms(tables: SieveTables, p_cut: int, k_cut: int):
         lp = np.log(ps[keep])
         logs.append((k + 1) * lp)
         weights.append(lp**2 * k * np.exp(-(k + 1) * lp))
-    out = (np.concatenate(logs), np.concatenate(weights))
-    tables._bulk[key] = out
-    return out
+    return np.concatenate(logs), np.concatenate(weights)
 
 
 def r2_diag_finite(
@@ -238,7 +233,8 @@ def r2_diag_finite(
     return float(out[0]) if scalar else out
 
 
-def _off_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np.ndarray:
+def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np.ndarray:
+    """prod_{p <= p_cut} (1 - ((1 - p^-i eps)/(p - 1))^2) at each eps (an array)."""
     ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
     ps = ps.astype(np.float64)
     log_p = np.log(ps)
@@ -271,7 +267,7 @@ def r2_off_finite(
     z = zeta_one_line(cfg, arr)
     mod2 = np.real(z * np.conj(z))
     phase = np.exp(-1j * TWO_PI * arr * mean_density(e_height))
-    x = mod2 * phase * _off_product(tables, p_cut, arr) / (4.0 * np.pi**2)
+    x = mod2 * phase * off_diagonal_product(tables, p_cut, arr) / (4.0 * np.pi**2)
     out = 2.0 * np.real(x)
     scalar = np.isscalar(eps) or np.asarray(eps).ndim == 0
     return float(out[0]) if scalar else out

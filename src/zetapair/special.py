@@ -9,11 +9,11 @@ configuration.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import sici
 
 __all__ = [
     "EPS_MIN",
@@ -160,60 +160,13 @@ def log_zeta_dd(cfg: ZetaEvaluator, eps):
 
 # -- sine integral ---------------------------------------------------------
 
-_SI_SWITCH = 6.0
-
-
-def _si_series(x: float) -> float:
-    # Si(x) = sum (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
-    p = x
-    total = x
-    k = 0
-    while True:
-        k += 1
-        p *= -x * x / ((2 * k) * (2 * k + 1))
-        term = p / (2 * k + 1)
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-30):
-            return total
-
-
-def _e1_continued_fraction(z: complex) -> complex:
-    # modified Lentz on E1(z) = exp(-z) / (z + 1/(1 + 1/(z + 2/(1 + ...))))
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 300):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return f * cmath.exp(-z)
-
-
-def _si_scalar(x: float) -> float:
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax <= _SI_SWITCH:
-        v = _si_series(ax)
-    else:
-        # E1(ix) = -Ci(x) + i (Si(x) - pi/2) for x > 0
-        v = math.pi / 2 + _e1_continued_fraction(1j * ax).imag
-    return v if x > 0 else -v
-
-
 def sine_integral(x):
-    """Si(x) = integral of sin t / t from 0 to x; odd, |error| <= ~1e-12."""
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return _si_scalar(float(x))
-    arr = np.asarray(x, dtype=np.float64)
-    return np.array([_si_scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+    """Si(x) = integral of sin t / t from 0 to x; odd, |error| <= 1e-15.
+
+    Delegates to ``scipy.special.sici``; scalars in give floats out.
+    """
+    si = sici(x)[0]
+    return float(si) if np.isscalar(x) or np.asarray(x).ndim == 0 else si
 
 
 # -- elementary pieces of the smoothing analysis ----------------------------

@@ -17,6 +17,7 @@ search is attempted.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -311,13 +312,22 @@ def load_zeros(path: str | Path) -> ZeroList:
 
 
 def save_zeros(zl: ZeroList, path: str | Path) -> Path:
-    """Write a ZeroList in the same text format load_zeros reads."""
+    """Write a ZeroList in the same text format load_zeros reads.
+
+    The table is written to a temporary file beside ``path`` and renamed
+    over it, so a concurrent reader sees either no table or a whole one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(f"# zero ordinates, range ({zl.range[0]:.6f}, {zl.range[1]:.6f})\n")
-        for v in zl.ordinates:
-            fh.write(f"{v:.12f}\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(f"# zero ordinates, range ({zl.range[0]:.6f}, {zl.range[1]:.6f})\n")
+            for v in zl.ordinates:
+                fh.write(f"{v:.12f}\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

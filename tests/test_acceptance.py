@@ -15,14 +15,7 @@ import numpy as np
 import pytest
 
 from zetapair.cli import main as cli_main
-from zetapair.identities import (
-    averaged_alpha_recovery,
-    ft_one_over_xsq_check,
-    local_factor_chain_sample,
-    mobius_indicator_check,
-    ramanujan_closure_check,
-    triangle_relation_check,
-)
+from zetapair.identities import identity_suite
 from zetapair.inversion import windowed_inversion
 from zetapair.paircorr import gue_r2, poisson_noise_floor, theory_curve
 from zetapair.singular import (
@@ -146,33 +139,18 @@ def test_criterion_7_limit_recovery(zeta_cfg, tables_1m):
 
 def test_criterion_8_identity_suite(tables_1m, c2_ref):
     t0 = time.time()
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(-3.0, 3.0, 1000)
-    xs = xs[(np.abs(xs) > 1e-9) & (np.abs(np.abs(xs) - 1.0) > 1e-9)]
-    tri = triangle_relation_check(xs)
-    ft = ft_one_over_xsq_check([0.0, 0.5, -0.7, 1.8, 2.0])
-    rec100 = averaged_alpha_recovery(100.0)
-    rec1e3 = averaged_alpha_recovery(1000.0)
-    lf = local_factor_chain_sample(tables_1m, 1000, seed=0)
-    mob = mobius_indicator_check(500, 500, tables_1m)
-    closure_even = max(
-        ramanujan_closure_check(h, tables_1m, 1_000_000, c2_ref).max_residual
-        for h in range(2, 101, 2)
-    )
-    closure_odd = max(
-        ramanujan_closure_check(h, tables_1m, 1_000_000, c2_ref).max_residual
-        for h in range(1, 101, 2)
-    )
+    res = {r.identity_name: r.max_residual
+           for r in identity_suite(tables_1m, c2_ref, 1_000_000, seed=0)}
     elapsed = time.time() - t0
     checks = {
-        "triangle": tri.max_residual < 1e-14,
-        "ft": ft.max_residual < 1e-6,
-        "avg_quad": abs(rec100.integral_value - rec100.si_form) < 1e-6,
-        "avg_asym": abs(rec1e3.si_form - rec1e3.asymptote) <= 2.0 / (math.pi * 1e6),
-        "local_factor": lf.max_residual < 1e-11,
-        "mobius": mob.max_residual == 0.0,
-        "closure_even": closure_even <= 1e-6,
-        "closure_odd": closure_odd == 0.0,
+        "triangle": res["triangle_relation"] < 1e-14,
+        "ft": res["ft_one_over_xsq"] < 1e-6,
+        "avg_quad": res["averaged_alpha"] < 1e-6,
+        "avg_asym": res["averaged_alpha_asymptote"] <= 2.0 / (math.pi * 1e6),
+        "local_factor": res["local_factor_chain"] < 1e-11,
+        "mobius": res["mobius_indicator"] == 0.0,
+        "closure_even": res["ramanujan_closure_even"] <= 1e-6,
+        "closure_odd": res["ramanujan_closure_odd"] == 0.0,
         "runtime": elapsed < 60.0,
     }
     ok = all(checks.values())

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from zetapair import identities
 from zetapair.cli import main
 
 
@@ -166,6 +167,26 @@ class TestR2Pipeline:
         assert len(parse_csv(out)) == 3
 
 
+class TestZeroCache:
+    def empirical(self, cache_dir, t_range, width="400"):
+        return run_cli(
+            "--cache-dir", str(cache_dir), "r2", "empirical", "--compute", t_range,
+            "--center", "1200", "--width", width,
+        )
+
+    def test_rerun_from_cache_is_identical(self, tmp_path):
+        first = self.empirical(tmp_path, "1000:1400")
+        assert first[0] == 0
+        assert self.empirical(tmp_path, "1000:1400") == first
+        assert len(list(tmp_path.glob("zeros-*"))) == 1
+
+    def test_close_ranges_do_not_share_a_file(self, tmp_path):
+        for t_min in ("1000.12345", "1000.12349"):
+            code, _, _ = self.empirical(tmp_path, f"{t_min}:1400", width="380")
+            assert code == 0
+        assert len(list(tmp_path.glob("zeros-*"))) == 2
+
+
 class TestConfigPlumbing:
     def test_config_file_sets_format(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -206,3 +227,30 @@ class TestIdentitiesCommand:
             code, out, _ = run_cli("identities", "--suite", suite)
             assert code == 0
             assert parse_csv(out)[0]["passed"] == "true"
+
+    def test_passed_is_a_boolean(self):
+        _, out, _ = run_cli("identities", "--suite", "all")
+        assert {row["passed"] for row in parse_csv(out)} == {"true"}
+        _, out, _ = run_cli("--format", "json", "identities", "--suite", "all")
+        assert all(row["passed"] is True for row in json.loads(out)["rows"])
+
+    def test_each_suite_is_its_rows_of_all(self):
+        _, everything, _ = run_cli("identities", "--suite", "all")
+        rows = []
+        for suite in identities.SUITES:
+            code, out, _ = run_cli("identities", "--suite", suite)
+            assert code == 0
+            rows += out.splitlines()[1:]
+        assert rows == everything.splitlines()[1:]
+
+    def test_failed_check_exits_1(self, monkeypatch):
+        monkeypatch.setattr(
+            identities, "mobius_indicator_check",
+            lambda *args: identities.IdentityReport(
+                "mobius_indicator", [(500, 500)], 1.0, 0.0
+            ),
+        )
+        code, out, err = run_cli("identities", "--suite", "mobius")
+        assert code == 1
+        assert "FAILED mobius_indicator" in err
+        assert parse_csv(out)[0]["passed"] == "false"

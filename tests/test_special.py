@@ -1,16 +1,17 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from zetapair.special import (
     EPS_MIN,
     TWO_PI,
     PoleProximityError,
     ZetaEvaluator,
-    _e1_continued_fraction,
     log_zeta_dd,
     mean_density,
     sgn,
@@ -82,7 +83,7 @@ class TestZetaOneLine:
         for eps in (1.0, 3.0, 8.0, 20.0):
             s = 1.0 + 1j * eps
             log_prod = -np.sum(np.log1p(-np.exp(-s * log_p)))
-            tail = _e1_continued_fraction(1j * eps * math.log(p_cut))
+            tail = exp1(1j * eps * math.log(p_cut))
             prod = cmath.exp(log_prod + tail)
             z = zeta_one_line(zeta_cfg, eps)
             assert abs(prod - z) / abs(z) < 1e-3
@@ -140,6 +141,20 @@ class TestSineIntegral:
     def test_odd_by_construction(self):
         for x in (0.3, 4.0, 42.0):
             assert sine_integral(-x) == -sine_integral(x)
+
+    def test_against_mpmath(self):
+        # both signs, 0, the neighbourhood of 6 (where a series/asymptotic
+        # split would sit), a fine grid on [-100, 100] and |x| up to 1e5
+        xs = np.concatenate([
+            [0.0, 6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0)],
+            np.linspace(-100.0, 100.0, 4001),
+            np.geomspace(1e-8, 1e5, 400),
+        ])
+        xs = np.concatenate([xs, -xs])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.si(mpmath.mpf(float(x)))) for x in xs])
+        assert np.max(np.abs(sine_integral(xs) - ref)) <= 1e-15
+        assert type(sine_integral(6.0)) is float
 
     def test_against_quadrature(self):
         for x in (0.5, 2.0, 5.9, 6.1, 13.0, 80.0):
