@@ -2,9 +2,11 @@
 
 One table serves everything: factorization, the Mobius and totient
 functions, von Mangoldt weights and Ramanujan sums are all O(log n)
-lookups against the spf array.  A ``SieveTables`` instance is immutable
-after construction and safe to share across threads; the lazily built
-bulk arrays (``mobius_table`` etc.) are plain caches of pure functions.
+lookups against the spf array.  The bulk Mobius and totient tables come
+from the spf recurrence f(k) = step(f(k / p), p = spf[k]), vectorized in
+doubling blocks.  A ``SieveTables`` instance is immutable after
+construction and safe to share across threads; the lazily built bulk
+arrays (``mobius_table`` etc.) are plain caches of pure functions.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
 _CACHE_MAGIC = b"ZPD1"
 _CACHE_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")  # magic, version u32, limit u64 -> 16 bytes
+_RECURRENCE_BLOCK = 1 << 16
 
 
 class SieveTables:
@@ -148,21 +151,37 @@ class SieveTables:
     def _primes_upto(self, n: int) -> np.ndarray:
         return self.primes[: np.searchsorted(self.primes, n, side="right")]
 
+    def _spf_recurrence(self, n: int, dtype, step) -> np.ndarray:
+        """A multiplicative table out[0..n] built from its spf recurrence.
+
+        out[0] = 0, out[1] = 1 and, for k >= 2, with p = spf[k] and
+        m = k // p, out[k] = step(out[m], p, spf[m] == p).  m <= k / 2, so
+        every block [lo, hi) with hi <= 2 lo reads only finished entries;
+        spf[1] = 0 makes primes (m = 1) the "p does not divide m" case.
+        Blocks double up to a fixed size, which bounds the temporaries.
+        """
+        out = np.zeros(n + 1, dtype=dtype)
+        out[1] = 1
+        lo = 2
+        while lo <= n:
+            hi = min(2 * lo, lo + _RECURRENCE_BLOCK, n + 1)
+            p = self.spf[lo:hi]
+            m = np.arange(lo, hi, dtype=np.uint32) // p
+            out[lo:hi] = step(out[m], p, self.spf[m] == p)
+            lo = hi
+        return out
+
     def _build_mobius(self, n: int) -> np.ndarray:
-        mu = np.ones(n + 1, dtype=np.int8)
-        mu[0] = 0
-        for p in self._primes_upto(math.isqrt(n)):
-            mu[p * p :: p * p] = 0
-        for p in self._primes_upto(n):
-            mu[p::p] *= -1
-        return mu
+        # mu(k) = 0 if p^2 | k, else -mu(k / p)
+        return self._spf_recurrence(
+            n, np.int8, lambda mu_m, p, repeated: np.where(repeated, 0, -mu_m)
+        )
 
     def _build_totient(self, n: int) -> np.ndarray:
-        phi = np.arange(n + 1, dtype=np.int64)
-        for p in self._primes_upto(n):
-            sl = phi[p::p]
-            sl -= sl // p
-        return phi
+        # phi(k) = phi(k / p) * (p if p | k / p else p - 1)
+        return self._spf_recurrence(
+            n, np.int64, lambda phi_m, p, repeated: phi_m * np.where(repeated, p, p - 1)
+        )
 
     def _build_mangoldt(self, n: int) -> np.ndarray:
         lam = np.zeros(n + 1, dtype=np.float64)

@@ -85,35 +85,44 @@ def alpha_product(h: int, tables: SieveTables, c2: TwinPrimeConstant) -> AlphaRe
     return AlphaResult(h, value, "product", trunc)
 
 
-def _series_tail_constant(tables: SieveTables, n_max: int) -> float:
-    """sum_{n > n_max} mu(n)^2 / phi(n)^2, via the full product minus partials."""
-    phi = tables.totient_table(n_max).astype(np.float64)
-    mu = tables.mobius_table(n_max)
+def _series_tail_constant(tables: SieveTables, g: np.ndarray) -> float:
+    """sum_{n > n_max} mu(n)^2 / phi(n)^2, via the full product minus partials.
+
+    g[n - 1] = mu(n) / phi(n)^2 for n = 1..n_max, so |g| sums the partials.
+    """
     total_log = float(
         np.sum(np.log1p(1.0 / (tables.primes.astype(np.float64) - 1.0) ** 2))
     )
-    partial = float(np.sum((mu[1:] != 0) / phi[1:] ** 2))
+    partial = float(np.sum(np.abs(g)))
     return max(math.exp(total_log) - partial, 0.0)
 
 
 def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
     """Series form: sum_{n <= n_max} (mu(n)/phi(n))^2 c_n(h).
 
-    Only squarefree n contribute.  c_n(h) = mu(n/g) phi(n) / phi(n/g)
-    with g = gcd(n, |h|) collapses each term to
-    mu(n)^2 mu(n/g) / (phi(n) phi(n/g)), evaluated vectorized.
+    Evaluated as a divisor sum.  With c_n(h) = sum_{d | (n, h)} d mu(n/d)
+    and g(n) = mu(n) / phi(n)^2, only squarefree n and hence squarefree d
+    contribute, and mu(n/d) = mu(n) mu(d) turns the series into
+
+        S(h) = sum_{d | rad(h)} d mu(d) sum_{k <= n_max, d | k} g(k),
+
+    one strided sum of g per squarefree divisor d of h (empty for d > n_max).
+    The tail bound phi(|h|) sum_{n > n_max} mu(n)^2 / phi(n)^2 holds since
+    |c_n(h)| = phi(gcd(n, h)) <= phi(|h|) for squarefree n.
     """
     h = _check_h(h, tables)
     n_max = int(n_max)
     if not 1 <= n_max <= tables.limit:
         raise ValueError("series cutoff outside sieve range")
-    phi = tables.totient_table(n_max).astype(np.float64)
-    mu = tables.mobius_table(n_max).astype(np.float64)
-    n = np.arange(1, n_max + 1)
-    m = n // np.gcd(n, abs(h))
-    terms = (mu[n] ** 2) * mu[m] / (phi[n] * phi[m])
-    value = float(np.sum(terms))
-    tail = tables.totient(abs(h)) * _series_tail_constant(tables, n_max)
+    phi = tables.totient_table(n_max)[1:].astype(np.float64)
+    g = tables.mobius_table(n_max)[1:] / phi**2
+    # d mu(d) over the squarefree d | h: each prime p of h appends -p times the list
+    signed = np.ones(1, dtype=np.int64)
+    for p, _ in tables.factorize(abs(h)):
+        signed = np.concatenate([signed, -p * signed])
+    inner = np.array([g[d - 1 :: d].sum() for d in np.abs(signed)])
+    value = float(signed @ inner)
+    tail = tables.totient(abs(h)) * _series_tail_constant(tables, g)
     return AlphaResult(
         h, value, "ramanujan_series", {"series_cutoff": n_max, "tail_bound": tail}
     )

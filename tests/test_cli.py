@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,19 @@ class TestOutputContract:
         _, out, _ = run_cli("constants", "--prime-cutoff", "1000")
         value = parse_csv(out)[0]["value"]
         assert len(value.split(".")[1]) >= 15
+
+    def test_python_dash_m_matches_main(self):
+        args = ["alpha", "--method", "product", "--h", "2,6,30"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetapair", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        code, out, _ = run_cli(*args)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
 
 
 class TestZeros:

@@ -144,13 +144,50 @@ def test_chebyshev_sum_near_limit(tables_big):
 
 
 def test_bulk_tables_match_scalars(tables_small):
-    mu = tables_small.mobius_table(500)
-    phi = tables_small.totient_table(500)
-    lam = tables_small.von_mangoldt_table(500)
-    for n in range(1, 501):
+    n_max = tables_small.limit
+    mu = tables_small.mobius_table(n_max)
+    phi = tables_small.totient_table(n_max)
+    lam = tables_small.von_mangoldt_table(n_max)
+    for n in range(1, n_max + 1):
         assert mu[n] == tables_small.mobius(n)
         assert phi[n] == tables_small.totient(n)
         assert lam[n] == pytest.approx(tables_small.von_mangoldt(n), abs=1e-15)
+
+
+def test_bulk_tables_match_scalars_at_scale(tables_big):
+    n_max = tables_big.limit
+    mu = tables_big.mobius_table(n_max)
+    phi = tables_big.totient_table(n_max)
+    assert (mu.dtype, phi.dtype) == (np.int8, np.int64)
+    rng = np.random.default_rng(2024)
+    ns = [int(n) for n in rng.integers(1, n_max + 1, 2000)]
+    for n in ns + list(range(n_max - 99, n_max + 1)):
+        assert mu[n] == tables_big.mobius(n)
+        assert phi[n] == tables_big.totient(n)
+
+
+def test_totient_divisor_sum_exhaustive(tables_1m):
+    # sum_{d | n} phi(d) = n exactly
+    n_max = 100_000
+    phi = tables_1m.totient_table(n_max)
+    acc = np.zeros(n_max + 1, dtype=np.int64)
+    for d in range(1, n_max + 1):
+        acc[d::d] += phi[d]
+    assert np.array_equal(acc[1:], np.arange(1, n_max + 1))
+
+
+def test_bulk_tables_grow_on_demand():
+    tables = build_sieve(5000)
+    assert len(tables.totient_table(100)) == 101
+    assert len(tables.mobius_table(100)) == 101
+    phi = tables.totient_table(5000)
+    mu = tables.mobius_table(5000)
+    assert len(phi) == len(mu) == 5001
+    assert phi[0] == mu[0] == 0
+    for n in range(1, 5001):
+        assert phi[n] == tables.totient(n)
+        assert mu[n] == tables.mobius(n)
+    assert np.array_equal(tables.totient_table(100), phi[:101])
 
 
 class TestCache:

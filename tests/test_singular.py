@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetapair.singular import (
     alpha_empirical,
@@ -84,6 +87,26 @@ class TestAlphaRamanujan:
     def test_odd_cancellation(self, tables_1m):
         for h in (3, 99):
             assert abs(alpha_ramanujan(h, tables_1m, 1_000_000).value) <= 1e-3
+
+    @pytest.mark.parametrize("n_max", [1, 3000])
+    def test_exact_partial_sums(self, tables_small, n_max):
+        # 6002 = 2 * 3001 has a prime divisor above the 3000 cutoff
+        for h in (1, 2, 3, 12, 30, -30, 210, 2310, 9999, 6002):
+            exact = sum(
+                Fraction(tables_small.ramanujan_sum(n, h), tables_small.totient(n) ** 2)
+                for n in range(1, n_max + 1)
+                if tables_small.mobius(n) != 0
+            )
+            value = alpha_ramanujan(h, tables_small, n_max).value
+            assert abs(value - float(exact)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 625))
+    def test_depends_only_on_radical(self, tables_small, m):
+        n_max = tables_small.limit
+        base = alpha_ramanujan(2 * m, tables_small, n_max).value
+        for k in (2, 3, 4):
+            assert alpha_ramanujan(2**k * m, tables_small, n_max).value == base
 
     def test_tail_bound_reported_and_dominates(self, tables_1m, c2_ref):
         res = alpha_ramanujan(2, tables_1m, 1_000_000)
