@@ -86,13 +86,21 @@ def alpha_product(h: int, tables: SieveTables, c2: TwinPrimeConstant) -> AlphaRe
 
 
 def _series_tail_constant(tables: SieveTables, g: np.ndarray) -> float:
-    """sum_{n > n_max} mu(n)^2 / phi(n)^2, via the full product minus partials.
+    """An upper bound on sum_{n > n_max} mu(n)^2 / phi(n)^2.
 
-    g[n - 1] = mu(n) / phi(n)^2 for n = 1..n_max, so |g| sums the partials.
+    The full sum is prod_p (1 + (p-1)^-2); the bound is that product minus
+    the partials.  g[n - 1] = mu(n) / phi(n)^2 for n = 1..n_max, so |g|
+    sums the partials.  The sieve supplies the primes up to its limit L;
+    for the rest, ln(1 + x) <= x and pi(x) < 1.25506 x / ln x (Rosser and
+    Schoenfeld 1962) give by partial summation
+
+        sum_{p > L} (p-1)^-2 <= (2.51012 / ln L) (1/(L-1) + 1/(2 (L-1)^2)).
     """
     total_log = float(
         np.sum(np.log1p(1.0 / (tables.primes.astype(np.float64) - 1.0) ** 2))
     )
+    lim = float(tables.limit)
+    total_log += 2.51012 / math.log(lim) * (1.0 / (lim - 1.0) + 0.5 / (lim - 1.0) ** 2)
     partial = float(np.sum(np.abs(g)))
     return max(math.exp(total_log) - partial, 0.0)
 

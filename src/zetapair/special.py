@@ -1,8 +1,10 @@
 """Special functions: zeta on the 1-line, mean zero density, Si, sinc, sgn.
 
-The zeta evaluator uses Euler-Maclaurin summation with a truncation point
-that grows with |Im s|, so one routine covers both the 1-line (singular
-series side) and the critical line (Z-function side, see ``zeros``).
+The zeta evaluator uses Euler-Maclaurin summation with the truncation
+point sized from the classical remainder bound (Backlund; see Rubinstein,
+*Computational methods and experiments in analytic number theory*, 2005),
+so one routine covers both the 1-line (singular series side) and the
+critical line (Z-function side, see ``zeros``).
 Everything here is pure and thread-safe; ``ZetaEvaluator`` is immutable
 configuration.
 """
@@ -34,12 +36,18 @@ TWO_PI = 2.0 * math.pi
 #: pole guard: the 1-line evaluator refuses |eps| below this
 EPS_MIN = 1e-6
 
-# B_{2k} for k = 1..10
+# B_{2k} for k = 1..11 (the last one only enters the remainder bound)
 _B2K = np.array([
     1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66,
     -691.0 / 2730, 7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330,
+    854513.0 / 138,
 ])
-_FACT2K = np.array([math.factorial(2 * k) for k in range(1, 11)], dtype=np.float64)
+_FACT2K = np.array([math.factorial(2 * k) for k in range(1, 12)], dtype=np.float64)
+
+#: target for the Euler-Maclaurin remainder bound
+_EM_TOL = 1e-14
+#: truncation points are rounded up to 2^(j/8), eight steps per octave
+_STEPS_PER_OCTAVE = 8
 
 
 class PoleProximityError(ValueError):
@@ -50,13 +58,15 @@ class PoleProximityError(ValueError):
 class ZetaEvaluator:
     """Euler-Maclaurin configuration.
 
-    series_cutoff is the floor of the direct-sum truncation point (the
-    actual point grows like 1.4 |Im s|); correction_order is the number of
-    Bernoulli correction terms (1..10).
+    series_cutoff is the floor of the direct-sum truncation point;
+    correction_order is the number of Bernoulli correction terms (1..10).
+    Above the floor the truncation point is the smallest N at which the
+    remainder bound after correction_order terms is at most 1e-14, which
+    with the default order is about 0.62 |Im s| on the 1-line.
     """
 
     series_cutoff: int = 64
-    correction_order: int = 8
+    correction_order: int = 10
 
     def __post_init__(self):
         if self.series_cutoff < 10:
@@ -64,8 +74,37 @@ class ZetaEvaluator:
         if not 1 <= self.correction_order <= 10:
             raise ValueError("correction_order must be in 1..10")
 
-    def truncation_point(self, im: float) -> int:
-        return max(self.series_cutoff, int(1.4 * abs(im)) + 24)
+    def truncation_point(self, s):
+        """Smallest N >= series_cutoff whose remainder bound is <= 1e-14.
+
+        With k = correction_order the bound on the remainder is
+
+            |s + 2k + 1| / (sigma + 2k + 1) * |B_{2k+2} / (2k+2)! * (s)_{2k+1}|
+                * N^(-sigma - 2k - 1),
+
+        decreasing in N, so N solves for it in closed form; it depends on
+        sigma = Re s as well as on Im s.  Vectorized: an array of s gives
+        an int64 array.
+        """
+        arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("zeta needs a finite argument")
+        k = self.correction_order
+        expo = arr.real + (2 * k + 1)
+        if np.any(expo <= 0.0):
+            raise ValueError(f"Euler-Maclaurin of order {k} needs Re s > {-(2 * k + 1)}")
+        # ln(bound * N^(sigma+2k+1) / tol); s = -j makes it -inf (bound 0)
+        with np.errstate(divide="ignore"):
+            log_c = (
+                np.log(np.abs(arr + (2 * k + 1))) - np.log(expo)
+                + math.log(abs(_B2K[k]) / _FACT2K[k] / _EM_TOL)
+                + np.log(np.abs(arr[..., None] + np.arange(2 * k + 1))).sum(axis=-1)
+            )
+        n = np.maximum(np.ceil(np.exp(log_c / expo)), self.series_cutoff)
+        # the closed form can land a rounding error below the true root
+        n += log_c > expo * np.log(n)
+        out = n.astype(np.int64)
+        return int(out[0]) if np.ndim(s) == 0 else out
 
 
 def mean_density(e: float | np.ndarray):
@@ -86,7 +125,8 @@ def _zeta_em_block(s: np.ndarray, n_cut: int, order: int) -> np.ndarray:
     # direct sum, chunked so the outer product stays small
     chunk = max(1, (1 << 21) // max(1, s.size))
     for lo in range(0, n_cut, chunk):
-        out += np.exp(-np.multiply.outer(s, ln_n[lo : lo + chunk])).sum(axis=-1)
+        terms = np.multiply.outer(-s, ln_n[lo : lo + chunk])
+        out += np.exp(terms, out=terms).sum(axis=-1)
     ln_big = math.log(n_cut)
     pow_ns = np.exp(-s * ln_big)           # N^-s
     out += pow_ns * n_cut / (s - 1.0)      # integral tail
@@ -102,11 +142,15 @@ def _zeta_em_block(s: np.ndarray, n_cut: int, order: int) -> np.ndarray:
 
 
 def zeta_em(s, cfg: ZetaEvaluator = ZetaEvaluator()):
-    """zeta(s) by Euler-Maclaurin, vectorized; truncation adapts to Im s."""
+    """zeta(s) by Euler-Maclaurin, vectorized; truncation sized per point.
+
+    Each point's truncation point is rounded up to the grid 2^(j/8), which
+    limits the number of distinct blocks at a cost of at most 9% more terms.
+    """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    cuts = np.array([cfg.truncation_point(v) for v in np.abs(arr.imag)])
-    # bucket to limit the number of distinct truncation points
-    buckets = np.array([1 << max(6, int(c - 1).bit_length()) for c in cuts])
+    cuts = cfg.truncation_point(arr)
+    steps = np.ceil(_STEPS_PER_OCTAVE * np.log2(cuts))
+    buckets = np.maximum(np.ceil(np.exp2(steps / _STEPS_PER_OCTAVE)), cuts)
     out = np.empty(arr.shape, dtype=np.complex128)
     for b in np.unique(buckets):
         m = buckets == b

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from zetapair import inversion
 from zetapair.inversion import TaperSpec, windowed_inversion
 
 
@@ -48,6 +50,38 @@ def small_window(tables_small):
     }
 
 
+class TestNestedRule:
+    def test_kronrod_and_gauss_exactness(self):
+        nodes, fine, coarse = inversion._gk_rule()
+        assert np.allclose(nodes[coarse > 0], np.polynomial.legendre.leggauss(10)[0], atol=1e-15)
+        for deg in range(32):
+            exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+            assert abs(fine @ nodes**deg - exact) < 1e-14
+            if deg < 20:
+                assert abs(coarse @ nodes**deg - exact) < 1e-14
+        # the 10-point rule is not exact one degree higher
+        assert abs(coarse @ nodes**20 - 2.0 / 21) > 1e-8
+
+    def test_one_evaluation_per_node(self, tables_small, monkeypatch):
+        counts = {}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls, points = counts.get(name, (0, 0))
+                counts[name] = (calls + 1, points + np.size(args[-1]))
+                return fn(*args)
+            monkeypatch.setattr(inversion, name, wrapped)
+
+        counting("zeta_one_line", inversion.zeta_one_line)
+        counting("off_diagonal_product", inversion.off_diagonal_product)
+        res = windowed_inversion(2, (1500.0, 1560.0), tables=tables_small)
+        n_eps = res.diagnostics["eps_nodes"]
+        assert counts == {
+            "zeta_one_line": (1, n_eps),
+            "off_diagonal_product": (1, n_eps),
+        }
+
+
 class TestContrast:
     def test_estimates_converged(self, small_window):
         for res in small_window.values():
@@ -56,6 +90,11 @@ class TestContrast:
 
     def test_even_beats_odd(self, small_window):
         assert abs(small_window[3].estimate) < abs(small_window[2].estimate)
+
+    def test_estimates_pinned(self, small_window):
+        # values of the earlier two-pass Gauss-Legendre quadrature
+        assert small_window[2].estimate == pytest.approx(1.0971306607838847, abs=1e-7)
+        assert small_window[3].estimate == pytest.approx(-0.022469808016278237, abs=1e-7)
 
     def test_even_shift_lands_near_series_scale(self, small_window):
         # alpha(2) ~ 1.32; a 60-wide window holds ~10 unit-atoms, so the

@@ -114,6 +114,15 @@ class TestAlphaRamanujan:
         err = abs(res.value - alpha_product(2, tables_1m, c2_ref).value)
         assert err <= res.truncation["tail_bound"]
 
+    @pytest.mark.parametrize("h", [2, 6, 30])
+    def test_tail_bound_covers_primes_beyond_sieve(self, tables_1m, tables_big, c2_ref, h):
+        # the primes above the sieve limit enter through a Rosser-Schoenfeld
+        # bound, so a smaller sieve can only loosen the bound, never shrink it
+        small = alpha_ramanujan(h, tables_1m, 1_000_000).truncation["tail_bound"]
+        big = alpha_ramanujan(h, tables_big, 1_000_000)
+        err = abs(big.value - alpha_product(h, tables_big, c2_ref).value)
+        assert small >= big.truncation["tail_bound"] >= err
+
 
 class TestAlphaEmpirical:
     def test_matches_product_at_desk_scale(self, tables_big, c2_ref):

@@ -19,6 +19,7 @@ from zetapair.special import (
     sine_integral,
     triangle,
     triangle_ft,
+    zeta_em,
     zeta_one_line,
 )
 
@@ -93,6 +94,71 @@ class TestZetaOneLine:
             ZetaEvaluator(series_cutoff=5)
         with pytest.raises(ValueError):
             ZetaEvaluator(correction_order=11)
+
+
+class TestZetaEM:
+    def test_against_mpmath_on_one_line(self):
+        # tall enough for the inversion's eps band; the double-precision
+        # phase t ln n limits agreement to ~1.5e-12 at t = 6500
+        ts = np.concatenate([np.linspace(0.5, 6600.0, 45), [6500.0]])
+        got = zeta_em(1.0 + 1j * ts)
+        with mpmath.workdps(25):
+            ref = np.array([complex(mpmath.zeta(mpmath.mpc(1.0, t))) for t in ts])
+        assert np.max(np.abs(got - ref)) <= 5e-12
+
+    def test_against_mpmath_on_critical_line(self):
+        ts = np.concatenate([np.linspace(2.0, 1000.0, 35), [14.134725141734693]])
+        got = zeta_em(0.5 + 1j * ts)
+        with mpmath.workdps(25):
+            ref = np.array([complex(mpmath.zeta(mpmath.mpc(0.5, t))) for t in ts])
+        assert np.max(np.abs(got - ref)) <= 5e-12
+
+    def test_scalar_in_scalar_out(self):
+        assert type(zeta_em(2.0 + 0j)) is complex
+        assert zeta_em(2.0 + 0j) == pytest.approx(math.pi**2 / 6, rel=1e-14)
+
+
+class TestTruncationPoint:
+    @staticmethod
+    def remainder_bound(s: complex, n: int, k: int) -> float:
+        # |s+2k+1|/(sigma+2k+1) |B_{2k+2}/(2k+2)! (s)_{2k+1}| N^(-sigma-2k-1)
+        with mpmath.workdps(30):
+            s = mpmath.mpc(s)
+            val = (
+                abs(s + 2 * k + 1) / (s.real + 2 * k + 1)
+                * abs(mpmath.bernoulli(2 * k + 2) / mpmath.factorial(2 * k + 2))
+                * abs(mpmath.rf(s, 2 * k + 1))
+                * mpmath.mpf(n) ** (-s.real - 2 * k - 1)
+            )
+            return float(val)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_floor_and_monotone(self, sigma):
+        cfg = ZetaEvaluator()
+        ts = np.linspace(0.0, 20_000.0, 4001)
+        for sign in (1, -1):
+            n = cfg.truncation_point(sigma + 1j * sign * ts)
+            assert n.dtype == np.int64
+            assert np.all(n >= cfg.series_cutoff)
+            assert np.all(np.diff(n) >= 0)
+        assert n[0] == cfg.series_cutoff
+        assert n[-1] > cfg.series_cutoff
+
+    @pytest.mark.parametrize("order", [4, 8, 10])
+    def test_meets_bound_and_is_smallest(self, order):
+        cfg = ZetaEvaluator(correction_order=order)
+        for s in (1 + 3j, 1 + 150j, 1 + 987.5j, 1 - 4321j, 0.5 + 640j, 0.5 + 999j, 2 + 7000j):
+            n = cfg.truncation_point(s)
+            assert type(n) is int
+            assert self.remainder_bound(s, n, order) <= 1e-14
+            if n > cfg.series_cutoff:
+                assert self.remainder_bound(s, n - 1, order) > 1e-14
+
+    def test_rejects_bad_arguments(self):
+        # outside Re s > -(2k+1) the remainder integral diverges
+        for bad in (-21.0 + 5j, complex(math.nan, 1.0), complex(1.0, math.inf)):
+            with pytest.raises(ValueError):
+                ZetaEvaluator().truncation_point(bad)
 
 
 class TestLogZetaDD:
