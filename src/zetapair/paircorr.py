@@ -87,8 +87,17 @@ class CorrelationEstimate:
 
 
 def _pair_differences(x: np.ndarray, max_diff: float) -> np.ndarray:
-    hi = np.searchsorted(x, x + max_diff, side="right")
-    parts = [x[i + 1 : hi[i]] - x[i] for i in range(len(x)) if hi[i] > i + 1]
+    """x[k] - x[i] over all i < k with x[k] <= x[i] + max_diff (x ascending).
+
+    One neighbour shift j = k - i at a time; once no pair j apart is close
+    enough, no pair further apart is either.
+    """
+    parts = []
+    for j in range(1, len(x)):
+        close = x[j:] <= x[:-j] + max_diff
+        if not np.any(close):
+            break
+        parts.append(x[j:][close] - x[:-j][close])
     if not parts:
         return np.empty(0)
     return np.concatenate(parts)
@@ -193,19 +202,79 @@ def gue_r2(eps):
 
 # -- finite-height theory ------------------------------------------------------
 
-def _prime_power_terms(tables: SieveTables, p_cut: int, k_cut: int):
-    """Weights/log-frequencies of the diagonal prime-power sum."""
+def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarray):
+    """Both prime sums of the finite-height curve from one phase matrix.
+
+    u = p^-i eps is formed once per (eps, p <= p_cut), as cos/-sin of
+    eps ln p, in row chunks of at most 2^20 entries.  From u come
+
+        power   = sum_{p, 1 <= k <= k_cut} k (ln p)^2 p^-(k+1) u^(k+1),
+        product = prod_p (1 - ((1 - u)/(p - 1))^2),
+
+    the powers of u by repeated multiplication over the prefix of primes
+    with (k+1) ln p <= 40 (p^-(k+1) >= ~4e-18), one matvec per k.  With
+    k_cut = 0 the power sum is empty and reads 0.
+    """
+    if p_cut > tables.limit:
+        raise ValueError("prime cutoff exceeds sieve limit")
+    eps = np.asarray(eps, dtype=np.float64)
+    flat = eps.ravel()
     ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
     ps = ps.astype(np.float64)
-    logs, weights = [], []
+    log_p = np.log(ps)
+    weights = []  # complex, so each matvec stays in BLAS
     for k in range(1, k_cut + 1):
-        keep = (k + 1) * np.log(ps) <= 40.0  # p^-(k+1) >= ~4e-18
-        if not np.any(keep):
+        lp = log_p[(k + 1) * log_p <= 40.0]
+        if len(lp) == 0:
             break
-        lp = np.log(ps[keep])
-        logs.append((k + 1) * lp)
-        weights.append(lp**2 * k * np.exp(-(k + 1) * lp))
-    return np.concatenate(logs), np.concatenate(weights)
+        weights.append((k * lp**2 * np.exp(-(k + 1) * lp)).astype(np.complex128))
+    power = np.zeros(flat.shape, dtype=np.complex128)
+    product = np.empty(flat.shape, dtype=np.complex128)
+    rows = max(1, (1 << 20) // max(1, len(ps)))
+    # the product is grouped in prime blocks of 2^22 / len(eps); the last
+    # digits of `zetapair invert` output rest on that order
+    prime_block = max(1, (1 << 22) // max(1, flat.size))
+    for lo in range(0, flat.size, rows):
+        sl = slice(lo, lo + rows)
+        phase = np.multiply.outer(flat[sl], log_p)
+        u = np.empty(phase.shape, dtype=np.complex128)
+        np.cos(phase, out=u.real)
+        np.negative(np.sin(phase, out=phase), out=u.imag)
+        ratio = np.subtract(1.0, u)
+        ratio /= ps - 1.0
+        ratio *= ratio
+        factors = np.subtract(1.0, ratio, out=ratio)
+        product[sl] = 1.0
+        for plo in range(0, len(ps), prime_block):
+            product[sl] *= np.prod(factors[:, plo : plo + prime_block], axis=-1)
+        u_pow = u
+        for w in weights:
+            u_pow = u_pow[:, : len(w)] * u[:, : len(w)]
+            power[sl] += u_pow @ w
+    return power.reshape(eps.shape), product.reshape(eps.shape)
+
+
+def _diag_term(arr: np.ndarray, cfg: ZetaEvaluator, power: np.ndarray) -> np.ndarray:
+    return -np.real(log_zeta_dd(cfg, arr) + power) / (2.0 * np.pi**2)
+
+
+def _check_height(e_height: float) -> None:
+    if e_height <= TWO_PI:
+        raise ValueError("height must exceed 2 pi for a positive mean density")
+
+
+def _off_term(
+    arr: np.ndarray, e_height: float, cfg: ZetaEvaluator, product: np.ndarray
+) -> np.ndarray:
+    z = zeta_one_line(cfg, arr)
+    mod2 = np.real(z * np.conj(z))
+    phase = np.exp(-1j * TWO_PI * arr * mean_density(e_height))
+    return 2.0 * np.real(mod2 * phase * product / (4.0 * np.pi**2))
+
+
+def _scalar_or_array(eps, out: np.ndarray):
+    scalar = np.isscalar(eps) or np.asarray(eps).ndim == 0
+    return float(out[0]) if scalar else out
 
 
 def r2_diag_finite(
@@ -223,28 +292,13 @@ def r2_diag_finite(
     vanishes identically, so the sum starts at k = 1.
     """
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    if p_cut > tables.limit:
-        raise ValueError("prime cutoff exceeds sieve limit")
-    logs, weights = _prime_power_terms(tables, p_cut, k_cut)
-    x = log_zeta_dd(cfg, arr)
-    x = x + np.exp(-1j * np.multiply.outer(arr, logs)) @ weights
-    out = -np.real(x) / (2.0 * np.pi**2)
-    scalar = np.isscalar(eps) or np.asarray(eps).ndim == 0
-    return float(out[0]) if scalar else out
+    power, _ = _prime_phase_sums(tables, p_cut, k_cut, arr)
+    return _scalar_or_array(eps, _diag_term(arr, cfg, power))
 
 
 def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np.ndarray:
     """prod_{p <= p_cut} (1 - ((1 - p^-i eps)/(p - 1))^2) at each eps (an array)."""
-    ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
-    ps = ps.astype(np.float64)
-    log_p = np.log(ps)
-    prod = np.ones(eps.shape, dtype=np.complex128)
-    chunk = max(1, (1 << 22) // max(1, eps.size))
-    for lo in range(0, len(ps), chunk):
-        sl = slice(lo, lo + chunk)
-        ratio = (1.0 - np.exp(-1j * np.multiply.outer(eps, log_p[sl]))) / (ps[sl] - 1.0)
-        prod *= np.prod(1.0 - ratio * ratio, axis=-1)
-    return prod
+    return _prime_phase_sums(tables, p_cut, 0, eps)[1]
 
 
 def r2_off_finite(
@@ -259,18 +313,10 @@ def r2_off_finite(
     (1/4 pi^2) |zeta(1+i eps)|^2 exp(-2 pi i eps dbar(E))
         prod_{p <= P} (1 - ((1 - p^-i eps)/(p - 1))^2)  + c.c.
     """
-    if e_height <= TWO_PI:
-        raise ValueError("height must exceed 2 pi for a positive mean density")
-    if p_cut > tables.limit:
-        raise ValueError("prime cutoff exceeds sieve limit")
+    _check_height(e_height)
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    z = zeta_one_line(cfg, arr)
-    mod2 = np.real(z * np.conj(z))
-    phase = np.exp(-1j * TWO_PI * arr * mean_density(e_height))
-    x = mod2 * phase * off_diagonal_product(tables, p_cut, arr) / (4.0 * np.pi**2)
-    out = 2.0 * np.real(x)
-    scalar = np.isscalar(eps) or np.asarray(eps).ndim == 0
-    return float(out[0]) if scalar else out
+    product = off_diagonal_product(tables, p_cut, arr)
+    return _scalar_or_array(eps, _off_term(arr, e_height, cfg, product))
 
 
 @dataclass(frozen=True)
@@ -308,8 +354,10 @@ def theory_curve(
         args, scale, const = eps / dens, 1.0 / dens**2, 1.0
     else:
         args, scale, const = eps, 1.0, dens**2
-    diag = scale * r2_diag_finite(args, cfg, tables, p_cut, k_cut)
-    off = scale * r2_off_finite(args, e_height, cfg, tables, p_cut)
+    _check_height(e_height)
+    power, product = _prime_phase_sums(tables, p_cut, k_cut, args)
+    diag = scale * _diag_term(args, cfg, power)
+    off = scale * _off_term(args, e_height, cfg, product)
     return TheoryCurve(
         eps,
         const,

@@ -191,13 +191,16 @@ def log_zeta_dd(cfg: ZetaEvaluator, eps):
     # never place a stencil point on the pole itself
     h = np.where(np.minimum(np.abs(w - h), np.abs(w - h / 2)) < 1e-9, h * 1.0000373, h)
 
-    def d2(step: np.ndarray) -> np.ndarray:
-        pts = np.concatenate([w, w + step, w - step])
-        z = zeta_em(1.0 + 1j * pts, cfg).reshape(3, -1)
-        ratio = (z[1] * z[2] / z[0] ** 2) * ((w + step) * (w - step) / w**2)
+    # the five distinct stencil points in one zeta_em call
+    half = h / 2
+    pts = np.concatenate([w, w + half, w - half, w + h, w - h])
+    z0, z_half_p, z_half_m, z_p, z_m = zeta_em(1.0 + 1j * pts, cfg).reshape(5, -1)
+
+    def d2(step: np.ndarray, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
+        ratio = (zp * zm / z0**2) * ((w + step) * (w - step) / w**2)
         return np.log(ratio) / step**2
 
-    out = 1.0 / w**2 + (4.0 * d2(h / 2) - d2(h)) / 3.0
+    out = 1.0 / w**2 + (4.0 * d2(half, z_half_p, z_half_m) - d2(h, z_p, z_m)) / 3.0
     scalar = np.isscalar(eps) or np.asarray(eps).ndim == 0
     return complex(out[0]) if scalar else out
 

@@ -1,8 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zetapair import paircorr
 from zetapair.paircorr import (
     GridMismatchError,
     InsufficientDataError,
@@ -20,7 +24,7 @@ from zetapair.paircorr import (
     theory_curve,
     theory_on_bins,
 )
-from zetapair.special import TWO_PI, mean_density
+from zetapair.special import TWO_PI, log_zeta_dd, mean_density, zeta_one_line
 from zetapair.zeros import ZeroList
 
 
@@ -75,6 +79,32 @@ class TestEmpirical:
         b = empirical_r2(zeros_high, 8000.0, 300.0, 0.1, 3.0)
         with pytest.raises(GridMismatchError):
             aggregate([a, b])
+
+
+def _all_pair_differences(x, max_diff):
+    """Every x[k] - x[i], i < k, with x[k] <= x[i] + max_diff, pair by pair."""
+    return [x[k] - x[i] for i in range(len(x)) for k in range(i + 1, len(x))
+            if x[k] <= x[i] + max_diff]
+
+
+class TestPairDifferences:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-50.0, 50.0), max_size=60),
+        st.floats(0.0, 30.0),
+    )
+    def test_matches_all_pairs(self, values, max_diff):
+        x = np.sort(np.array(values, dtype=np.float64))
+        got = np.sort(paircorr._pair_differences(x, max_diff))
+        want = np.sort(np.array(_all_pair_differences(x, max_diff), dtype=np.float64))
+        assert np.array_equal(got, want)
+
+    def test_histogram_on_zeros_matches_all_pairs(self, zeros_high):
+        x = zeros_high.ordinates[:600] * mean_density(3300.0)
+        edges = np.linspace(0.0, 3.0, 61)
+        got = np.histogram(paircorr._pair_differences(x, 3.0), bins=edges)[0]
+        want = np.histogram(_all_pair_differences(x, 3.0), bins=edges)[0]
+        assert np.array_equal(got, want)
 
 
 class TestLimits:
@@ -151,7 +181,108 @@ class TestFiniteHeight:
         assert devs[-1] <= 1e-2
 
 
+def _mpmath_prime_sums(tables, p_cut, k_cut, eps):
+    """The kernel's two finite prime sums at each eps, at 25 digits."""
+    with mpmath.workdps(25):
+        es = [mpmath.mpf(float(e)) for e in eps]
+        power = [mpmath.mpc(0)] * len(es)
+        product = [mpmath.mpc(1)] * len(es)
+        for p in tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]:
+            p = int(p)
+            lp = mpmath.log(p)
+            n_pow = sum(1 for k in range(1, k_cut + 1) if (k + 1) * math.log(p) <= 40.0)
+            for i, e in enumerate(es):
+                u = mpmath.expj(-e * lp)
+                ratio = (1 - u) / (p - 1)
+                product[i] *= 1 - ratio * ratio
+                y = u / p
+                y_pow = y
+                for k in range(1, n_pow + 1):
+                    y_pow *= y
+                    power[i] += k * lp**2 * y_pow
+        return np.array(power, dtype=complex), np.array(product, dtype=complex)
+
+
+def _per_term_theory(e_height, eps, cfg, tables, p_cut, k_cut):
+    """The unfolded curve with one complex exponential per (eps, p, k) and per (eps, p)."""
+    ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
+    ps = ps.astype(np.float64)
+    logs, weights = [], []
+    for k in range(1, k_cut + 1):
+        keep = (k + 1) * np.log(ps) <= 40.0
+        if not np.any(keep):
+            break
+        lp = np.log(ps[keep])
+        logs.append((k + 1) * lp)
+        weights.append(lp**2 * k * np.exp(-(k + 1) * lp))
+    logs, weights = np.concatenate(logs), np.concatenate(weights)
+    dens = mean_density(e_height)
+    args = eps / dens
+    power = np.exp(-1j * np.multiply.outer(args, logs)) @ weights
+    diag = -np.real(log_zeta_dd(cfg, args) + power) / (2.0 * np.pi**2)
+    ratio = (1.0 - np.exp(-1j * np.multiply.outer(args, np.log(ps)))) / (ps - 1.0)
+    product = np.prod(1.0 - ratio * ratio, axis=-1)
+    z = zeta_one_line(cfg, args)
+    off = 2.0 * np.real(
+        np.real(z * np.conj(z)) * np.exp(-1j * TWO_PI * args * dens) * product
+        / (4.0 * np.pi**2)
+    )
+    return diag / dens**2, off / dens**2
+
+
+class TestPrimePhaseKernel:
+    # eps up to 25 keeps the phase eps ln p below ~300 rad, where its
+    # double rounding stays near 1e-14
+    @pytest.mark.parametrize("p_cut,k_cut", [(20_000, 14), (100_000, 20)])
+    def test_against_mpmath(self, tables_1m, p_cut, k_cut):
+        eps = np.array([0.3, 1.7, 25.0])
+        power, product = paircorr._prime_phase_sums(tables_1m, p_cut, k_cut, eps)
+        want_power, want_product = _mpmath_prime_sums(tables_1m, p_cut, k_cut, eps)
+        # measured: 1.3e-15 and 1.2e-14 at worst
+        assert np.max(np.abs(power - want_power)) <= 1e-14
+        assert np.max(np.abs(product - want_product)) <= 5e-14
+
+    def test_shape_and_empty_power_sum(self, tables_1m):
+        eps = np.linspace(0.5, 4.0, 12).reshape(3, 4)
+        power, product = paircorr._prime_phase_sums(tables_1m, 20_000, 0, eps)
+        assert power.shape == product.shape == eps.shape
+        assert np.all(power == 0.0)
+        flat = paircorr.off_diagonal_product(tables_1m, 20_000, eps.ravel())
+        assert np.array_equal(product.ravel(), flat)
+
+    def test_row_chunks_line_up(self, tables_1m):
+        # 9592 primes below 1e5: chunks of 109 rows, the last one partial
+        eps = np.linspace(0.1, 30.0, 250)
+        power, product = paircorr._prime_phase_sums(tables_1m, 100_000, 20, eps)
+        for i in (0, 108, 109, 218, 249):
+            p1, q1 = paircorr._prime_phase_sums(tables_1m, 100_000, 20, eps[i : i + 1])
+            assert abs(p1[0] - power[i]) <= 1e-15
+            assert abs(q1[0] - product[i]) <= 1e-15
+
+    def test_rejects_cutoff_beyond_sieve(self, tables_small):
+        with pytest.raises(ValueError):
+            paircorr._prime_phase_sums(tables_small, 20_000, 14, np.array([1.0]))
+
+
 class TestTheoryCurve:
+    @pytest.mark.parametrize("e_height,p_cut,k_cut", [(7000.0, 20_000, 14), (1e10, 100_000, 20)])
+    def test_matches_per_term_formula(self, zeta_cfg, tables_1m, e_height, p_cut, k_cut):
+        eps = np.arange(0.2, 3.0001, 0.05)
+        tc = theory_curve(e_height, eps, zeta_cfg, tables_1m, p_cut, k_cut)
+        diag, off = _per_term_theory(e_height, eps, zeta_cfg, tables_1m, p_cut, k_cut)
+        assert np.max(np.abs(tc.diag - diag)) <= 1e-13
+        assert np.max(np.abs(tc.offdiag - off)) <= 1e-13
+
+    def test_pointwise_terms_match_curve(self, zeta_cfg, tables_1m):
+        eps = np.array([0.4, 1.3, 2.9])
+        tc = theory_curve(1e4, eps, zeta_cfg, tables_1m, 20_000, 14, unfolded=False)
+        assert np.array_equal(tc.diag, r2_diag_finite(eps, zeta_cfg, tables_1m, 20_000, 14))
+        assert np.array_equal(tc.offdiag, r2_off_finite(eps, 1e4, zeta_cfg, tables_1m, 20_000))
+
+    def test_rejects_low_height(self, zeta_cfg, tables_1m):
+        with pytest.raises(ValueError):
+            theory_curve(5.0, np.array([0.5]), zeta_cfg, tables_1m)
+
     def test_decomposition_identity(self, zeta_cfg, tables_1m):
         eps = np.linspace(0.2, 3.0, 20)
         for unfolded in (True, False):

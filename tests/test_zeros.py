@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from zetapair import zeros
 from zetapair.special import TWO_PI
 from zetapair.zeros import (
     IncompleteEnumerationError,
@@ -112,6 +114,47 @@ class TestComputation:
         # Gram's law usually holds down here: one zero per Gram interval
         hits = np.searchsorted(zeros_low.ordinates, gs)
         assert np.all(np.diff(hits)[:20] >= 0)
+
+
+class TestGramPoints:
+    def test_theta_residual(self):
+        n = np.arange(-1, 7001)
+        g = gram_point(n)
+        assert np.all(np.diff(g) > 0)
+        assert np.max(np.abs(rs_theta(g) - n * math.pi)) <= 1e-10
+
+    def test_array_equals_scalar_calls(self):
+        n = np.concatenate([np.arange(-1, 60), np.arange(60, 140_000, 997)])
+        g = gram_point(n)
+        scalars = np.array([gram_point(int(k)) for k in n])
+        assert np.array_equal(g, scalars)
+        assert isinstance(gram_point(5), float)
+        assert gram_point(np.array(5)) == g[6]
+
+    def test_against_mpmath(self):
+        # measured: 2.9e-12 at n = -1 (t ~ 9.67, where the asymptotic
+        # theta's truncation shows) and 3.3e-16 relative for n >= 0
+        assert abs(gram_point(-1) - float(mpmath.grampoint(-1))) <= 1e-11
+        for n in [0, 1, 2, 3, 5, 8, 13, 21, 34, 100, 1000, 7000, 40_000, 138_000]:
+            ref = float(mpmath.grampoint(n))
+            assert abs(gram_point(n) - ref) <= 1e-15 * ref
+
+    def test_padding_reaches_past_a_bad_end_point(self, monkeypatch):
+        n = 2010  # (-1)^n Z(g_n) < 0: a bad Gram point
+        assert (-1.0) ** n * zfunc(gram_point(n)) < 0
+        # t_max just below g_(n-2) puts the last index of the range at n
+        t_max = gram_point(n - 2) - 1e-6
+        zl = compute_zeros(t_max - 20.0, t_max)
+        assert not counting_check(zl).flagged
+        monkeypatch.setattr(zeros, "_ANCHOR_PAD", 0)
+        with pytest.raises(IncompleteEnumerationError, match="above"):
+            compute_zeros(t_max - 20.0, t_max)
+
+    def test_rejects_below_floor(self):
+        with pytest.raises(ValueError):
+            gram_point(-2)
+        with pytest.raises(ValueError):
+            gram_point(np.array([0, 5, -3]))
 
 
 class TestCounting:
