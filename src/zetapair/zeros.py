@@ -2,8 +2,9 @@
 
 Zeros are located as sign changes of the real Z-function between Gram
 points, with block subdivision when a Gram interval hides an even number
-of zeros, and vectorized bisection for refinement.  The Gram points of a
-whole range come from one vectorized Newton iteration on theta, started
+of zeros, and vectorized bisection for refinement, which stops once a
+sweep moves no bracket end.  The Gram points of a whole range come from
+one vectorized Newton iteration on theta, started
 from the Lambert-W root of its leading terms; the index range is padded
 so good Gram points anchor both ends.  Below t = 1000 the
 Z-function is evaluated through Euler-Maclaurin zeta on the critical line
@@ -206,6 +207,9 @@ def _bisect_many(lo: np.ndarray, hi: np.ndarray, z_lo: np.ndarray, cfg) -> np.nd
         mid = 0.5 * (lo + hi)
         zm = zfunc(mid, cfg)
         take_hi = np.signbit(zm) != np.signbit(z_lo)
+        # once no endpoint moves, every later sweep repeats this one exactly
+        if np.array_equal(np.where(take_hi, hi, lo), mid):
+            break
         hi = np.where(take_hi, mid, hi)
         keep = ~take_hi
         lo = np.where(keep, mid, lo)

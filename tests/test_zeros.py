@@ -116,6 +116,40 @@ class TestComputation:
         assert np.all(np.diff(hits)[:20] >= 0)
 
 
+class TestBisection:
+    @staticmethod
+    def fixed_sweeps(lo, hi, z_lo):
+        # every one of the 48 sweeps, as the bisection ran before it learned to stop
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            zm = zfunc(mid)
+            take_hi = np.signbit(zm) != np.signbit(z_lo)
+            hi = np.where(take_hi, mid, hi)
+            lo = np.where(take_hi, lo, mid)
+            z_lo = np.where(take_hi, z_lo, zm)
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(2990.0, 3100.0), (99_000.0, 99_040.0)])
+    def test_stops_early_with_the_same_bits(self, monkeypatch, t_lo, t_hi):
+        pts = np.linspace(t_lo, t_hi, 401)
+        zv = zfunc(pts)
+        flip = np.nonzero(np.signbit(zv[1:]) != np.signbit(zv[:-1]))[0]
+        assert len(flip) > 20
+        lo, hi, z_lo = pts[flip], pts[flip + 1], zv[flip]
+        want = self.fixed_sweeps(lo, hi, z_lo)
+
+        calls = []
+
+        def counted(t, cfg=None):
+            calls.append(np.size(t))
+            return zfunc(t)
+
+        monkeypatch.setattr(zeros, "zfunc", counted)
+        got = zeros._bisect_many(lo, hi, z_lo, None)
+        assert np.array_equal(got, want)
+        assert len(calls) < 48
+
+
 class TestGramPoints:
     def test_theta_residual(self):
         n = np.arange(-1, 7001)
