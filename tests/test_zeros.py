@@ -119,7 +119,7 @@ class TestComputation:
 class TestBisection:
     @staticmethod
     def fixed_sweeps(lo, hi, z_lo):
-        # every one of the 48 sweeps, as the bisection ran before it learned to stop
+        # the reference: all 48 sweeps, with no early stop
         for _ in range(48):
             mid = 0.5 * (lo + hi)
             zm = zfunc(mid)
