@@ -59,6 +59,14 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
+def _parse_range(text: str, form: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"expected {form}, got {text!r}")
+    return lo, hi
+
+
 def _sieve_for(cfg: RunConfig, needed: int):
     limit = cfg.sieve_limit if cfg.sieve_limit > 0 else max(needed, 1000)
     if limit < needed:
@@ -72,7 +80,7 @@ def _load_zero_list(args, cfg: RunConfig) -> zeros.ZeroList:
     if getattr(args, "zeros", None):
         return zeros.load_zeros(args.zeros)
     if getattr(args, "compute", None):
-        t_min, t_max = (float(x) for x in args.compute.split(":"))
+        t_min, t_max = _parse_range(args.compute, "--compute TMIN:TMAX")
         if cfg.cache_dir:
             # repr round-trips, so distinct ranges never share a file
             cache = Path(cfg.cache_dir) / f"zeros-{t_min!r}-{t_max!r}.txt"
@@ -275,8 +283,8 @@ def _cmd_identities(args, cfg: RunConfig) -> int:
 
 
 def _cmd_invert(args, cfg: RunConfig) -> int:
+    e_lo, e_hi = _parse_range(args.window, "--window E_LO:E_HI")
     tables = _sieve_for(cfg, max(args.prime_cutoff, 10_000) + 1)
-    e_lo, e_hi = (float(x) for x in args.window.split(":"))
     taper = TaperSpec(eps_outer=args.eps_outer, eps_roll=args.eps_roll,
                       e_roll=args.e_roll)
     rows = []

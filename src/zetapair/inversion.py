@@ -25,9 +25,10 @@ Gauss-Kronrod G10/K21: the estimate is the K21 value, and the embedded
 10-point Gauss rule on a subset of the same nodes gives the coarse value,
 so zeta and the Euler product are evaluated once.  The inner sums over
 eps, sum_eps coef(eps) exp(-i eps ln(E/2pi)) at every E node, are
-Dirichlet polynomials in ln(E/2pi); they go through the nonuniform-FFT
-kernel of ``special`` that also sums zeta's n^-s, in
-O((eps nodes + E nodes) log) work instead of a full phase matrix.
+Dirichlet polynomials in ln(E/2pi); both rules' rows go through one call
+of the nonuniform-FFT kernel of ``special`` that also sums zeta's n^-s
+and the Euler product, in O((eps nodes + E nodes) log) work instead of a
+full phase matrix, on a grid centred on the band of ln(E/2pi).
 ``quad_error_est`` is |K21 - G10| times the normalization, about 1e-5 on
 the documented windows: it tracks the coarse rule's error, which makes
 it a conservative figure for the K21 estimate.
@@ -135,8 +136,8 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, cfg, tables, p_cu
 
     zeta and the Euler product are evaluated once, on the K21 nodes, and
     the G10 estimate reads the subset; the E-side sums
-    sum_eps coef(eps) exp(-i eps ln(E/2pi)) are Dirichlet-polynomial kernel
-    calls, one per rule.
+    sum_eps coef(eps) exp(-i eps ln(E/2pi)) of both rules are one
+    Dirichlet-polynomial kernel call with two rows.
     """
     l_hi = math.log(e_hi / TWO_PI)
     eps_x, eps_fine, eps_coarse = _gk_panels(s_lo, s_hi, 0.7 * _GK_ORDER / (l_hi + 4.0))
@@ -154,7 +155,7 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, cfg, tables, p_cu
     e_x, e_fine, e_coarse = _gk_panels(e_lo, e_hi, e_panel)
     w_e = _bump(e_x, e_lo, e_hi, e_roll)
     log_e = np.log(e_x / TWO_PI)
-    f_of_e = np.stack([_dirichlet_sum(row, eps_x, log_e) for row in coef])
+    f_of_e = _dirichlet_sum(coef, eps_x, log_e)
     kernel = w_e * np.exp(1j * h * e_x) * 2.0 * np.real(f_of_e)
     fine = np.sum(e_fine * kernel[0])
     coarse = np.sum(e_coarse * kernel[1])

@@ -11,7 +11,10 @@ whose diagonal term combines the second log-derivative of zeta on the
 |zeta(1+i eps)|^2 exp(-2 pi i eps dbar(E)) times an absolutely convergent
 product over primes, plus the complex conjugate.  In unfolded units the
 curve tends to the random-matrix limit 1 - (sin(pi eps)/(pi eps))^2 as E
-grows.
+grows.  Both prime sums are Dirichlet polynomials in eps: the primes
+below 50 are summed directly, the rest by the nonuniform-FFT kernel of
+``special`` (the product as exp of its log series), so their cost grows
+like (terms + points) log rather than terms x points.
 
 Oscillatory theory is always bin-averaged (5-point Gauss-Legendre per
 bin) before it is compared with a histogram.
@@ -25,7 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sieve import SieveTables
-from .special import TWO_PI, ZetaEvaluator, log_zeta_dd, mean_density, zeta_one_line
+from .special import (
+    TWO_PI,
+    ZetaEvaluator,
+    _dirichlet_sum,
+    log_zeta_dd,
+    mean_density,
+    zeta_one_line,
+)
 from .zeros import ZeroList
 
 __all__ = [
@@ -202,55 +212,140 @@ def gue_r2(eps):
 
 # -- finite-height theory ------------------------------------------------------
 
-def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarray):
-    """Both prime sums of the finite-height curve from one phase matrix.
+#: primes below this keep the direct sum over u = p^-i eps: they hold the
+#: factors that can vanish (p = 3, u = -1) and most of sum |c| of both sums
+_SMALL_PRIME = 50
+#: the power sum keeps the terms with (k + 1) ln p <= 40, p^-(k+1) >= ~4e-18
+_POWER_LOG_MAX = 40.0
+#: bound on the dropped tail of each prime's series for ln(1 - w^2)
+_LOG_SERIES_TOL = 1e-18
 
-    u = p^-i eps is formed once per (eps, p <= p_cut), as cos/-sin of
-    eps ln p, in row chunks of at most 2^20 entries.  From u come
 
-        power   = sum_{p, 1 <= k <= k_cut} k (ln p)^2 p^-(k+1) u^(k+1),
-        product = prod_p (1 - ((1 - u)/(p - 1))^2),
-
-    the powers of u by repeated multiplication over the prefix of primes
-    with (k+1) ln p <= 40 (p^-(k+1) >= ~4e-18), one matvec per k.  With
-    k_cut = 0 the power sum is empty and reads 0.
-    """
+def _split_primes(tables: SieveTables, p_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p <= p_cut as floats, split at _SMALL_PRIME."""
     if p_cut > tables.limit:
         raise ValueError("prime cutoff exceeds sieve limit")
-    eps = np.asarray(eps, dtype=np.float64)
-    flat = eps.ravel()
     ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
     ps = ps.astype(np.float64)
+    cut = np.searchsorted(ps, _SMALL_PRIME)
+    return ps[:cut], ps[cut:]
+
+
+def _small_prime_phases(ps: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """u = p^-i eps at each (eps, p), as cos/-sin of eps ln p."""
+    phase = np.multiply.outer(eps, np.log(ps))
+    u = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=u.real)
+    np.negative(np.sin(phase, out=phase), out=u.imag)
+    return u
+
+
+def _small_prime_power(u: np.ndarray, ps: np.ndarray, k_cut: int) -> np.ndarray:
+    """The power sum over the columns of u, powers by repeated multiplication.
+
+    One matvec per k, over the prefix of primes with (k+1) ln p <= 40.
+    """
     log_p = np.log(ps)
-    weights = []  # complex, so each matvec stays in BLAS
+    power = np.zeros(u.shape[0], dtype=np.complex128)
+    u_pow = u
     for k in range(1, k_cut + 1):
-        lp = log_p[(k + 1) * log_p <= 40.0]
+        lp = log_p[(k + 1) * log_p <= _POWER_LOG_MAX]
         if len(lp) == 0:
             break
-        weights.append((k * lp**2 * np.exp(-(k + 1) * lp)).astype(np.complex128))
-    power = np.zeros(flat.shape, dtype=np.complex128)
-    product = np.empty(flat.shape, dtype=np.complex128)
-    rows = max(1, (1 << 20) // max(1, len(ps)))
-    # the product is grouped in prime blocks of 2^22 / len(eps); the last
-    # digits of `zetapair invert` output rest on that order
-    prime_block = max(1, (1 << 22) // max(1, flat.size))
-    for lo in range(0, flat.size, rows):
-        sl = slice(lo, lo + rows)
-        phase = np.multiply.outer(flat[sl], log_p)
-        u = np.empty(phase.shape, dtype=np.complex128)
-        np.cos(phase, out=u.real)
-        np.negative(np.sin(phase, out=phase), out=u.imag)
-        ratio = np.subtract(1.0, u)
-        ratio /= ps - 1.0
-        ratio *= ratio
-        factors = np.subtract(1.0, ratio, out=ratio)
-        product[sl] = 1.0
-        for plo in range(0, len(ps), prime_block):
-            product[sl] *= np.prod(factors[:, plo : plo + prime_block], axis=-1)
-        u_pow = u
-        for w in weights:
-            u_pow = u_pow[:, : len(w)] * u[:, : len(w)]
-            power[sl] += u_pow @ w
+        u_pow = u_pow[:, : len(lp)] * u[:, : len(lp)]
+        # complex weights, so the matvec stays in BLAS
+        power += u_pow @ (k * lp**2 * np.exp(-(k + 1) * lp)).astype(np.complex128)
+    return power
+
+
+def _small_prime_product(u: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """prod_p (1 - ((1 - u)/(p - 1))^2) over the columns of u."""
+    ratio = np.subtract(1.0, u)
+    ratio /= ps - 1.0
+    ratio *= ratio
+    return np.prod(np.subtract(1.0, ratio, out=ratio), axis=-1)
+
+
+def _large_prime_terms(ps: np.ndarray, k_cut: int):
+    """Both sums over the primes ps as Dirichlet polynomials in eps.
+
+    The nodes are x = m ln p, m = 1, 2, ..., for each p in turn.  Row 0 of
+    the coefficients holds the power sum, k (ln p)^2 p^-(k+1) at m = k + 1.
+    Row 1 holds the series of
+
+        ln(1 - w^2) = -sum_{j=1}^{J} w^(2j) / j,   w = (1 - u)/(p - 1),
+
+    expanded in powers u^m, m = 1..2J; its u^0 terms, summed over p, come
+    back as a constant.  |w| <= 2/(p - 1) = r, so J is the least with the
+    tail bound r^(2J+2) / ((J+1)(1 - r^2)) <= 1e-18.  Each row is zero at
+    the nodes it does not use.
+    """
+    log_p = np.log(ps)
+    n_pow = np.count_nonzero(
+        np.multiply.outer(log_p, np.arange(2, k_cut + 2)) <= _POWER_LOG_MAX, axis=1
+    )
+    q = 1.0 / (ps - 1.0) ** 2
+    r2 = 4.0 * q
+    n_j = np.ones(len(ps), dtype=np.int64)
+    while True:
+        over = r2 ** (n_j + 1) / ((n_j + 1) * (1.0 - r2)) > _LOG_SERIES_TOL
+        if not np.any(over):
+            break
+        n_j += over
+    m_max = np.maximum(n_pow + 1, 2 * n_j)
+    prime = np.repeat(np.arange(len(ps)), m_max)
+    m = np.arange(len(prime)) - np.repeat(np.cumsum(m_max) - m_max, m_max) + 1
+    lp = log_p[prime]
+    k = m - 1
+    coef = np.zeros((2, len(prime)))
+    in_power = (k >= 1) & (k <= n_pow[prime])
+    coef[0, in_power] = (k * lp**2 * np.exp(-(k + 1) * lp))[in_power]
+    # -sum_j q^j (1 - u)^(2j) / j, q = (p - 1)^-2, one column per power of u
+    series = np.zeros((len(ps), int(m_max.max(initial=0)) + 1))
+    q_j = np.ones(len(ps))
+    for j in range(1, int(n_j.max(initial=0)) + 1):
+        q_j = q_j * q
+        live = n_j >= j
+        m_j = np.arange(2 * j + 1)
+        binom = np.array([math.comb(2 * j, i) for i in m_j]) * (-1.0) ** m_j
+        series[live, : 2 * j + 1] -= np.multiply.outer(q_j[live] / j, binom)
+    coef[1] = series[prime, m]
+    return m * lp, coef, float(np.sum(series[:, 0]))
+
+
+def _power_sum(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarray) -> np.ndarray:
+    """The power sum of ``_prime_phase_sums`` alone, at each eps."""
+    small, large = _split_primes(tables, p_cut)
+    flat = eps.ravel()
+    x, coef, _ = _large_prime_terms(large, k_cut)
+    used = coef[0] != 0.0
+    power = _small_prime_power(_small_prime_phases(small, flat), small, k_cut)
+    power += _dirichlet_sum(coef[0, used], x[used], flat)
+    return power.reshape(eps.shape)
+
+
+def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarray):
+    """Both prime sums of the finite-height curve at each eps:
+
+        power   = sum_{p, 1 <= k <= k_cut} k (ln p)^2 p^-(k+1) u^(k+1),
+        product = prod_p (1 - ((1 - u)/(p - 1))^2),   u = p^-i eps,
+
+    over the primes p <= p_cut, and for the power sum the terms with
+    (k+1) ln p <= 40.  The primes below 50 share one block of u, formed
+    directly.  Above them both sums are Dirichlet polynomials in eps,
+    summed by one stacked ``_dirichlet_sum`` call: the power sum at the
+    nodes (k+1) ln p, and the product as exp of its log series (see
+    ``_large_prime_terms``).  With k_cut = 0 the power sum is empty and
+    reads 0.
+    """
+    small, large = _split_primes(tables, p_cut)
+    eps = np.asarray(eps, dtype=np.float64)
+    flat = eps.ravel()
+    u = _small_prime_phases(small, flat)
+    x, coef, log_const = _large_prime_terms(large, k_cut)
+    power, log_sum = _dirichlet_sum(coef, x, flat)
+    power += _small_prime_power(u, small, k_cut)
+    product = _small_prime_product(u, small) * np.exp(log_const + log_sum)
     return power.reshape(eps.shape), product.reshape(eps.shape)
 
 
@@ -292,13 +387,23 @@ def r2_diag_finite(
     vanishes identically, so the sum starts at k = 1.
     """
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    power, _ = _prime_phase_sums(tables, p_cut, k_cut, arr)
+    power = _power_sum(tables, p_cut, k_cut, arr)
     return _scalar_or_array(eps, _diag_term(arr, cfg, power))
 
 
 def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np.ndarray:
-    """prod_{p <= p_cut} (1 - ((1 - p^-i eps)/(p - 1))^2) at each eps (an array)."""
-    return _prime_phase_sums(tables, p_cut, 0, eps)[1]
+    """prod_{p <= p_cut} (1 - ((1 - p^-i eps)/(p - 1))^2) at each eps (an array).
+
+    The primes below 50 multiply directly; the rest give exp of one
+    ``_dirichlet_sum`` of their log series (see ``_prime_phase_sums``).
+    """
+    small, large = _split_primes(tables, p_cut)
+    eps = np.asarray(eps, dtype=np.float64)
+    flat = eps.ravel()
+    x, coef, log_const = _large_prime_terms(large, 0)
+    product = _small_prime_product(_small_prime_phases(small, flat), small)
+    product *= np.exp(log_const + _dirichlet_sum(coef[1], x, flat))
+    return product.reshape(eps.shape)
 
 
 def r2_off_finite(

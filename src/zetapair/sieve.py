@@ -6,7 +6,8 @@ lookups against the spf array.  The bulk Mobius and totient tables come
 from the spf recurrence f(k) = step(f(k / p), p = spf[k]), vectorized in
 doubling blocks.  A ``SieveTables`` instance is immutable after
 construction and safe to share across threads; the lazily built bulk
-arrays (``mobius_table`` etc.) are plain caches of pure functions.
+arrays (``mobius_table`` etc.) and the prime sum
+``log_mu2_phi2_product`` are plain caches of pure functions.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class SieveTables:
         primes.setflags(write=False)
         self.primes = primes
         self._bulk: dict = {}
+        self._log_mu2_phi2: float | None = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SieveTables(limit={self.limit}, primes={len(self.primes)})"
@@ -124,12 +126,27 @@ class SieveTables:
         phi_m = self.totient(m)
         return mu * (phi_n // phi_m)
 
+    def log_mu2_phi2_product(self) -> float:
+        """ln prod_{p <= limit} (1 + (p-1)^-2), computed once per instance.
+
+        The product is the Euler product of sum mu(n)^2 / phi(n)^2 over the
+        sieve's primes.
+        """
+        if self._log_mu2_phi2 is None:
+            self._log_mu2_phi2 = float(
+                np.sum(np.log1p(1.0 / (self.primes.astype(np.float64) - 1.0) ** 2))
+            )
+        return self._log_mu2_phi2
+
     # -- bulk arrays (lazy, cached) ----------------------------------------
 
     def _cached(self, kind: str, n: int, builder):
         n = self._check(n)
         have = self._bulk.get(kind)
         if have is None or len(have) < n + 1:
+            # free the shorter table first, so the two never coexist
+            del have
+            self._bulk.pop(kind, None)
             arr = builder(n)
             arr.setflags(write=False)
             self._bulk[kind] = arr

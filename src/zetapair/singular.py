@@ -96,9 +96,7 @@ def _series_tail_constant(tables: SieveTables, g: np.ndarray) -> float:
 
         sum_{p > L} (p-1)^-2 <= (2.51012 / ln L) (1/(L-1) + 1/(2 (L-1)^2)).
     """
-    total_log = float(
-        np.sum(np.log1p(1.0 / (tables.primes.astype(np.float64) - 1.0) ** 2))
-    )
+    total_log = tables.log_mu2_phi2_product()
     lim = float(tables.limit)
     total_log += 2.51012 / math.log(lim) * (1.0 / (lim - 1.0) + 0.5 / (lim - 1.0) ** 2)
     partial = float(np.sum(np.abs(g)))

@@ -271,3 +271,29 @@ class TestIdentitiesCommand:
         assert code == 1
         assert "FAILED mobius_indicator" in err
         assert parse_csv(out)[0]["passed"] == "false"
+
+
+class TestInvert:
+    ARGS = ("invert", "--h", "2,3", "--window", "1000:1060")
+
+    def test_small_window_rows_and_columns(self):
+        code, out, _ = run_cli(*self.ARGS)
+        assert code == 0
+        assert out.splitlines()[0] == "h,estimate,ok,quad_error_est,band_leakage,imag_fraction"
+        rows = parse_csv(out)
+        assert [r["h"] for r in rows] == ["2", "3"]
+        assert all(r["ok"] == "true" for r in rows)
+
+    def test_byte_identical_rerun(self):
+        assert run_cli(*self.ARGS) == run_cli(*self.ARGS)
+
+    @pytest.mark.parametrize("window", ["1000", "1000:1060:5", "a:b"])
+    def test_malformed_window_names_the_form(self, window):
+        code, out, err = run_cli("invert", "--h", "2", "--window", window)
+        assert (code, out) == (1, "")
+        assert f"expected --window E_LO:E_HI, got {window!r}" in err
+
+    def test_malformed_compute_range_names_the_form(self):
+        code, _, err = run_cli("r2", "empirical", "--compute", "10", "--center", "50")
+        assert code == 1
+        assert "expected --compute TMIN:TMAX, got '10'" in err

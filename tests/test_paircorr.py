@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetapair import paircorr
+from zetapair import paircorr, special
 from zetapair.paircorr import (
     GridMismatchError,
     InsufficientDataError,
@@ -181,6 +181,10 @@ class TestFiniteHeight:
         assert devs[-1] <= 1e-2
 
 
+def _no_direct_sum(*args):
+    raise AssertionError("the direct sum ran where the transform should")
+
+
 def _mpmath_prime_sums(tables, p_cut, k_cut, eps):
     """The kernel's two finite prime sums at each eps, at 25 digits."""
     with mpmath.workdps(25):
@@ -238,7 +242,7 @@ class TestPrimePhaseKernel:
         eps = np.array([0.3, 1.7, 25.0])
         power, product = paircorr._prime_phase_sums(tables_1m, p_cut, k_cut, eps)
         want_power, want_product = _mpmath_prime_sums(tables_1m, p_cut, k_cut, eps)
-        # measured: 1.3e-15 and 1.2e-14 at worst
+        # measured: 1.5e-15 and 2.8e-15 at worst
         assert np.max(np.abs(power - want_power)) <= 1e-14
         assert np.max(np.abs(product - want_product)) <= 5e-14
 
@@ -250,14 +254,32 @@ class TestPrimePhaseKernel:
         flat = paircorr.off_diagonal_product(tables_1m, 20_000, eps.ravel())
         assert np.array_equal(product.ravel(), flat)
 
-    def test_row_chunks_line_up(self, tables_1m):
-        # 9592 primes below 1e5: chunks of 109 rows, the last one partial
+    def test_row_chunks_line_up(self, tables_1m, monkeypatch):
+        # the primes above 50 go through the transform at 250 points and
+        # through the direct sum at one; measured 3.4e-16 and 4.4e-16 at worst
         eps = np.linspace(0.1, 30.0, 250)
-        power, product = paircorr._prime_phase_sums(tables_1m, 100_000, 20, eps)
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "_direct_sum", _no_direct_sum)
+            power, product = paircorr._prime_phase_sums(tables_1m, 100_000, 20, eps)
         for i in (0, 108, 109, 218, 249):
             p1, q1 = paircorr._prime_phase_sums(tables_1m, 100_000, 20, eps[i : i + 1])
             assert abs(p1[0] - power[i]) <= 1e-15
             assert abs(q1[0] - product[i]) <= 1e-15
+
+    def test_product_on_the_inversion_band(self, tables_small, monkeypatch):
+        # the eps of windowed_inversion at h = 4 on (1000, 1060), where the
+        # grid is centred on the band; the per-term formula rounds each
+        # eps ln p, by up to 3.6e-12 rad here
+        eps = np.linspace(4000.0, 4300.0, 2000)
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "_direct_sum", _no_direct_sum)
+            got = paircorr.off_diagonal_product(tables_small, 4000, eps)
+        ps = tables_small.primes[: np.searchsorted(tables_small.primes, 4000, side="right")]
+        ps = ps.astype(np.float64)
+        ratio = (1.0 - np.exp(-1j * np.multiply.outer(eps, np.log(ps)))) / (ps - 1.0)
+        want = np.prod(1.0 - ratio * ratio, axis=-1)
+        # measured 2.3e-14, with |product| up to 3.5
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_rejects_cutoff_beyond_sieve(self, tables_small):
         with pytest.raises(ValueError):

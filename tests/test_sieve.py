@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -188,6 +189,22 @@ def test_bulk_tables_grow_on_demand():
         assert phi[n] == tables.totient(n)
         assert mu[n] == tables.mobius(n)
     assert np.array_equal(tables.totient_table(100), phi[:101])
+
+
+def test_growing_a_table_frees_the_shorter_one_first(monkeypatch):
+    # two tables of ~1e7 entries side by side set the peak memory of a run
+    tables = build_sieve(5000)
+    short = weakref.ref(tables.von_mangoldt_table(100).base)
+    freed = []
+    build = tables._build_mangoldt
+
+    def spy(n):
+        freed.append(short() is None)
+        return build(n)
+
+    monkeypatch.setattr(tables, "_build_mangoldt", spy)
+    assert len(tables.von_mangoldt_table(5000)) == 5001
+    assert freed == [True]
 
 
 class TestCache:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetapair.sieve import build_sieve
 from zetapair.singular import (
     alpha_empirical,
     alpha_product,
@@ -113,6 +114,21 @@ class TestAlphaRamanujan:
         assert res.truncation["series_cutoff"] == 1_000_000
         err = abs(res.value - alpha_product(2, tables_1m, c2_ref).value)
         assert err <= res.truncation["tail_bound"]
+
+    def test_tail_bound_prime_sum_taken_once_per_sieve(self):
+        tables = build_sieve(50_000)
+        n_max = 10_000
+        got = [alpha_ramanujan(h, tables, n_max).truncation["tail_bound"] for h in (6, 30)]
+        log_sum = tables.log_mu2_phi2_product()
+        assert tables.log_mu2_phi2_product() is log_sum
+        # the bound with the prime sum taken inside each call, bit for bit
+        phi = tables.totient_table(n_max)[1:].astype(np.float64)
+        g = tables.mobius_table(n_max)[1:] / phi**2
+        total = float(np.sum(np.log1p(1.0 / (tables.primes.astype(np.float64) - 1.0) ** 2)))
+        lim = float(tables.limit)
+        total += 2.51012 / math.log(lim) * (1.0 / (lim - 1.0) + 0.5 / (lim - 1.0) ** 2)
+        constant = max(math.exp(total) - float(np.sum(np.abs(g))), 0.0)
+        assert got == [tables.totient(6) * constant, tables.totient(30) * constant]
 
     @pytest.mark.parametrize("h", [2, 6, 30])
     def test_tail_bound_covers_primes_beyond_sieve(self, tables_1m, tables_big, c2_ref, h):

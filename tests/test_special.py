@@ -168,6 +168,32 @@ class TestDirichletSum:
         assert got.shape == t.shape
         assert np.max(np.abs(got - _phase_sum(c, x, t))) <= tol
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(800, 1500),
+        st.integers(800, 1500),
+        st.integers(1, 3),
+        st.floats(1e-3, 40.0),
+        st.floats(-1e4, 1e4),
+        st.floats(1e-3, 300.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_rows_on_a_band_far_from_zero(
+        self, n_terms, n_targets, n_rows, x_max, t_lo, width, seed
+    ):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=(n_rows, n_terms)) + 1j * rng.normal(size=(n_rows, n_terms))
+        x = rng.uniform(-x_max, x_max, n_terms)
+        t = rng.uniform(t_lo, t_lo + width, n_targets)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(special, "_direct_sum", _no_direct_sum)
+            got = special._dirichlet_sum(c, x, t)
+        assert got.shape == (n_rows, n_targets)
+        span = np.max(np.abs(t)) * np.max(np.abs(x))
+        for row, sums in zip(c, got):
+            tol = np.sum(np.abs(row)) * (5e-14 + 5e-16 * span)
+            assert np.max(np.abs(sums - _phase_sum(row, x, t))) <= tol
+
     def test_against_mpmath(self, monkeypatch):
         rng = np.random.default_rng(2024)
         c = rng.normal(size=2000) + 1j * rng.normal(size=2000)
