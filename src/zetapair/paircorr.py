@@ -278,12 +278,12 @@ def _large_prime_terms(ps: np.ndarray, k_cut: int):
     expanded in powers u^m, m = 1..2J; its u^0 terms, summed over p, come
     back as a constant.  |w| <= 2/(p - 1) = r, so J is the least with the
     tail bound r^(2J+2) / ((J+1)(1 - r^2)) <= 1e-18.  Each row is zero at
-    the nodes it does not use.
+    the nodes it does not use.  The nodes do not depend on k_cut: they run
+    to m = 2J or to the last m with m ln p <= 40, whichever is larger, so
+    the product row is the same whatever k_cut the power row is cut at.
     """
     log_p = np.log(ps)
-    n_pow = np.count_nonzero(
-        np.multiply.outer(log_p, np.arange(2, k_cut + 2)) <= _POWER_LOG_MAX, axis=1
-    )
+    n_pow = np.floor(_POWER_LOG_MAX / log_p).astype(np.int64) - 1
     q = 1.0 / (ps - 1.0) ** 2
     r2 = 4.0 * q
     n_j = np.ones(len(ps), dtype=np.int64)
@@ -298,7 +298,7 @@ def _large_prime_terms(ps: np.ndarray, k_cut: int):
     lp = log_p[prime]
     k = m - 1
     coef = np.zeros((2, len(prime)))
-    in_power = (k >= 1) & (k <= n_pow[prime])
+    in_power = (k >= 1) & (k <= np.minimum(n_pow[prime], k_cut))
     coef[0, in_power] = (k * lp**2 * np.exp(-(k + 1) * lp))[in_power]
     # -sum_j q^j (1 - u)^(2j) / j, q = (p - 1)^-2, one column per power of u
     series = np.zeros((len(ps), int(m_max.max(initial=0)) + 1))
@@ -313,17 +313,6 @@ def _large_prime_terms(ps: np.ndarray, k_cut: int):
     return m * lp, coef, float(np.sum(series[:, 0]))
 
 
-def _power_sum(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarray) -> np.ndarray:
-    """The power sum of ``_prime_phase_sums`` alone, at each eps."""
-    small, large = _split_primes(tables, p_cut)
-    flat = eps.ravel()
-    x, coef, _ = _large_prime_terms(large, k_cut)
-    used = coef[0] != 0.0
-    power = _small_prime_power(_small_prime_phases(small, flat), small, k_cut)
-    power += _dirichlet_sum(coef[0, used], x[used], flat)
-    return power.reshape(eps.shape)
-
-
 def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarray):
     """Both prime sums of the finite-height curve at each eps:
 
@@ -335,17 +324,20 @@ def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarr
     directly.  Above them both sums are Dirichlet polynomials in eps,
     summed by one stacked ``_dirichlet_sum`` call: the power sum at the
     nodes (k+1) ln p, and the product as exp of its log series (see
-    ``_large_prime_terms``).  With k_cut = 0 the power sum is empty and
-    reads 0.
+    ``_large_prime_terms``).  With k_cut = 0 the power sum is empty, reads
+    0 and stays out of the transform.  The nodes do not depend on k_cut and
+    a row of a stack gives the bits it would alone, so the product is the
+    same, bit for bit, at every k_cut.
     """
     small, large = _split_primes(tables, p_cut)
     eps = np.asarray(eps, dtype=np.float64)
     flat = eps.ravel()
     u = _small_prime_phases(small, flat)
     x, coef, log_const = _large_prime_terms(large, k_cut)
-    power, log_sum = _dirichlet_sum(coef, x, flat)
-    power += _small_prime_power(u, small, k_cut)
-    product = _small_prime_product(u, small) * np.exp(log_const + log_sum)
+    sums = _dirichlet_sum(coef if k_cut else coef[1:], x, flat)
+    power = _small_prime_power(u, small, k_cut)
+    power += sums[:-1].sum(axis=0)
+    product = _small_prime_product(u, small) * np.exp(log_const + sums[-1])
     return power.reshape(eps.shape), product.reshape(eps.shape)
 
 
@@ -384,10 +376,11 @@ def r2_diag_finite(
     -(1/4 pi^2) [ d^2/dw^2 ln zeta(1+iw)|_eps
                   + sum_{p <= P, 1 <= k <= K} (ln p)^2 k p^-(1+i eps)(k+1) ]
     plus the complex conjugate.  The k = 0 term carries a factor k and
-    vanishes identically, so the sum starts at k = 1.
+    vanishes identically, so the sum starts at k = 1.  Equal, bit for bit,
+    to ``theory_curve(..., unfolded=False).diag`` at the same eps.
     """
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    power = _power_sum(tables, p_cut, k_cut, arr)
+    power = _prime_phase_sums(tables, p_cut, k_cut, arr)[0]
     return _scalar_or_array(eps, _diag_term(arr, cfg, power))
 
 
@@ -395,15 +388,10 @@ def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np
     """prod_{p <= p_cut} (1 - ((1 - p^-i eps)/(p - 1))^2) at each eps (an array).
 
     The primes below 50 multiply directly; the rest give exp of one
-    ``_dirichlet_sum`` of their log series (see ``_prime_phase_sums``).
+    ``_dirichlet_sum`` of their log series: ``_prime_phase_sums`` with no
+    power sum, so the product is the one ``theory_curve`` uses.
     """
-    small, large = _split_primes(tables, p_cut)
-    eps = np.asarray(eps, dtype=np.float64)
-    flat = eps.ravel()
-    x, coef, log_const = _large_prime_terms(large, 0)
-    product = _small_prime_product(_small_prime_phases(small, flat), small)
-    product *= np.exp(log_const + _dirichlet_sum(coef[1], x, flat))
-    return product.reshape(eps.shape)
+    return _prime_phase_sums(tables, p_cut, 0, eps)[1]
 
 
 def r2_off_finite(
@@ -417,6 +405,9 @@ def r2_off_finite(
 
     (1/4 pi^2) |zeta(1+i eps)|^2 exp(-2 pi i eps dbar(E))
         prod_{p <= P} (1 - ((1 - p^-i eps)/(p - 1))^2)  + c.c.
+
+    Equal, bit for bit, to ``theory_curve(..., unfolded=False).offdiag``
+    at the same eps and height.
     """
     _check_height(e_height)
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))

@@ -217,8 +217,8 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     Small sums (K M below twice the transform's work, grid + 8 K + 60 M)
     and sums whose grid would pass 2^21 points take the direct sum of each
     row over its nonzero terms, chunked and added up per target.  There
-    F(-t) = conj F(t) holds exactly for real c, and a row of a stack gives
-    the bits of that row alone.
+    F(-t) = conj F(t) holds exactly for real c.  On either branch a row of
+    a stack gives the bits of that row alone.
     """
     c = np.asarray(c, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
@@ -286,7 +286,8 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     var = (_TAPS // 2) / (math.pi * (1.0 - 1.0 / _OVERSAMPLE))
     kern = np.sinc(d) * np.exp(d * d * (-0.5 / var))
     at = (base.astype(np.int64) - n0)[:, None] + (taps + half)
-    out = (g_m[:, at] * kern).sum(axis=-1)
+    # np.take keeps each row's taps contiguous, so each row sums as it would alone
+    out = (np.take(g_m, at, axis=1) * kern).sum(axis=-1)
     return out[0] if c.ndim == 1 else out
 
 

@@ -301,6 +301,23 @@ class TestTheoryCurve:
         assert np.array_equal(tc.diag, r2_diag_finite(eps, zeta_cfg, tables_1m, 20_000, 14))
         assert np.array_equal(tc.offdiag, r2_off_finite(eps, 1e4, zeta_cfg, tables_1m, 20_000))
 
+    def test_pointwise_terms_match_curve_through_the_transform(
+        self, zeta_cfg, tables_1m, monkeypatch
+    ):
+        # at 250 points the prime sums take the transform, whose grid is
+        # set by the nodes; the product alone (k_cut = 0) keeps the curve's
+        # nodes, so both terms still agree bit for bit
+        def transform_only(c, x, t):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(special, "_direct_sum", _no_direct_sum)
+                return special._dirichlet_sum(c, x, t)
+
+        monkeypatch.setattr(paircorr, "_dirichlet_sum", transform_only)
+        eps = np.linspace(0.2, 3.0, 250)
+        tc = theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)
+        assert np.array_equal(tc.diag, r2_diag_finite(eps, zeta_cfg, tables_1m, 100_000, 20))
+        assert np.array_equal(tc.offdiag, r2_off_finite(eps, 1e4, zeta_cfg, tables_1m, 100_000))
+
     def test_rejects_low_height(self, zeta_cfg, tables_1m):
         with pytest.raises(ValueError):
             theory_curve(5.0, np.array([0.5]), zeta_cfg, tables_1m)
