@@ -54,7 +54,10 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
-        raise ValueError(f"grid must be start:stop:step, got {text!r}")
+        a = b = step = math.nan
+    if not (all(math.isfinite(v) for v in (a, b, step)) and step > 0 and b >= a
+            and math.isfinite((b - a) / step)):
+        raise ValueError(f"expected --grid START:STOP:STEP, got {text!r}")
     n = int(round((b - a) / step))
     return np.linspace(a, b, n + 1)
 
@@ -114,13 +117,13 @@ def _cmd_alpha(args, cfg: RunConfig) -> int:
     if not hs:
         raise ValueError("--h needs at least one shift")
     max_h = max(abs(h) for h in hs)
-    if args.method == "product":
-        needed = max(max_h, args.prime_cutoff) + 1
-    elif args.method == "series":
-        needed = max(max_h, cfg.series_cutoff) + 1
-    else:
-        needed = args.sample_length + max_h + 1
-    tables = _sieve_for(cfg, needed)
+    # every method also reports the product form, which needs C2 at the cutoff
+    needed = max(max_h, args.prime_cutoff)
+    if args.method == "series":
+        needed = max(needed, cfg.series_cutoff)
+    elif args.method == "empirical":
+        needed = max(needed, args.sample_length + max_h)
+    tables = _sieve_for(cfg, needed + 1)
     c2 = singular.twin_prime_constant(args.prime_cutoff, tables)
     rows = []
     for h in hs:

@@ -46,8 +46,14 @@ class SieveTables:
         spf = np.ascontiguousarray(spf, dtype=np.uint32)
         spf.setflags(write=False)
         self.spf = spf
-        idx = np.arange(self.limit + 1, dtype=np.uint32)
-        primes = np.nonzero(spf[2:] == idx[2:])[0].astype(np.int64) + 2
+        # a composite k <= limit has a factor <= isqrt(limit), so above
+        # that root the primes are the k with spf[k] > root
+        root = math.isqrt(self.limit)
+        small = np.arange(2, root + 1, dtype=np.uint32)
+        primes = np.concatenate([
+            small[spf[2 : root + 1] == small].astype(np.int64),
+            np.flatnonzero(spf[root + 1 :] > root) + (root + 1),
+        ])
         primes.setflags(write=False)
         self.primes = primes
         self._bulk: dict = {}
@@ -144,10 +150,13 @@ class SieveTables:
         n = self._check(n)
         have = self._bulk.get(kind)
         if have is None or len(have) < n + 1:
+            # a table that must grow at least doubles, so a run of slowly
+            # rising requests rebuilds it once rather than each time
+            size = n if have is None else min(self.limit, max(n, 2 * (len(have) - 1)))
             # free the shorter table first, so the two never coexist
             del have
             self._bulk.pop(kind, None)
-            arr = builder(n)
+            arr = builder(size)
             arr.setflags(write=False)
             self._bulk[kind] = arr
             have = arr
@@ -164,6 +173,10 @@ class SieveTables:
     def von_mangoldt_table(self, n: int) -> np.ndarray:
         """float64 array Lambda[0..n]."""
         return self._cached("mangoldt", n, self._build_mangoldt)
+
+    def series_weight_table(self, n: int) -> np.ndarray:
+        """float64 array g[0..n], g[k] = mu(k) / phi(k)^2 (g[0] = 0)."""
+        return self._cached("series_weight", n, self._build_series_weight)
 
     def _primes_upto(self, n: int) -> np.ndarray:
         return self.primes[: np.searchsorted(self.primes, n, side="right")]
@@ -200,6 +213,12 @@ class SieveTables:
             n, np.int64, lambda phi_m, p, repeated: phi_m * np.where(repeated, p, p - 1)
         )
 
+    def _build_series_weight(self, n: int) -> np.ndarray:
+        g = np.zeros(n + 1, dtype=np.float64)
+        phi = self.totient_table(n)[1:].astype(np.float64)
+        g[1:] = self.mobius_table(n)[1:] / phi**2
+        return g
+
     def _build_mangoldt(self, n: int) -> np.ndarray:
         lam = np.zeros(n + 1, dtype=np.float64)
         ps = self._primes_upto(n)
@@ -215,13 +234,23 @@ class SieveTables:
 
 
 def _spf_array(limit: int) -> np.ndarray:
+    """spf[0..limit] with spf[0] = spf[1] = 0.
+
+    The odd primes p <= isqrt(limit) come from a sieve of that root.  In
+    descending order, each writes p over its odd multiples from p^2 with no
+    mask, so the smallest odd prime factor of an odd composite writes last.
+    The even entries get 2, and an odd entry still 0 is a prime.
+    """
+    root = math.isqrt(limit)
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p::p]
-            sl[sl == 0] = p
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest.astype(np.uint32)
+    if root >= 3:
+        small = _spf_array(root)
+        odd = np.arange(3, root + 1, 2, dtype=np.uint32)
+        for p in odd[small[3::2] == odd][::-1].tolist():
+            spf[p * p :: 2 * p] = p
+    spf[2::2] = 2
+    rest = np.flatnonzero(spf[3::2] == 0) * 2 + 3
+    spf[rest] = rest
     return spf
 
 

@@ -120,8 +120,7 @@ def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
     n_max = int(n_max)
     if not 1 <= n_max <= tables.limit:
         raise ValueError("series cutoff outside sieve range")
-    phi = tables.totient_table(n_max)[1:].astype(np.float64)
-    g = tables.mobius_table(n_max)[1:] / phi**2
+    g = tables.series_weight_table(n_max)[1:]
     # d mu(d) over the squarefree d | h: each prime p of h appends -p times the list
     signed = np.ones(1, dtype=np.int64)
     for p, _ in tables.factorize(abs(h)):

@@ -35,6 +35,18 @@ class TestGue:
         assert float(at_one[0]["value"]) == pytest.approx(1.0)
 
 
+class TestGridErrors:
+    MODE_ARGS = {"gue": (), "theory": ("--height", "10000", "--prime-cutoff", "10000")}
+
+    # a zero step, a non-finite stop, a stop below the start
+    @pytest.mark.parametrize("grid", ["0:3:0", "0:inf:0.1", "3:0.2:0.05"])
+    @pytest.mark.parametrize("mode", ["gue", "theory"])
+    def test_bad_grid_names_the_form(self, mode, grid):
+        code, out, err = run_cli("r2", mode, "--grid", grid, *self.MODE_ARGS[mode])
+        assert (code, out) == (1, "")
+        assert err == f"error: expected --grid START:STOP:STEP, got {grid!r}\n"
+
+
 class TestAlpha:
     def test_product_odd_is_zero(self):
         code, out, _ = run_cli(
@@ -59,6 +71,23 @@ class TestAlpha:
         )
         # series cutoff (1e6 default) exceeds the forced sieve limit
         assert code == 1
+
+    @pytest.mark.parametrize("method, args", [
+        ("empirical", ("--sample-length", "100000")),
+        ("series", ("--prime-cutoff", "2000000")),
+    ])
+    def test_sieve_covers_the_prime_cutoff(self, method, args):
+        # the reference_product column needs C2 at the prime cutoff, which
+        # here lies above the series cutoff or the sample window
+        code, out, err = run_cli("alpha", "--method", method, "--h", "2", *args)
+        assert (code, err) == (0, "")
+        cutoff = args[1] if method == "series" else "1000000"
+        _, ref, _ = run_cli(
+            "alpha", "--method", "product", "--h", "2", "--prime-cutoff", cutoff
+        )
+        row = parse_csv(out)[0]
+        assert row["method"] != "product"
+        assert row["reference_product"] == parse_csv(ref)[0]["value"]
 
     def test_usage_error_is_exit_2(self):
         code, _, _ = run_cli("alpha", "--method", "bogus", "--h", "2")

@@ -4,17 +4,37 @@ import weakref
 import numpy as np
 import pytest
 
-from zetapair.sieve import build_sieve, load_sieve_cache, save_sieve_cache
+from zetapair.sieve import (
+    _spf_array,
+    build_sieve,
+    load_sieve_cache,
+    save_sieve_cache,
+)
 
 
-def eratosthenes_count(limit):
-    """Independent boolean-sieve prime count."""
+def eratosthenes_flags(limit):
+    """Independent boolean sieve: flags[k] is True exactly for the primes k."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return int(flags.sum())
+    return flags
+
+
+def eratosthenes_count(limit):
+    return int(eratosthenes_flags(limit).sum())
+
+
+def trial_division_spf(limit):
+    """spf[0..limit] by trial division, with spf[0] = spf[1] = 0."""
+    spf = [0, 0]
+    for k in range(2, limit + 1):
+        d = 2
+        while d * d <= k and k % d:
+            d += 1
+        spf.append(d if d * d <= k else k)
+    return np.array(spf, dtype=np.uint32)
 
 
 def brute_ramanujan(n, h):
@@ -35,6 +55,22 @@ def test_limit_below_two_rejected():
 def test_prime_count_against_second_sieve(tables_1m):
     in_range = int(np.searchsorted(tables_1m.primes, 1_000_000, side="right"))
     assert in_range == eratosthenes_count(1_000_000) == 78498
+
+
+def test_spf_matches_trial_division_at_every_small_limit():
+    # every limit from 2 to 3000, so each prime square (4, 9, 25, 49, ...)
+    # and the limit one below it are both covered
+    ref = trial_division_spf(3000)
+    for limit in range(2, 3001):
+        spf = _spf_array(limit)
+        assert spf.dtype == np.uint32
+        assert np.array_equal(spf, ref[: limit + 1]), limit
+
+
+def test_primes_match_boolean_sieve(tables_1m):
+    flags = eratosthenes_flags(tables_1m.limit)
+    assert np.array_equal(tables_1m.primes, np.flatnonzero(flags))
+    assert tables_1m.primes.dtype == np.int64
 
 
 def test_spf_invariants(tables_small):
@@ -207,6 +243,32 @@ def test_growing_a_table_frees_the_shorter_one_first(monkeypatch):
     assert freed == [True]
 
 
+def test_rising_requests_rebuild_a_table_once(monkeypatch):
+    tables = build_sieve(5000)
+    sizes = []
+    build = tables._build_mangoldt
+
+    def spy(n):
+        sizes.append(n)
+        return build(n)
+
+    monkeypatch.setattr(tables, "_build_mangoldt", spy)
+    for n in range(1000, 1100):
+        assert len(tables.von_mangoldt_table(n)) == n + 1
+    # a growing table doubles, capped at the sieve limit
+    tables.von_mangoldt_table(3000)
+    assert sizes == [1000, 2000, 4000]
+    tables.von_mangoldt_table(4500)
+    assert sizes == [1000, 2000, 4000, 5000]
+
+
+def test_series_weight_table_values(tables_small):
+    g = tables_small.series_weight_table(tables_small.limit)
+    assert g.dtype == np.float64 and g[0] == 0.0
+    for n in range(1, tables_small.limit + 1):
+        assert g[n] == tables_small.mobius(n) / tables_small.totient(n) ** 2
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
         t = build_sieve(5000, cache_dir=tmp_path)
@@ -214,6 +276,19 @@ class TestCache:
         t2 = build_sieve(5000, cache_dir=tmp_path)
         assert np.array_equal(t.spf, t2.spf)
         assert np.array_equal(t.primes, t2.primes)
+
+    def test_file_holds_the_spf_and_loads_to_the_same_tables(self, tmp_path):
+        # the body is the little-endian uint32 spf behind a 16-byte header,
+        # so a file written from an independent spf loads to the same primes
+        limit = 3000
+        ref = trial_division_spf(limit)
+        t = build_sieve(limit)
+        raw = save_sieve_cache(t, tmp_path).read_bytes()
+        assert raw[16:] == ref.astype("<u4").tobytes()
+        loaded = load_sieve_cache(limit, tmp_path)
+        assert np.array_equal(loaded.spf, ref)
+        assert np.array_equal(loaded.primes, t.primes)
+        assert np.array_equal(loaded.primes, np.flatnonzero(eratosthenes_flags(limit)))
 
     def test_header_mismatches_rejected(self, tmp_path):
         t = build_sieve(1000)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetapair.sieve import build_sieve
+from zetapair.sieve import SieveTables, build_sieve
 from zetapair.singular import (
+    _series_tail_constant,
     alpha_empirical,
     alpha_product,
     alpha_ramanujan,
@@ -174,6 +175,53 @@ class TestAlphaEmpirical:
     def test_h_zero_rejected(self, tables_small):
         with pytest.raises(ValueError):
             alpha_empirical(0, tables_small, 100)
+
+
+class TestCachedTablesKeepAnswers:
+    """A bulk table reused or regrown never changes a value, bit for bit."""
+
+    def test_empirical_shifts_build_the_mangoldt_table_twice(self, tables_big, monkeypatch):
+        tables = SieveTables(tables_big.limit, tables_big.spf)
+        builds = []
+        build = tables._build_mangoldt
+
+        def spy(n):
+            builds.append(n)
+            return build(n)
+
+        monkeypatch.setattr(tables, "_build_mangoldt", spy)
+        n = 10_000_000
+        for h in (2, 4, 6, 10, 12, 30):
+            got = alpha_empirical(h, tables, n).value
+            fresh = SieveTables(tables_big.limit, tables_big.spf)
+            assert got == alpha_empirical(h, fresh, n).value, h
+        assert len(builds) <= 2
+
+    @staticmethod
+    def per_call_alpha(h, tables, n_max):
+        # the series with g = mu / phi^2 formed inside the call
+        phi = tables.totient_table(n_max)[1:].astype(np.float64)
+        g = tables.mobius_table(n_max)[1:] / phi**2
+        signed = np.ones(1, dtype=np.int64)
+        for p, _ in tables.factorize(h):
+            signed = np.concatenate([signed, -p * signed])
+        value = float(signed @ np.array([g[d - 1 :: d].sum() for d in np.abs(signed)]))
+        return value, tables.totient(h) * _series_tail_constant(tables, g)
+
+    def test_series_matches_per_call_weights(self, tables_1m):
+        tables = SieveTables(tables_1m.limit, tables_1m.spf)
+        n_max = 1_000_000
+        expected = [self.per_call_alpha(h, tables, n_max) for h in range(1, 31)]
+
+        def series():
+            out = [alpha_ramanujan(h, tables, n_max) for h in range(1, 31)]
+            return [(r.value, r.truncation["tail_bound"]) for r in out]
+
+        assert series() == expected
+        assert len(tables.series_weight_table(n_max)) == n_max + 1
+        tables.series_weight_table(n_max + 1)  # regrows to the sieve limit
+        assert len(tables.series_weight_table(n_max).base) == tables.limit + 1
+        assert series() == expected
 
 
 class TestSmoothedAverage:
