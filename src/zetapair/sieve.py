@@ -2,12 +2,20 @@
 
 One table serves everything: factorization, the Mobius and totient
 functions, von Mangoldt weights and Ramanujan sums are all O(log n)
-lookups against the spf array.  The bulk Mobius and totient tables come
-from the spf recurrence f(k) = step(f(k / p), p = spf[k]), vectorized in
-doubling blocks.  A ``SieveTables`` instance is immutable after
-construction and safe to share across threads; the lazily built bulk
-arrays (``mobius_table`` etc.) and the prime sum
-``log_mu2_phi2_product`` are plain caches of pure functions.
+lookups against the spf array.  The sieve takes the odd primes
+p <= sqrt(L) in descending order and writes p over their odd multiples
+from p^2 with no mask, so the smallest odd factor writes last; then the
+even entries get 2 and every odd entry left at 0 is a prime.
+
+The bulk Mobius and totient tables come from the spf recurrence
+f(k) = step(f(k / p), p = spf[k]), vectorized in doubling blocks; the
+series weights mu(k) / phi(k)^2 are divided out of those two once per
+sieve.  A ``SieveTables`` instance is immutable after construction and
+safe to share across threads; the lazily built bulk arrays
+(``mobius_table`` etc.) and the prime sum ``log_mu2_phi2_product`` are
+plain caches of pure functions.  A bulk table that a call outgrows is
+rebuilt to min(limit, max(n, twice its old size)), so a run of rising
+requests rebuilds it once, not once per request.
 """
 
 from __future__ import annotations
