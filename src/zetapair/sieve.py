@@ -12,8 +12,8 @@ f(k) = step(f(k / p), p = spf[k]), vectorized in doubling blocks; the
 series weights mu(k) / phi(k)^2 are divided out of those two once per
 sieve.  A ``SieveTables`` instance is immutable after construction and
 safe to share across threads; the lazily built bulk arrays
-(``mobius_table`` etc.) and the prime sum ``log_mu2_phi2_product`` are
-plain caches of pure functions.  A bulk table that a call outgrows is
+(``mobius_table`` etc.), the prime sum ``log_mu2_phi2_product`` and the
+weight sums ``series_weight_abs_sum`` are plain caches of pure functions.  A bulk table that a call outgrows is
 rebuilt to min(limit, max(n, twice its old size)), so a run of rising
 requests rebuilds it once, not once per request.
 """
@@ -66,6 +66,7 @@ class SieveTables:
         self.primes = primes
         self._bulk: dict = {}
         self._log_mu2_phi2: float | None = None
+        self._weight_abs_sums: dict[int, float] = {}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SieveTables(limit={self.limit}, primes={len(self.primes)})"
@@ -151,6 +152,18 @@ class SieveTables:
                 np.sum(np.log1p(1.0 / (self.primes.astype(np.float64) - 1.0) ** 2))
             )
         return self._log_mu2_phi2
+
+    def series_weight_abs_sum(self, n: int) -> float:
+        """sum_{k <= n} mu(k)^2 / phi(k)^2, computed once per n.
+
+        The sum of |g| over ``series_weight_table(n)[1:]``, the partial sum
+        of the series whose full value is exp(``log_mu2_phi2_product``) as
+        the limit grows.
+        """
+        n = self._check(n)
+        if n not in self._weight_abs_sums:
+            self._weight_abs_sums[n] = float(np.sum(np.abs(self.series_weight_table(n)[1:])))
+        return self._weight_abs_sums[n]
 
     # -- bulk arrays (lazy, cached) ----------------------------------------
 

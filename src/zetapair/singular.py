@@ -85,22 +85,21 @@ def alpha_product(h: int, tables: SieveTables, c2: TwinPrimeConstant) -> AlphaRe
     return AlphaResult(h, value, "product", trunc)
 
 
-def _series_tail_constant(tables: SieveTables, g: np.ndarray) -> float:
+def _series_tail_constant(tables: SieveTables, n_max: int) -> float:
     """An upper bound on sum_{n > n_max} mu(n)^2 / phi(n)^2.
 
     The full sum is prod_p (1 + (p-1)^-2); the bound is that product minus
-    the partials.  g[n - 1] = mu(n) / phi(n)^2 for n = 1..n_max, so |g|
-    sums the partials.  The sieve supplies the primes up to its limit L;
-    for the rest, ln(1 + x) <= x and pi(x) < 1.25506 x / ln x (Rosser and
-    Schoenfeld 1962) give by partial summation
+    the partial sum up to n_max, which the sieve caches per cutoff.  The
+    sieve supplies the primes up to its limit L; for the rest,
+    ln(1 + x) <= x and pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld
+    1962) give by partial summation
 
         sum_{p > L} (p-1)^-2 <= (2.51012 / ln L) (1/(L-1) + 1/(2 (L-1)^2)).
     """
     total_log = tables.log_mu2_phi2_product()
     lim = float(tables.limit)
     total_log += 2.51012 / math.log(lim) * (1.0 / (lim - 1.0) + 0.5 / (lim - 1.0) ** 2)
-    partial = float(np.sum(np.abs(g)))
-    return max(math.exp(total_log) - partial, 0.0)
+    return max(math.exp(total_log) - tables.series_weight_abs_sum(n_max), 0.0)
 
 
 def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
@@ -127,7 +126,7 @@ def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
         signed = np.concatenate([signed, -p * signed])
     inner = np.array([g[d - 1 :: d].sum() for d in np.abs(signed)])
     value = float(signed @ inner)
-    tail = tables.totient(abs(h)) * _series_tail_constant(tables, g)
+    tail = tables.totient(abs(h)) * _series_tail_constant(tables, n_max)
     return AlphaResult(
         h, value, "ramanujan_series", {"series_cutoff": n_max, "tail_bound": tail}
     )

@@ -284,7 +284,14 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     taps = np.arange(1 - _TAPS // 2, _TAPS // 2 + 1)
     d = frac[:, None] - taps
     var = (_TAPS // 2) / (math.pi * (1.0 - 1.0 / _OVERSAMPLE))
-    kern = np.sinc(d) * np.exp(d * d * (-0.5 / var))
+    # sinc(d) from one sine per target: sin(pi (f - l)) = (-1)^(l - n) sin(pi (f - n)),
+    # with n the integer nearest f, so the sine's argument is exact near n
+    near = np.round(frac)
+    sine = np.sin(math.pi * (frac - near)) * np.where(near % 2, -1.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = sine[:, None] * np.where(taps % 2, -1.0, 1.0) / (math.pi * d)
+    kern[d == 0.0] = 1.0  # the tap at f itself
+    kern *= np.exp(d * d * (-0.5 / var))
     at = (base.astype(np.int64) - n0)[:, None] + (taps + half)
     # np.take keeps each row's taps contiguous, so each row sums as it would alone
     out = (np.take(g_m, at, axis=1) * kern).sum(axis=-1)

@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 
 from zetapair.sieve import SieveTables, build_sieve
 from zetapair.singular import (
-    _series_tail_constant,
     alpha_empirical,
     alpha_product,
     alpha_ramanujan,
     smoothed_average,
     twin_prime_constant,
 )
+
+
+def per_call_tail_constant(tables, g):
+    """The series tail constant with the prime sum and the |g| sum taken in the call."""
+    total = float(np.sum(np.log1p(1.0 / (tables.primes.astype(np.float64) - 1.0) ** 2)))
+    lim = float(tables.limit)
+    total += 2.51012 / math.log(lim) * (1.0 / (lim - 1.0) + 0.5 / (lim - 1.0) ** 2)
+    return max(math.exp(total) - float(np.sum(np.abs(g))), 0.0)
 
 
 class TestTwinPrimeConstant:
@@ -124,12 +131,28 @@ class TestAlphaRamanujan:
         assert tables.log_mu2_phi2_product() is log_sum
         # the bound with the prime sum taken inside each call, bit for bit
         phi = tables.totient_table(n_max)[1:].astype(np.float64)
-        g = tables.mobius_table(n_max)[1:] / phi**2
-        total = float(np.sum(np.log1p(1.0 / (tables.primes.astype(np.float64) - 1.0) ** 2)))
-        lim = float(tables.limit)
-        total += 2.51012 / math.log(lim) * (1.0 / (lim - 1.0) + 0.5 / (lim - 1.0) ** 2)
-        constant = max(math.exp(total) - float(np.sum(np.abs(g))), 0.0)
+        constant = per_call_tail_constant(tables, tables.mobius_table(n_max)[1:] / phi**2)
         assert got == [tables.totient(6) * constant, tables.totient(30) * constant]
+
+    def test_tail_weight_sum_taken_once_per_cutoff(self, monkeypatch):
+        tables = build_sieve(50_000)
+        weight_table = tables.series_weight_table
+        asked = []
+
+        def spy(n):
+            asked.append(n)
+            return weight_table(n)
+
+        monkeypatch.setattr(tables, "series_weight_table", spy)
+        for n_max in (10_000, 50_000):
+            asked.clear()
+            got = [alpha_ramanujan(h, tables, n_max).truncation["tail_bound"] for h in (6, 30)]
+            # one slice per call for the divisor sums, one for the |g| sum
+            assert asked == [n_max] * 3
+            g = weight_table(n_max)[1:]
+            assert tables.series_weight_abs_sum(n_max) == float(np.sum(np.abs(g)))
+            constant = per_call_tail_constant(tables, g)
+            assert got == [tables.totient(6) * constant, tables.totient(30) * constant]
 
     @pytest.mark.parametrize("h", [2, 6, 30])
     def test_tail_bound_covers_primes_beyond_sieve(self, tables_1m, tables_big, c2_ref, h):
@@ -206,7 +229,7 @@ class TestCachedTablesKeepAnswers:
         for p, _ in tables.factorize(h):
             signed = np.concatenate([signed, -p * signed])
         value = float(signed @ np.array([g[d - 1 :: d].sum() for d in np.abs(signed)]))
-        return value, tables.totient(h) * _series_tail_constant(tables, g)
+        return value, tables.totient(h) * per_call_tail_constant(tables, g)
 
     def test_series_matches_per_call_weights(self, tables_1m):
         tables = SieveTables(tables_1m.limit, tables_1m.spf)

@@ -216,6 +216,18 @@ class TestDirichletSum:
         # measured 8.4e-15 sum|c| at worst over 300 random sums
         assert np.max(np.abs(got[pick] - ref)) <= 2e-14 * np.sum(np.abs(c))
 
+    def test_targets_on_grid_points(self, monkeypatch):
+        # max|x| = 1 makes the t-grid step 0.75, so t = 0.75 k falls on grid
+        # points, where the tap at the target itself has d = 0 and must read 1
+        rng = np.random.default_rng(7)
+        c = rng.normal(size=1500) + 1j * rng.normal(size=1500)
+        x = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, 1499)])
+        t = np.concatenate([0.75 * np.arange(-300, 301), rng.uniform(-225.0, 225.0, 400)])
+        monkeypatch.setattr(special, "_direct_sum", _no_direct_sum)
+        got = special._dirichlet_sum(c, x, t)
+        tol = np.sum(np.abs(c)) * (5e-14 + 5e-16 * 225.0)
+        assert np.max(np.abs(got - _phase_sum(c, x, t))) <= tol
+
     def test_small_sums_stay_direct(self, monkeypatch):
         # exact F(-t) = conj F(t) on the direct branch, which the log_zeta_dd
         # stencils and the even theory kernels rely on
