@@ -13,9 +13,10 @@ series weights mu(k) / phi(k)^2 are divided out of those two once per
 sieve.  A ``SieveTables`` instance is immutable after construction and
 safe to share across threads; the lazily built bulk arrays
 (``mobius_table`` etc.), the prime sum ``log_mu2_phi2_product`` and the
-weight sums ``series_weight_abs_sum`` are plain caches of pure functions.  A bulk table that a call outgrows is
-rebuilt to min(limit, max(n, twice its old size)), so a run of rising
-requests rebuilds it once, not once per request.
+weight sums ``series_weight_abs_sum`` are plain caches of pure
+functions.  A bulk table that a call outgrows is rebuilt to
+min(limit, max(n, twice its old size)), so a run of rising requests
+rebuilds it once, not once per request.
 """
 
 from __future__ import annotations

@@ -285,7 +285,8 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     d = frac[:, None] - taps
     var = (_TAPS // 2) / (math.pi * (1.0 - 1.0 / _OVERSAMPLE))
     # sinc(d) from one sine per target: sin(pi (f - l)) = (-1)^(l - n) sin(pi (f - n)),
-    # with n the integer nearest f, so the sine's argument is exact near n
+    # with n the whole number nearest f; f - n is exact, so the sine keeps its
+    # relative accuracy where f is near n
     near = np.round(frac)
     sine = np.sin(math.pi * (frac - near)) * np.where(near % 2, -1.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
