@@ -1,6 +1,6 @@
 """Both sides of the prime-pair / zero-correlation equivalence, at desk scale.
 
-Subpackages by role: ``sieve`` (multiplicative arithmetic), ``special``
+Modules by role: ``sieve`` (multiplicative arithmetic), ``special``
 (zeta on the 1-line, Si, window functions), ``singular`` (the prime-pair
 singular series in three forms), ``zeros`` (Riemann-Siegel enumeration
 and table ingestion), ``paircorr`` (empirical and theoretical two-point

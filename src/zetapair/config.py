@@ -17,9 +17,7 @@ __all__ = ["RunConfig", "load_config_file", "apply_env"]
 @dataclass
 class RunConfig:
     sieve_limit: int = 0          # 0 = size automatically for the command
-    prime_cutoff: int = 100_000
     series_cutoff: int = 1_000_000
-    power_cutoff: int = 20
     bin_width: float = 0.05
     window_width: float = 200.0   # in mean spacings
     cache_dir: str = ""
@@ -27,9 +25,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("prime_cutoff", "series_cutoff", "power_cutoff"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.series_cutoff <= 0:
+            raise ValueError("series_cutoff must be positive")
         if self.bin_width <= 0 or self.window_width <= 0:
             raise ValueError("bin_width and window_width must be positive")
         if self.output_format not in ("csv", "json"):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.fft import next_fast_len
 from scipy.special import sici
 
 __all__ = [
@@ -138,22 +139,6 @@ def mean_density(e: float | np.ndarray):
     return float(out) if np.isscalar(e) or out.ndim == 0 else out
 
 
-def _fft_size(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a size numpy.fft transforms quickly."""
-    best = 1 << max(0, n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _direct_sum(c: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k c_k exp(-i t_j x_k) by phase blocks of at most 2^21 entries."""
     out = np.zeros(t.shape, dtype=np.complex128)
@@ -234,7 +219,7 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     n0 = int(np.round(0.5 * (u.min() + u.max())))
     # t-grid modes n0 - half .. n0 + half - 1: the taps around every target stay inside
     half = int(math.ceil(float(np.max(np.abs(u - n0))))) + _TAPS // 2 + 1
-    n_fine = _fft_size(_FINE_RATIO * 2 * half)
+    n_fine = next_fast_len(_FINE_RATIO * 2 * half, real=True)
     work = n_fine + _TERM_COST * x.size + _TAPS * t.size
     if n_fine > _MAX_GRID or x.size * t.size < 2 * work:
         return _direct_rows(c, x, t)

@@ -244,11 +244,13 @@ class TestConfigPlumbing:
         assert json.loads(out)["rows"][0]["epsilon"] == 0.0
 
     def test_bad_config_key_rejected(self, tmp_path):
+        # prime_cutoff is a flag of each subcommand, not a config key
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("no_such_key=1\n")
-        code, _, err = run_cli("--config", str(cfg), "r2", "gue", "--grid", "0:1:1")
-        assert code == 1
-        assert "no_such_key" in err
+        for key, value in (("no_such_key", 1), ("prime_cutoff", 5000)):
+            cfg.write_text(f"{key}={value}\n")
+            code, _, err = run_cli("--config", str(cfg), "r2", "gue", "--grid", "0:1:1")
+            assert code == 1
+            assert f"unknown config key {key!r}" in err
 
     def test_env_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ZPD_CACHE_DIR", str(tmp_path))

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetapair import zeros
 from zetapair.special import TWO_PI
@@ -67,6 +69,21 @@ class TestIngestion:
         path = save_zeros(zl, tmp_path / "out.txt")
         again = load_zeros(path)
         assert np.max(np.abs(again.ordinates - zl.ordinates)) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(10.0, 1e5, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=40))
+    def test_save_load_roundtrip_drawn(self, tmp_path_factory, drawn):
+        ordinates = []
+        for v in sorted(drawn):
+            if not ordinates or v - ordinates[-1] >= 1e-9:
+                ordinates.append(v)
+        zl = ZeroList(np.array(ordinates), (10.0, 1e5), "computed", True)
+        again = load_zeros(save_zeros(zl, tmp_path_factory.mktemp("rt") / "z.txt"))
+        assert len(again) == len(zl)
+        # %.12f rounds by at most 5e-13, and parsing the decimal back by half an ulp
+        assert np.all(np.abs(again.ordinates - zl.ordinates)
+                      <= 5e-13 + np.spacing(zl.ordinates))
 
 
 class TestComputation:
@@ -167,6 +184,33 @@ class TestRefine:
         got = zeros._refine(np.array([2.0, 1.0]), np.array([4.0, 7.0]),
                             np.array([-1.0, -2.0]), np.array([1.0, 4.0]), None)
         assert np.array_equal(got, [3.0, 3.0])
+
+
+class TestGramBlocks:
+    def test_unresolved_block_is_named(self, monkeypatch):
+        # with no subdivision the first Gram's-law failure above 270, a block
+        # of two Gram intervals whose middle Gram point is bad, stays open
+        monkeypatch.setattr(zeros, "_MAX_DEPTH", 0)
+        with pytest.raises(IncompleteEnumerationError, match="found 0 of 2") as err:
+            compute_zeros(270.0, 300.0)
+        lo, hi = err.value.block
+        assert type(lo) is float and type(hi) is float
+        assert lo == pytest.approx(280.802429, abs=1e-6)
+        assert hi == pytest.approx(284.104476, abs=1e-6)
+
+    def test_one_z_call_per_depth(self, monkeypatch):
+        calls = []
+
+        def counted(t, cfg=None):
+            calls.append(np.size(t))
+            return zfunc(t)
+
+        monkeypatch.setattr(zeros, "zfunc", counted)
+        zl = compute_zeros(2990.0, 6610.0)
+        assert len(zl) == 3810
+        # measured 24: the Gram points, 6 block depths at most, the refinement
+        # sweeps; one call per Gram block made 742
+        assert len(calls) <= 40
 
 
 class TestGramPoints:
