@@ -6,6 +6,8 @@ singular series in three forms), ``zeros`` (Riemann-Siegel enumeration
 and table ingestion), ``paircorr`` (empirical and theoretical two-point
 statistics), ``identities`` (stepwise checks of the derivation chain),
 ``inversion`` (the experimental windowed Fourier inversion), ``cli``.
+Each scipy submodule is imported by the function that calls it, so
+importing the package loads numpy alone.
 """
 
 from .config import RunConfig

@@ -76,7 +76,7 @@ def _sieve_for(cfg: RunConfig, needed: int):
         raise ValueError(
             f"configured sieve_limit {limit} is below the required {needed}"
         )
-    return build_sieve(limit, cfg.cache_dir or None)
+    return build_sieve(limit)
 
 
 def _load_zero_list(args, cfg: RunConfig) -> zeros.ZeroList:
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--format", choices=("csv", "json"), help="output format")
-    ap.add_argument("--cache-dir", help="cache directory (env ZPD_CACHE_DIR)")
+    ap.add_argument("--cache-dir", help="zero-table cache directory (env ZPD_CACHE_DIR)")
     ap.add_argument("--seed", type=int, help="seed for sampled checks")
     ap.add_argument("--sieve-limit", type=int, help="fixed sieve size (0 = auto)")
     sub = ap.add_subparsers(dest="command", required=True)

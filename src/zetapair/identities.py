@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .sieve import SieveTables
 from .singular import TwinPrimeConstant, alpha_product
@@ -98,6 +97,8 @@ def _cos_tail_integral(b: float, k0: float) -> float:
     """integral of cos(b k)/k^2 over [k0, inf) (plain 1/k^2 when b = 0)."""
     if abs(b) < 1e-14:
         return 1.0 / k0
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda k: 1.0 / (k * k), k0, np.inf, weight="cos", wvar=abs(b), limit=400
     )
@@ -116,6 +117,8 @@ def ft_one_over_xsq_check(x_samples) -> IdentityReport:
     Equivalent, through the triangle relation, to
     F[1/x^2](k) = -pi k sgn(k).
     """
+    from scipy.integrate import quad
+
     k0 = 2.0
     worst = 0.0
     pts = []
@@ -160,6 +163,8 @@ def averaged_alpha_recovery(h: float) -> AveragedAlphaRecovery:
     h = float(h)
     if h < 1.0:
         raise ValueError("recovery check needs h >= 1")
+    from scipy.integrate import quad
+
     split = min(1.0, 1.0 / h)
     i_head, _ = quad(lambda u: math.log(u) * math.cos(h * u), 0.0, split, limit=200)
     i_tail = 0.0

@@ -223,6 +223,8 @@ _LOG_SERIES_TOL = 1e-18
 
 def _split_primes(tables: SieveTables, p_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """The primes p <= p_cut as floats, split at _SMALL_PRIME."""
+    if p_cut < 2:
+        raise ValueError(f"prime cutoff must be >= 2, got {p_cut}")
     if p_cut > tables.limit:
         raise ValueError("prime cutoff exceeds sieve limit")
     ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
@@ -345,6 +347,12 @@ def _diag_term(arr: np.ndarray, cfg: ZetaEvaluator, power: np.ndarray) -> np.nda
     return -np.real(log_zeta_dd(cfg, arr) + power) / (2.0 * np.pi**2)
 
 
+def _check_power_cutoff(k_cut: int) -> None:
+    # k_cut = 0 (no power sum) is internal to off_diagonal_product
+    if k_cut < 1:
+        raise ValueError(f"power cutoff must be >= 1, got {k_cut}")
+
+
 def _check_height(e_height: float) -> None:
     if e_height <= TWO_PI:
         raise ValueError("height must exceed 2 pi for a positive mean density")
@@ -379,6 +387,7 @@ def r2_diag_finite(
     vanishes identically, so the sum starts at k = 1.  Equal, bit for bit,
     to ``theory_curve(..., unfolded=False).diag`` at the same eps.
     """
+    _check_power_cutoff(k_cut)
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     power = _prime_phase_sums(tables, p_cut, k_cut, arr)[0]
     return _scalar_or_array(eps, _diag_term(arr, cfg, power))
@@ -451,6 +460,7 @@ def theory_curve(
     else:
         args, scale, const = eps, 1.0, dens**2
     _check_height(e_height)
+    _check_power_cutoff(k_cut)
     power, product = _prime_phase_sums(tables, p_cut, k_cut, args)
     diag = scale * _diag_term(args, cfg, power)
     off = scale * _off_term(args, e_height, cfg, product)

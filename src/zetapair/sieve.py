@@ -22,23 +22,13 @@ rebuilds it once, not once per request.
 from __future__ import annotations
 
 import math
-import os
-import struct
-from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "SieveTables",
-    "build_sieve",
-    "load_sieve_cache",
-    "save_sieve_cache",
-]
+__all__ = ["SieveTables", "build_sieve"]
 
-_CACHE_MAGIC = b"ZPD1"
-_CACHE_VERSION = 1
-_HEADER = struct.Struct("<4sIQ")  # magic, version u32, limit u64 -> 16 bytes
 _RECURRENCE_BLOCK = 1 << 16
+_PRIME_BLOCK = 1 << 20
 
 
 class SieveTables:
@@ -56,13 +46,21 @@ class SieveTables:
         spf.setflags(write=False)
         self.spf = spf
         # a composite k <= limit has a factor <= isqrt(limit), so above
-        # that root the primes are the k with spf[k] > root
+        # that root the primes are the k with spf[k] > root; they are counted
+        # and then written per block, which bounds the temporaries
         root = math.isqrt(self.limit)
         small = np.arange(2, root + 1, dtype=np.uint32)
-        primes = np.concatenate([
-            small[spf[2 : root + 1] == small].astype(np.int64),
-            np.flatnonzero(spf[root + 1 :] > root) + (root + 1),
-        ])
+        small = small[spf[2 : root + 1] == small]
+        starts = range(root + 1, self.limit + 1, _PRIME_BLOCK)
+        counts = [np.count_nonzero(spf[lo : lo + _PRIME_BLOCK] > root) for lo in starts]
+        primes = np.empty(len(small) + sum(counts), dtype=np.int64)
+        primes[: len(small)] = small
+        at = len(small)
+        for lo, count in zip(starts, counts):
+            block = np.flatnonzero(spf[lo : lo + _PRIME_BLOCK] > root)
+            block += lo
+            primes[at : at + count] = block
+            at += count
         primes.setflags(write=False)
         self.primes = primes
         self._bulk: dict = {}
@@ -271,57 +269,16 @@ def _spf_array(limit: int) -> np.ndarray:
         for p in odd[small[3::2] == odd][::-1].tolist():
             spf[p * p :: 2 * p] = p
     spf[2::2] = 2
-    rest = np.flatnonzero(spf[3::2] == 0) * 2 + 3
+    rest = np.flatnonzero(spf[3::2] == 0)
+    rest *= 2
+    rest += 3
     spf[rest] = rest
     return spf
 
 
-def build_sieve(limit: int, cache_dir: str | os.PathLike | None = None) -> SieveTables:
-    """Sieve smallest prime factors up to ``limit`` (>= 2).
-
-    When ``cache_dir`` is given, a matching spf cache file is loaded if
-    present and a fresh sieve is written back otherwise.
-    """
+def build_sieve(limit: int) -> SieveTables:
+    """Sieve smallest prime factors up to ``limit`` (>= 2)."""
     limit = int(limit)
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    if cache_dir is not None:
-        cached = load_sieve_cache(limit, cache_dir)
-        if cached is not None:
-            return cached
-    tables = SieveTables(limit, _spf_array(limit))
-    if cache_dir is not None:
-        save_sieve_cache(tables, cache_dir)
-    return tables
-
-
-def _cache_path(limit: int, cache_dir: str | os.PathLike) -> Path:
-    return Path(cache_dir) / f"sieve-{limit}.bin"
-
-
-def save_sieve_cache(tables: SieveTables, cache_dir: str | os.PathLike) -> Path:
-    """Write the spf array with a 16-byte (magic, version, limit) header."""
-    path = _cache_path(tables.limit, cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, tables.limit))
-        fh.write(tables.spf.astype("<u4", copy=False).tobytes())
-    return path
-
-
-def load_sieve_cache(limit: int, cache_dir: str | os.PathLike) -> SieveTables | None:
-    """Load a cached sieve; returns None unless the header matches exactly."""
-    path = _cache_path(limit, cache_dir)
-    if not path.is_file():
-        return None
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        return None
-    magic, version, lim = _HEADER.unpack_from(raw)
-    if magic != _CACHE_MAGIC or version != _CACHE_VERSION or lim != limit:
-        return None
-    body = raw[_HEADER.size :]
-    if len(body) != 4 * (limit + 1):
-        return None
-    spf = np.frombuffer(body, dtype="<u4")
-    return SieveTables(limit, spf)
+    return SieveTables(limit, _spf_array(limit))

@@ -21,9 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.fft import next_fast_len
-from scipy.special import sici
 
 __all__ = [
     "EPS_MIN",
@@ -219,6 +216,8 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     n0 = int(np.round(0.5 * (u.min() + u.max())))
     # t-grid modes n0 - half .. n0 + half - 1: the taps around every target stay inside
     half = int(math.ceil(float(np.max(np.abs(u - n0))))) + _TAPS // 2 + 1
+    from scipy.fft import next_fast_len
+
     n_fine = next_fast_len(_FINE_RATIO * 2 * half, real=True)
     work = n_fine + _TERM_COST * x.size + _TAPS * t.size
     if n_fine > _MAX_GRID or x.size * t.size < 2 * work:
@@ -248,6 +247,8 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     # column k holds term k's weights on fine points first_k .. first_k + 31;
     # the 31 rows past the end wrap around
     first = (base.astype(np.int64) + (1 - _SPREAD // 2)) % n_fine
+    import scipy.sparse
+
     spread = scipy.sparse.csc_matrix(
         (gauss.ravel(), (first[:, None] + np.arange(_SPREAD)).ravel(),
          np.arange(0, _SPREAD * x.size + 1, _SPREAD)),
@@ -375,6 +376,8 @@ def sine_integral(x):
 
     Delegates to ``scipy.special.sici``; scalars in give floats out.
     """
+    from scipy.special import sici
+
     si = sici(x)[0]
     return float(si) if np.isscalar(x) or np.asarray(x).ndim == 0 else si
 

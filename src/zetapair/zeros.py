@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import lambertw
 
 from .special import TWO_PI, ZetaEvaluator, zeta_em
 
@@ -142,6 +141,8 @@ def gram_point(n):
         raise ValueError("Gram points are defined for n >= -1")
     idx = np.atleast_1d(arr).astype(np.float64)
     target = idx * math.pi
+    from scipy.special import lambertw
+
     t = TWO_PI * np.exp(1.0 + lambertw((8.0 * idx + 1.0) / (8.0 * math.e)).real)
     active = np.ones(t.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):

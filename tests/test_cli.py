@@ -213,6 +213,23 @@ class TestR2Pipeline:
         assert len(parse_csv(out)) == 3
 
 
+class TestCutoffsBelowTheirDomain:
+    # a prime cutoff below 2 or a power cutoff below 1 would empty a sum or a
+    # product and still print plausible values
+    @pytest.mark.parametrize("argv, message", [
+        (("invert", "--h", "2", "--window", "1000:1100", "--prime-cutoff", "0"),
+         "prime cutoff must be >= 2, got 0"),
+        (("r2", "theory", "--grid", "0.5:1.5:0.5", "--height", "10000",
+          "--prime-cutoff", "0"), "prime cutoff must be >= 2, got 0"),
+        (("r2", "theory", "--grid", "0.5:1.5:0.5", "--height", "10000",
+          "--power-cutoff", "-3"), "power cutoff must be >= 1, got -3"),
+    ])
+    def test_exit_1_with_a_message(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
 class TestZeroCache:
     def empirical(self, cache_dir, t_range, width="400"):
         return run_cli(
@@ -252,20 +269,25 @@ class TestConfigPlumbing:
             assert code == 1
             assert f"unknown config key {key!r}" in err
 
+    # the zero table that r2 empirical --compute caches is the witness
+    EMPIRICAL = ("r2", "empirical", "--compute", "1000:1400", "--center", "1200",
+                 "--width", "400")
+
     def test_env_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZPD_CACHE_DIR", str(tmp_path))
-        code, _, _ = run_cli("constants", "--prime-cutoff", "1000")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cache_dir={tmp_path / 'cfgdir'}\n")
+        monkeypatch.setenv("ZPD_CACHE_DIR", str(tmp_path / "envdir"))
+        code, _, _ = run_cli("--config", str(cfg), *self.EMPIRICAL)
         assert code == 0
-        assert (tmp_path / "sieve-1001.bin").is_file()
+        assert len(list((tmp_path / "envdir").glob("zeros-*.txt"))) == 1
+        assert not (tmp_path / "cfgdir").exists()
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ZPD_CACHE_DIR", str(tmp_path / "envdir"))
         flag_dir = tmp_path / "flagdir"
-        code, _, _ = run_cli(
-            "--cache-dir", str(flag_dir), "constants", "--prime-cutoff", "1000"
-        )
+        code, _, _ = run_cli("--cache-dir", str(flag_dir), *self.EMPIRICAL)
         assert code == 0
-        assert (flag_dir / "sieve-1001.bin").is_file()
+        assert len(list(flag_dir.glob("zeros-*.txt"))) == 1
         assert not (tmp_path / "envdir").exists()
 
 

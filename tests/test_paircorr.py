@@ -285,6 +285,15 @@ class TestPrimePhaseKernel:
         with pytest.raises(ValueError):
             paircorr._prime_phase_sums(tables_small, 20_000, 14, np.array([1.0]))
 
+    def test_rejects_cutoffs_below_their_domain(self, zeta_cfg, tables_small):
+        eps = np.array([1.0])
+        with pytest.raises(ValueError, match="prime cutoff must be >= 2"):
+            paircorr.off_diagonal_product(tables_small, 1, eps)
+        with pytest.raises(ValueError, match="power cutoff must be >= 1"):
+            r2_diag_finite(eps, zeta_cfg, tables_small, 1000, 0)
+        # the product alone runs the kernel with no power sum
+        assert paircorr.off_diagonal_product(tables_small, 2, eps).shape == (1,)
+
 
 class TestTheoryCurve:
     @pytest.mark.parametrize("e_height,p_cut,k_cut", [(7000.0, 20_000, 14), (1e10, 100_000, 20)])

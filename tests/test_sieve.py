@@ -4,12 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from zetapair.sieve import (
-    _spf_array,
-    build_sieve,
-    load_sieve_cache,
-    save_sieve_cache,
-)
+from zetapair.sieve import _spf_array, build_sieve
 
 
 def eratosthenes_flags(limit):
@@ -267,47 +262,3 @@ def test_series_weight_table_values(tables_small):
     assert g.dtype == np.float64 and g[0] == 0.0
     for n in range(1, tables_small.limit + 1):
         assert g[n] == tables_small.mobius(n) / tables_small.totient(n) ** 2
-
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        t = build_sieve(5000, cache_dir=tmp_path)
-        assert (tmp_path / "sieve-5000.bin").is_file()
-        t2 = build_sieve(5000, cache_dir=tmp_path)
-        assert np.array_equal(t.spf, t2.spf)
-        assert np.array_equal(t.primes, t2.primes)
-
-    def test_file_holds_the_spf_and_loads_to_the_same_tables(self, tmp_path):
-        # the body is the little-endian uint32 spf behind a 16-byte header,
-        # so a file written from an independent spf loads to the same primes
-        limit = 3000
-        ref = trial_division_spf(limit)
-        t = build_sieve(limit)
-        raw = save_sieve_cache(t, tmp_path).read_bytes()
-        assert raw[16:] == ref.astype("<u4").tobytes()
-        loaded = load_sieve_cache(limit, tmp_path)
-        assert np.array_equal(loaded.spf, ref)
-        assert np.array_equal(loaded.primes, t.primes)
-        assert np.array_equal(loaded.primes, np.flatnonzero(eratosthenes_flags(limit)))
-
-    def test_header_mismatches_rejected(self, tmp_path):
-        t = build_sieve(1000)
-        path = save_sieve_cache(t, tmp_path)
-        raw = bytearray(path.read_bytes())
-
-        bad_magic = bytearray(raw)
-        bad_magic[:4] = b"XXXX"
-        path.write_bytes(bytes(bad_magic))
-        assert load_sieve_cache(1000, tmp_path) is None
-
-        bad_version = bytearray(raw)
-        bad_version[4] = 99
-        path.write_bytes(bytes(bad_version))
-        assert load_sieve_cache(1000, tmp_path) is None
-
-        path.write_bytes(bytes(raw[:-8]))  # truncated body
-        assert load_sieve_cache(1000, tmp_path) is None
-
-        path.write_bytes(bytes(raw))
-        assert load_sieve_cache(999, tmp_path) is None  # limit mismatch
-        assert load_sieve_cache(1000, tmp_path) is not None
