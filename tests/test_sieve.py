@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from zetapair import sieve
 from zetapair.sieve import _spf_array, build_sieve
 
 
@@ -66,6 +67,15 @@ def test_primes_match_boolean_sieve(tables_1m):
     flags = eratosthenes_flags(tables_1m.limit)
     assert np.array_equal(tables_1m.primes, np.flatnonzero(flags))
     assert tables_1m.primes.dtype == np.int64
+
+
+@pytest.mark.parametrize("limit", [2, 3, 96, 97, 98, 3000])
+def test_primes_filled_per_block_match_boolean_sieve(monkeypatch, limit):
+    # a small block puts many block edges, and primes on them, below the limit
+    monkeypatch.setattr(sieve, "_PRIME_BLOCK", 7)
+    primes = build_sieve(limit).primes
+    assert np.array_equal(primes, np.flatnonzero(eratosthenes_flags(limit)))
+    assert primes.dtype == np.int64
 
 
 def test_spf_invariants(tables_small):
