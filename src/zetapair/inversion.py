@@ -28,7 +28,7 @@ eps, sum_eps coef(eps) exp(-i eps ln(E/2pi)) at every E node, are
 Dirichlet polynomials in ln(E/2pi); both rules' rows go through one call
 of the nonuniform-FFT kernel of ``special`` that also sums zeta's n^-s
 and the Euler product, in O((eps nodes + E nodes) log) work instead of a
-full phase matrix, on a grid centred on the band of ln(E/2pi).
+full phase matrix, on the canonical tile of the band of ln(E/2pi).
 ``quad_error_est`` is |K21 - G10| times the normalization, about 1e-5 on
 the documented windows: it tracks the coarse rule's error, which makes
 it a conservative figure for the K21 estimate.

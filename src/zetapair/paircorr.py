@@ -16,6 +16,18 @@ below 50 are summed directly, the rest by the nonuniform-FFT kernel of
 ``special`` (the product as exp of its log series), so their cost grows
 like (terms + points) log rather than terms x points.
 
+The kernel grids the terms onto a canonical tile: a power-of-two span of
+its t-grid, centred on a multiple of half that span, which the band of
+the eps alone selects.  Each ``SieveTables`` carries, in a module-level
+weak mapping keyed by the tables, the prime terms of its last four
+(prime cutoff, power cutoff) pairs and, for each pair, the plan of the
+last tile read.  Evaluations whose eps fall in that tile, such as the
+windows of a pooled experiment, read the plan without gridding again.
+The cache is weak (an entry dies with its tables), bounded (four pairs
+per tables, one tile per pair) and answer-neutral: a tile is set by the
+eps alone, so a cached read has the bits a cold evaluation gives,
+whatever ran before.
+
 Oscillatory theory is always bin-averaged (5-point Gauss-Legendre per
 bin) before it is compared with a histogram.
 """
@@ -23,6 +35,8 @@ bin) before it is compared with a histogram.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +45,7 @@ from .sieve import SieveTables
 from .special import (
     TWO_PI,
     ZetaEvaluator,
+    _dirichlet_plan,
     _dirichlet_sum,
     log_zeta_dd,
     mean_density,
@@ -128,6 +143,10 @@ def empirical_r2(
     """
     if bin_width <= 0 or eps_max <= bin_width:
         raise ValueError("need 0 < bin_width < eps_max")
+    if not (math.isfinite(e_center) and math.isfinite(width) and width > 0):
+        raise ValueError(
+            f"window needs a finite centre and a finite positive width, got {e_center}, {width}"
+        )
     lo, hi = e_center - width / 2.0, e_center + width / 2.0
     if lo < zl.range[0] or hi > zl.range[1]:
         raise ValueError("window extends beyond the zero list range")
@@ -315,6 +334,42 @@ def _large_prime_terms(ps: np.ndarray, k_cut: int):
     return m * lp, coef, float(np.sum(series[:, 0]))
 
 
+@dataclass
+class _PrimeTerms:
+    """What the prime sums at one (p_cut, k_cut) reuse: the primes below 50,
+    the stacked Dirichlet polynomial of the rest (``_large_prime_terms``, the
+    power row left out at k_cut = 0), and the plan of the last tile read."""
+
+    small: np.ndarray
+    x: np.ndarray
+    coef: np.ndarray
+    log_const: float
+    plan: object = None
+
+
+#: the prime terms of each SieveTables, per (p_cut, k_cut); an entry dies with
+#: its tables, and each tables keeps the _TERMS_PER_TABLES keys used last
+_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TERMS_PER_TABLES = 4
+_TERMS_LOCK = threading.Lock()
+
+
+def _prime_terms(tables: SieveTables, p_cut: int, k_cut: int) -> _PrimeTerms:
+    """The cached prime terms of (tables, p_cut, k_cut), built on first use."""
+    key = (p_cut, k_cut)
+    with _TERMS_LOCK:
+        per_tables = _TERMS.setdefault(tables, {})
+        terms = per_tables.pop(key, None)
+        if terms is None:
+            small, large = _split_primes(tables, p_cut)
+            x, coef, log_const = _large_prime_terms(large, k_cut)
+            terms = _PrimeTerms(small, x, coef if k_cut else coef[1:], log_const)
+        per_tables[key] = terms  # last used goes last
+        for old in list(per_tables)[:-_TERMS_PER_TABLES]:
+            del per_tables[old]
+        return terms
+
+
 def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarray):
     """Both prime sums of the finite-height curve at each eps:
 
@@ -324,22 +379,29 @@ def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarr
     over the primes p <= p_cut, and for the power sum the terms with
     (k+1) ln p <= 40.  The primes below 50 share one block of u, formed
     directly.  Above them both sums are Dirichlet polynomials in eps,
-    summed by one stacked ``_dirichlet_sum`` call: the power sum at the
-    nodes (k+1) ln p, and the product as exp of its log series (see
-    ``_large_prime_terms``).  With k_cut = 0 the power sum is empty, reads
+    summed by one stacked plan of the ``special`` kernel: the power sum at
+    the nodes (k+1) ln p, and the product as exp of its log series (see
+    ``_large_prime_terms``).  The terms and the last plan are cached per
+    tables (``_prime_terms``), and eps whose canonical tile is the cached
+    plan's read it without gridding again, with the bits a fresh
+    ``_dirichlet_sum`` gives.  With k_cut = 0 the power sum is empty, reads
     0 and stays out of the transform.  The nodes do not depend on k_cut and
     a row of a stack gives the bits it would alone, so the product is the
     same, bit for bit, at every k_cut.
     """
-    small, large = _split_primes(tables, p_cut)
+    terms = _prime_terms(tables, p_cut, k_cut)
     eps = np.asarray(eps, dtype=np.float64)
     flat = eps.ravel()
-    u = _small_prime_phases(small, flat)
-    x, coef, log_const = _large_prime_terms(large, k_cut)
-    sums = _dirichlet_sum(coef if k_cut else coef[1:], x, flat)
-    power = _small_prime_power(u, small, k_cut)
+    u = _small_prime_phases(terms.small, flat)
+    plan = _dirichlet_plan(terms.coef, terms.x, flat, terms.plan)
+    if plan is None:
+        sums = _dirichlet_sum(terms.coef, terms.x, flat)
+    else:
+        terms.plan = plan
+        sums = plan.read(flat)
+    power = _small_prime_power(u, terms.small, k_cut)
     power += sums[:-1].sum(axis=0)
-    product = _small_prime_product(u, small) * np.exp(log_const + sums[-1])
+    product = _small_prime_product(u, terms.small) * np.exp(terms.log_const + sums[-1])
     return power.reshape(eps.shape), product.reshape(eps.shape)
 
 
@@ -354,8 +416,10 @@ def _check_power_cutoff(k_cut: int) -> None:
 
 
 def _check_height(e_height: float) -> None:
-    if e_height <= TWO_PI:
-        raise ValueError("height must exceed 2 pi for a positive mean density")
+    if not (math.isfinite(e_height) and e_height > TWO_PI):
+        raise ValueError(
+            f"height must be finite and exceed 2 pi for a positive mean density, got {e_height}"
+        )
 
 
 def _off_term(
@@ -453,14 +517,14 @@ def theory_curve(
     rescaled by 1/dbar(E) and all terms divided by dbar(E)^2, so the
     constant term is exactly 1.
     """
+    _check_height(e_height)
+    _check_power_cutoff(k_cut)
     eps = np.asarray(epsilons, dtype=np.float64)
     dens = mean_density(e_height)
     if unfolded:
         args, scale, const = eps / dens, 1.0 / dens**2, 1.0
     else:
         args, scale, const = eps, 1.0, dens**2
-    _check_height(e_height)
-    _check_power_cutoff(k_cut)
     power, product = _prime_phase_sums(tables, p_cut, k_cut, args)
     diag = scale * _diag_term(args, cfg, power)
     off = scale * _off_term(args, e_height, cfg, product)

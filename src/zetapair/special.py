@@ -8,11 +8,14 @@ critical line (Z-function side, see ``zeros``).  All points on one line
 Re s = sigma share the largest truncation point any of them needs, and
 their direct sum, the Dirichlet polynomial sum_n n^-sigma exp(-i t ln n),
 is one call to ``_dirichlet_sum``: a nonuniform FFT in O((N + points) log)
-work on a grid centred on the points' band, which also sums the
-inversion's E-side phases and the prime sums of ``paircorr``.  Small sums
-stay direct.
+work, which also sums the inversion's E-side phases and the prime sums of
+``paircorr``.  It plans a canonical tile, a power-of-two span of the
+t-grid set by the sum's band limit and the points' band alone, and reads
+the points from it; a caller that keeps the plan (``paircorr`` does) reads
+later points in the same tile without gridding the terms again.  Small
+sums stay direct.
 Everything here is pure and thread-safe; ``ZetaEvaluator`` is immutable
-configuration.
+configuration, and a plan is not changed by reading it.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ _TAPS = 60
 _TERM_COST = 8
 #: largest fine grid, and largest phase block of the direct sum
 _MAX_GRID = 1 << 21
+#: narrowest tile, in t-grid steps
+_MIN_TILE = 16
 #: 1/(2 pi) as a double-double
 _INV_TWO_PI = 0.15915494309189535
 _INV_TWO_PI_LO = -9.839338337591243e-18
@@ -166,6 +171,143 @@ def _direct_rows(c: np.ndarray, x: np.ndarray, t: np.ndarray):
     return sums[0] if c.ndim == 1 else np.stack(sums)
 
 
+def _fine_size(half: int) -> int:
+    """Length of the fine grid under the 2 half modes of a tile."""
+    from scipy.fft import next_fast_len
+
+    return next_fast_len(_FINE_RATIO * 2 * half, real=True)
+
+
+def _canonical_tile(x: np.ndarray, t: np.ndarray):
+    """(dt, n0, half) of the tile the transform reads the targets t from.
+
+    dt = pi / (4 max|x|) rounded down to four significant bits, so dt n is
+    exact for the grid points n and t / dt carries over into double-double.
+    With the targets' band W wide in grid units, T is the least power of
+    two, at least 16, with T >= W, and the centre n0 is the multiple of T/2
+    nearest the band's centre; the modes n0 - half .. n0 + half - 1, with
+    half = 3T/4 + 31, hold the 60 taps around every target.  A tile is
+    thus set by (max|x|, t) alone, and every band that lands in it reads
+    the same modes.  None where the direct sum costs less: K M below twice
+    the transform's work, grid + 8 K + 60 M, or a grid past 2^21 points.
+    """
+    x_max = float(np.max(np.abs(x), initial=0.0))
+    if x_max == 0.0 or t.size == 0:
+        return None
+    exp2 = math.frexp(math.pi / (_OVERSAMPLE * x_max))[1] - 4
+    dt = math.ldexp(math.floor(math.ldexp(math.pi / (_OVERSAMPLE * x_max), -exp2)), exp2)
+    u_lo, u_hi = float(np.min(t)) / dt, float(np.max(t)) / dt
+    if not math.isfinite(u_hi - u_lo):
+        raise ValueError("a Dirichlet sum needs finite targets")
+    if u_hi - u_lo > _MAX_GRID:
+        return None  # the fine grid is at least 4.5 T long
+    width = _MIN_TILE
+    while width < u_hi - u_lo:
+        width *= 2
+    n0 = round(0.5 * (u_lo + u_hi) / (width // 2)) * (width // 2)
+    half = 3 * width // 4 + _TAPS // 2 + 1
+    n_fine = _fine_size(half)
+    work = n_fine + _TERM_COST * x.size + _TAPS * t.size
+    if n_fine > _MAX_GRID or x.size * t.size < 2 * work:
+        return None
+    return dt, n0, half
+
+
+class _Plan:
+    """The t-grid of sum_k c_k exp(-i t x_k) on one canonical tile.
+
+    Building it grids the terms, transforms and deconvolves: the mode
+    spectrum g_m of t = (n0 + m) dt, m = -half .. half - 1, one row per row
+    of c.  ``read`` interpolates g_m at targets inside the tile; it does no
+    work that depends on the terms, so a plan built once serves every band
+    that lands in its tile, with the bits a fresh plan would give.
+    """
+
+    def __init__(self, c: np.ndarray, x: np.ndarray, tile: tuple[float, int, int]):
+        self.tile = tile
+        dt, n0, half = tile
+        # c_k exp(-i t0 x_k); t0 x_k / (2 pi) in double-double, whole turns dropped
+        t0 = n0 * dt
+        t0_turns, t0_turns_lo = _two_prod(t0, _INV_TWO_PI)
+        t0_turns_lo += t0 * _INV_TWO_PI_LO
+        turns, turns_lo = _two_prod(x, t0_turns)
+        turns_lo += x * t0_turns_lo
+        turns -= np.round(turns)
+        rows = np.atleast_2d(c) * np.exp(1j * ((turns + turns_lo) * -TWO_PI))
+
+        # type 1: G(m) = sum_k c_k exp(-i m y_k), y_k = x_k dt in [-pi/4, pi/4], from
+        # a periodic Gaussian of width tau on the fine grid; positions in its units
+        n_modes = 2 * half
+        n_fine = _fine_size(half)
+        ratio = n_fine / n_modes
+        tau = math.pi * (_SPREAD // 2) / (n_modes**2 * ratio * (ratio - 0.5))
+        to_fine, to_fine_lo = _two_prod(dt * n_fine, _INV_TWO_PI)
+        to_fine_lo += dt * n_fine * _INV_TWO_PI_LO
+        pos, pos_lo = _two_prod(x, to_fine)
+        pos_lo += x * to_fine_lo
+        base = np.floor(pos)
+        dist = ((pos - base) + pos_lo)[:, None] - np.arange(1 - _SPREAD // 2, _SPREAD // 2 + 1)
+        gauss = np.exp(dist * dist * -((TWO_PI / n_fine) ** 2 / (4.0 * tau)))
+        # column k holds term k's weights on fine points first_k .. first_k + 31;
+        # the 31 rows past the end wrap around
+        first = (base.astype(np.int64) + (1 - _SPREAD // 2)) % n_fine
+        import scipy.sparse
+
+        spread = scipy.sparse.csc_matrix(
+            (gauss.ravel(), (first[:, None] + np.arange(_SPREAD)).ravel(),
+             np.arange(0, _SPREAD * x.size + 1, _SPREAD)),
+            shape=(n_fine + _SPREAD - 1, x.size),
+        )
+        fine = spread @ np.concatenate([rows.real, rows.imag]).T
+        fine[: _SPREAD - 1] += fine[n_fine:]
+        grid = np.empty((len(rows), n_fine), dtype=np.complex128)
+        grid.real = fine[:n_fine, : len(rows)].T
+        grid.imag = fine[:n_fine, len(rows) :].T
+        modes = np.arange(-half, half)
+        spec = np.fft.fft(grid)[:, modes]
+        self.g_m = spec * (
+            np.exp(tau * modes.astype(np.float64) ** 2) * (math.sqrt(math.pi / tau) / n_fine)
+        )
+
+    def read(self, t: np.ndarray) -> np.ndarray:
+        """The sums at targets t in the tile, shape (rows, M)."""
+        dt, n0, half = self.tile
+        u = t / dt
+        prod, prod_lo = _two_prod(u, dt)
+        base = np.floor(u)
+        frac = (u - base) + ((t - prod) - prod_lo) / dt
+        taps = np.arange(1 - _TAPS // 2, _TAPS // 2 + 1)
+        d = frac[:, None] - taps
+        var = (_TAPS // 2) / (math.pi * (1.0 - 1.0 / _OVERSAMPLE))
+        # sinc(d) from one sine per target: sin(pi (f - l)) = (-1)^(l - n) sin(pi (f - n)),
+        # with n the whole number nearest f; f - n is exact, so the sine keeps its
+        # relative accuracy where f is near n
+        near = np.round(frac)
+        sine = np.sin(math.pi * (frac - near)) * np.where(near % 2, -1.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kern = sine[:, None] * np.where(taps % 2, -1.0, 1.0) / (math.pi * d)
+        kern[d == 0.0] = 1.0  # the tap at f itself
+        kern *= np.exp(d * d * (-0.5 / var))
+        at = (base.astype(np.int64) - n0)[:, None] + (taps + half)
+        # np.take keeps each row's taps contiguous, so each row sums as it would alone
+        return (np.take(self.g_m, at, axis=1) * kern).sum(axis=-1)
+
+
+def _dirichlet_plan(c, x, t, reuse: _Plan | None = None) -> _Plan | None:
+    """The plan ``_dirichlet_sum`` reads the targets t from, or None for the direct sum.
+
+    ``reuse``, a plan of the same c and x, comes back as it is when the
+    targets' canonical tile is its tile; any other tile gets a new plan.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    tile = _canonical_tile(x, np.asarray(t, dtype=np.float64))
+    if tile is None:
+        return None
+    if reuse is not None and reuse.tile == tile:
+        return reuse
+    return _Plan(np.asarray(c, dtype=np.complex128), x, tile)
+
+
 def _dirichlet_sum(c, x, t) -> np.ndarray:
     """F(t_j) = sum_k c_k exp(-i t_j x_k) for real nodes x and real targets t.
 
@@ -174,20 +316,24 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     targets, and its rows share the grid positions, the Gaussian weights
     and the interpolation taps.
 
-    A type-3 nonuniform FFT (Odlyzko and Schoenhage, Trans. AMS 309, 1988).
-    F is band-limited to max|x|; it is sampled on a t-grid of spacing
-    dt = pi / (4 max|x|), rounded down to four significant bits
-    (oversampling sigma of 4 to 4.5).  The grid is centred on the targets'
-    band at t0 = n0 dt, a whole number of steps, so t0 has few significant
-    bits and t_j - t0 is exact in grid units; exp(-i t0 x_k) is folded into
-    c_k, with the phase t0 x_k carried in double-double and reduced mod 2 pi.
-    The grid values come from Gaussian gridding of the terms onto a
-    periodic grid three times as long, 32 points per term in one sparse
-    matrix product, and one ``numpy.fft`` transform per row (Greengard and
-    Lee, SIAM Review 46, 2004).  A 60-tap Gaussian-regularized sinc of
-    variance W / (pi (1 - 1/sigma)) grid steps, W = 30 and sigma = 4, reads
-    the t-grid at the targets.  t_j / dt and each term's grid position are
-    carried in double-double too, so no phase is rounded on the way.
+    A type-3 nonuniform FFT (Odlyzko and Schoenhage, Trans. AMS 309, 1988),
+    split into a plan and a read.  F is band-limited to max|x|; it is
+    sampled on a t-grid of spacing dt = pi / (4 max|x|), rounded down to
+    four significant bits (oversampling sigma of 4 to 4.5), over the
+    canonical tile of the targets (``_canonical_tile``): a power-of-two
+    span of grid steps, centred on a multiple of half that span, so the
+    modes a target reads depend on (c, x, t) and on nothing that ran
+    before.  The centre t0 = n0 dt is a whole number of steps, so t0 has
+    few significant bits and t_j - t0 is exact in grid units;
+    exp(-i t0 x_k) is folded into c_k, with the phase t0 x_k carried in
+    double-double and reduced mod 2 pi.  The plan (``_Plan``) gets the grid
+    values from Gaussian gridding of the terms onto a periodic grid three
+    times as long, 32 points per term in one sparse matrix product, and
+    one ``numpy.fft`` transform per row (Greengard and Lee, SIAM Review 46,
+    2004).  The read is a 60-tap Gaussian-regularized sinc of variance
+    W / (pi (1 - 1/sigma)) grid steps, W = 30 and sigma = 4, at the
+    targets.  t_j / dt and each term's grid position are carried in
+    double-double too, so no phase is rounded on the way.
 
     Measured against sums with exactly rounded phases: at most 1.4e-16
     sum|c_k| over random sums (K, M < 1500, |x|, |t| < 1e3), 4e-17 sum|c_k|
@@ -205,83 +351,10 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     c = np.asarray(c, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    x_max = float(np.max(np.abs(x), initial=0.0))
-    if x_max == 0.0 or t.size == 0:
+    plan = _dirichlet_plan(c, x, t)
+    if plan is None:
         return _direct_rows(c, x, t)
-    # pi / (4 max|x|) rounded down to four significant bits, so dt * n_fine is
-    # exact and t / dt carries over into double-double
-    exp2 = math.frexp(math.pi / (_OVERSAMPLE * x_max))[1] - 4
-    dt = math.ldexp(math.floor(math.ldexp(math.pi / (_OVERSAMPLE * x_max), -exp2)), exp2)
-    u = t / dt
-    n0 = int(np.round(0.5 * (u.min() + u.max())))
-    # t-grid modes n0 - half .. n0 + half - 1: the taps around every target stay inside
-    half = int(math.ceil(float(np.max(np.abs(u - n0))))) + _TAPS // 2 + 1
-    from scipy.fft import next_fast_len
-
-    n_fine = next_fast_len(_FINE_RATIO * 2 * half, real=True)
-    work = n_fine + _TERM_COST * x.size + _TAPS * t.size
-    if n_fine > _MAX_GRID or x.size * t.size < 2 * work:
-        return _direct_rows(c, x, t)
-
-    # c_k exp(-i t0 x_k); t0 x_k / (2 pi) in double-double, whole turns dropped
-    t0 = n0 * dt
-    t0_turns, t0_turns_lo = _two_prod(t0, _INV_TWO_PI)
-    t0_turns_lo += t0 * _INV_TWO_PI_LO
-    turns, turns_lo = _two_prod(x, t0_turns)
-    turns_lo += x * t0_turns_lo
-    turns -= np.round(turns)
-    rows = np.atleast_2d(c) * np.exp(1j * ((turns + turns_lo) * -TWO_PI))
-
-    # type 1: G(m) = sum_k c_k exp(-i m y_k), y_k = x_k dt in [-pi/4, pi/4], from
-    # a periodic Gaussian of width tau on the fine grid; positions in its units
-    n_modes = 2 * half
-    ratio = n_fine / n_modes
-    tau = math.pi * (_SPREAD // 2) / (n_modes**2 * ratio * (ratio - 0.5))
-    to_fine, to_fine_lo = _two_prod(dt * n_fine, _INV_TWO_PI)
-    to_fine_lo += dt * n_fine * _INV_TWO_PI_LO
-    pos, pos_lo = _two_prod(x, to_fine)
-    pos_lo += x * to_fine_lo
-    base = np.floor(pos)
-    dist = ((pos - base) + pos_lo)[:, None] - np.arange(1 - _SPREAD // 2, _SPREAD // 2 + 1)
-    gauss = np.exp(dist * dist * -((TWO_PI / n_fine) ** 2 / (4.0 * tau)))
-    # column k holds term k's weights on fine points first_k .. first_k + 31;
-    # the 31 rows past the end wrap around
-    first = (base.astype(np.int64) + (1 - _SPREAD // 2)) % n_fine
-    import scipy.sparse
-
-    spread = scipy.sparse.csc_matrix(
-        (gauss.ravel(), (first[:, None] + np.arange(_SPREAD)).ravel(),
-         np.arange(0, _SPREAD * x.size + 1, _SPREAD)),
-        shape=(n_fine + _SPREAD - 1, x.size),
-    )
-    fine = spread @ np.concatenate([rows.real, rows.imag]).T
-    fine[: _SPREAD - 1] += fine[n_fine:]
-    grid = np.empty((len(rows), n_fine), dtype=np.complex128)
-    grid.real = fine[:n_fine, : len(rows)].T
-    grid.imag = fine[:n_fine, len(rows) :].T
-    modes = np.arange(-half, half)
-    spec = np.fft.fft(grid)[:, modes]
-    g_m = spec * (np.exp(tau * modes.astype(np.float64) ** 2) * (math.sqrt(math.pi / tau) / n_fine))
-
-    # interpolation from the t-grid
-    prod, prod_lo = _two_prod(u, dt)
-    base = np.floor(u)
-    frac = (u - base) + ((t - prod) - prod_lo) / dt
-    taps = np.arange(1 - _TAPS // 2, _TAPS // 2 + 1)
-    d = frac[:, None] - taps
-    var = (_TAPS // 2) / (math.pi * (1.0 - 1.0 / _OVERSAMPLE))
-    # sinc(d) from one sine per target: sin(pi (f - l)) = (-1)^(l - n) sin(pi (f - n)),
-    # with n the whole number nearest f; f - n is exact, so the sine keeps its
-    # relative accuracy where f is near n
-    near = np.round(frac)
-    sine = np.sin(math.pi * (frac - near)) * np.where(near % 2, -1.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = sine[:, None] * np.where(taps % 2, -1.0, 1.0) / (math.pi * d)
-    kern[d == 0.0] = 1.0  # the tap at f itself
-    kern *= np.exp(d * d * (-0.5 / var))
-    at = (base.astype(np.int64) - n0)[:, None] + (taps + half)
-    # np.take keeps each row's taps contiguous, so each row sums as it would alone
-    out = (np.take(g_m, at, axis=1) * kern).sum(axis=-1)
+    out = plan.read(t)
     return out[0] if c.ndim == 1 else out
 
 

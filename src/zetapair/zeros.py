@@ -20,8 +20,11 @@ checked to 1e-6 against published tables).  Above, the main
 Riemann-Siegel sum with the leading correction term takes over.  Its
 error ~0.13 t^(-3/4) is orders of magnitude below the ~1e-2 scale of the
 tightest sign margins at desk heights, so no zero is lost, but it limits
-the ordinates to about 1e-5: 6.1e-6, 1.3e-5 and 2.9e-6 at t = 2990, 7705
-and 12010, and at most 5.3e-5 over 18 zeros sampled in (2990, 12010).
+the ordinates: typically to about 1e-5 (6.1e-6, 1.3e-5 and 2.9e-6 at
+t = 2990, 7705 and 12010), and at close pairs to a few 1e-4.  The worst
+case measured is the pair whose mpmath roots are 4589.6434 and 4589.7488
+(gap 0.105): it comes out 3.04e-4 low and 2.77e-4 high, so its spacing
+is 5.8e-4 too wide.
 
 All ordinates assume every zero sits on the critical line; no off-line
 search is attempted.
@@ -325,9 +328,11 @@ def compute_zeros(
     resolves the close pairs that violate Gram's law at these heights.  On
     (2990, 6610) that is 24 ``zfunc`` calls in all, refinement included,
     and 9.3 Z points per zero.  Each zero is refined to a bracket of width
-    4 eps t around a sign change of the computed Z.  Against mpmath the ordinates are within about 1e-13 below
-    t = 1000, and within about 1e-5 above (at most 5.3e-5 sampled), where
-    the Riemann-Siegel Z with its leading correction limits them.
+    4 eps t around a sign change of the computed Z.  Against mpmath the
+    ordinates are within about 1e-13 below t = 1000, and above it within
+    about 1e-5 typically and 3.04e-4 at worst (the close pair at 4589.64,
+    gap 0.105), where the Riemann-Siegel Z with its leading correction
+    limits them.
     """
     if not (10.0 <= t_min < t_max <= 1e5):
         raise ValueError("computation envelope is 10 <= t_min < t_max <= 1e5")

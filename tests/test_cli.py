@@ -230,6 +230,38 @@ class TestCutoffsBelowTheirDomain:
         assert err == f"error: {message}\n"
 
 
+class TestNonFiniteHeight:
+    # nan stopped on "cannot convert float NaN to integer", inf on the pole
+    # guard, and a nan centre on "only 0 zeros in window"
+    @pytest.mark.parametrize("height", ["nan", "inf"])
+    def test_theory_height(self, height):
+        code, out, err = run_cli(
+            "r2", "theory", "--grid", "0.5:1.5:0.5", "--height", height,
+            "--prime-cutoff", "10000",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: height must be finite and exceed 2 pi for a positive mean density,"
+            f" got {float(height)}\n"
+        )
+
+    @pytest.mark.parametrize("center", ["nan", "inf"])
+    def test_compare_center(self, tmp_path, zeros_low, center):
+        from zetapair.zeros import save_zeros
+
+        table = tmp_path / "z.txt"
+        save_zeros(zeros_low, table)
+        code, out, err = run_cli(
+            "r2", "compare", "--zeros", str(table), "--center", center,
+            "--width", "700", "--prime-cutoff", "10000",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: window needs a finite centre and a finite positive width,"
+            f" got {float(center)}, 700.0\n"
+        )
+
+
 class TestZeroCache:
     def empirical(self, cache_dir, t_range, width="400"):
         return run_cli(

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -24,6 +28,7 @@ from zetapair.paircorr import (
     theory_curve,
     theory_on_bins,
 )
+from zetapair.sieve import build_sieve
 from zetapair.special import TWO_PI, log_zeta_dd, mean_density, zeta_one_line
 from zetapair.zeros import ZeroList
 
@@ -65,6 +70,14 @@ class TestEmpirical:
     def test_window_outside_range(self, zeros_high):
         with pytest.raises(ValueError):
             empirical_r2(zeros_high, 2995.0, 100.0, 0.05, 3.0)
+
+    # a non-finite window passed the range check and read "only 0 zeros in window"
+    @pytest.mark.parametrize("center,width", [
+        (math.nan, 400.0), (math.inf, 400.0), (7000.0, math.nan), (7000.0, math.inf),
+    ])
+    def test_rejects_non_finite_window(self, zeros_high, center, width):
+        with pytest.raises(ValueError, match="finite centre and a finite positive width"):
+            empirical_r2(zeros_high, center, width, 0.05, 3.0)
 
     def test_aggregate_pools_counts(self, zeros_high):
         a = empirical_r2(zeros_high, 6000.0, 300.0, 0.05, 3.0)
@@ -268,7 +281,7 @@ class TestPrimePhaseKernel:
 
     def test_product_on_the_inversion_band(self, tables_small, monkeypatch):
         # the eps of windowed_inversion at h = 4 on (1000, 1060), where the
-        # grid is centred on the band; the per-term formula rounds each
+        # tile lies far from eps = 0; the per-term formula rounds each
         # eps ln p, by up to 3.6e-12 rad here
         eps = np.linspace(4000.0, 4300.0, 2000)
         with monkeypatch.context() as patch:
@@ -313,15 +326,12 @@ class TestTheoryCurve:
     def test_pointwise_terms_match_curve_through_the_transform(
         self, zeta_cfg, tables_1m, monkeypatch
     ):
-        # at 250 points the prime sums take the transform, whose grid is
-        # set by the nodes; the product alone (k_cut = 0) keeps the curve's
-        # nodes, so both terms still agree bit for bit
-        def transform_only(c, x, t):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(special, "_direct_sum", _no_direct_sum)
-                return special._dirichlet_sum(c, x, t)
-
-        monkeypatch.setattr(paircorr, "_dirichlet_sum", transform_only)
+        # at 250 points the prime sums read a plan of the transform (the
+        # direct branch is the only call of _dirichlet_sum left in paircorr),
+        # whose tile is set by the nodes and the targets; the product alone
+        # (k_cut = 0) keeps the curve's nodes, so both terms still agree bit
+        # for bit
+        monkeypatch.setattr(paircorr, "_dirichlet_sum", _no_direct_sum)
         eps = np.linspace(0.2, 3.0, 250)
         tc = theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)
         assert np.array_equal(tc.diag, r2_diag_finite(eps, zeta_cfg, tables_1m, 100_000, 20))
@@ -330,6 +340,17 @@ class TestTheoryCurve:
     def test_rejects_low_height(self, zeta_cfg, tables_1m):
         with pytest.raises(ValueError):
             theory_curve(5.0, np.array([0.5]), zeta_cfg, tables_1m)
+
+    # nan gave [nan] from r2_off_finite, and inf tripped the pole guard
+    @pytest.mark.parametrize("e_height", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_height(self, zeta_cfg, tables_small, e_height):
+        eps = np.array([0.5])
+        with pytest.raises(ValueError, match="height must be finite and exceed 2 pi"):
+            r2_off_finite(eps, e_height, zeta_cfg, tables_small, 1000)
+        with pytest.raises(ValueError, match="height must be finite and exceed 2 pi"):
+            theory_curve(e_height, eps, zeta_cfg, tables_small, 1000, 4)
+        with pytest.raises(ValueError, match="height must be finite and exceed 2 pi"):
+            theory_on_bins(e_height, np.linspace(0.0, 1.0, 3), zeta_cfg, tables_small, 1000, 4)
 
     def test_decomposition_identity(self, zeta_cfg, tables_1m):
         eps = np.linspace(0.2, 3.0, 20)
@@ -365,6 +386,99 @@ class TestTheoryCurve:
         avg = bin_average(tc, edges).reshape(2, 10).mean(axis=1)
         # residual envelope modulation leaves ~0.6% at this height
         assert np.all(np.abs(avg - 1.0) < 1e-2)
+
+
+def _pooled_window_centres(lo=3000.0, hi=6600.0):
+    """The window centres of the 18-window pooled experiment on (lo, hi)."""
+    centres = []
+    e = lo
+    while e + 200.0 / mean_density(e) <= hi:
+        w = 200.0 / mean_density(e)
+        centres.append(e + w / 2.0)
+        e += w
+    return centres
+
+
+class TestPlanCache:
+    """The cached prime terms and plans of ``_prime_phase_sums`` never change an answer."""
+
+    EDGES = np.linspace(0.0, 3.0, 61)
+
+    @staticmethod
+    def curves(centres, tables, zeta_cfg):
+        return [theory_on_bins(c, TestPlanCache.EDGES, zeta_cfg, tables, 20_000, 14)
+                for c in centres]
+
+    def test_windows_independent_of_order_and_cache(self, zeta_cfg):
+        centres = _pooled_window_centres()
+        assert len(centres) == 18
+        tables = build_sieve(20_000)
+        forward = self.curves(centres, tables, zeta_cfg)
+        # one tile holds every window, so the whole run grids once
+        plan = paircorr._TERMS[tables][(20_000, 14)].plan
+        assert plan.tile[1:] == (128, 3 * 256 // 4 + 31)
+        backward = self.curves(centres[::-1], build_sieve(20_000), zeta_cfg)[::-1]
+        alone = [self.curves([c], build_sieve(20_000), zeta_cfg)[0] for c in centres]
+        assert paircorr._TERMS[tables][(20_000, 14)].plan is plan
+        for a, b, c in zip(forward, backward, alone):
+            for name in ("diag", "offdiag", "total"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+                assert np.array_equal(getattr(a, name), getattr(c, name))
+
+    def test_cached_read_equals_cold_sum(self, tables_small):
+        terms = paircorr._prime_terms(tables_small, 5000, 6)
+        first = np.linspace(0.1, 3.0, 300)
+        later = np.linspace(0.4, 2.6, 217)
+        plan = special._dirichlet_plan(terms.coef, terms.x, first)
+        assert special._dirichlet_plan(terms.coef, terms.x, later, plan) is plan
+        cold = special._dirichlet_sum(terms.coef, terms.x, later)
+        assert np.array_equal(plan.read(later), cold)
+
+    def test_one_tile_per_key(self):
+        tables = build_sieve(10_000)
+        for lo in (0.1, 40.0, 0.2, 900.0):
+            eps = np.linspace(lo, lo + 3.0, 300)
+            power, product = paircorr._prime_phase_sums(tables, 5000, 6, eps)
+            terms = paircorr._TERMS[tables][(5000, 6)]
+            assert terms.plan.tile == special._canonical_tile(terms.x, eps)
+            # the same answer as on tables with nothing cached
+            cold = paircorr._prime_phase_sums(build_sieve(10_000), 5000, 6, eps)
+            assert np.array_equal(power, cold[0])
+            assert np.array_equal(product, cold[1])
+        # each tables keeps the prime terms of the last few (p_cut, k_cut) only
+        for p_cut in (1000, 2000, 3000, 4000, 5000, 6000):
+            paircorr.off_diagonal_product(tables, p_cut, np.array([1.0]))
+        assert paircorr._TERMS_PER_TABLES == 4
+        assert list(paircorr._TERMS[tables]) == [(p, 0) for p in (3000, 4000, 5000, 6000)]
+
+    def test_threads_share_one_tables(self):
+        # threads that replace each other's plan on one tables still read the
+        # answers of tables with nothing cached
+        bands = [np.linspace(lo, lo + 3.0, 300) for lo in (0.1, 40.0, 900.0)] * 4
+        want = [paircorr._prime_phase_sums(build_sieve(10_000), 5000, 6, b) for b in bands]
+        tables = build_sieve(10_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(paircorr._prime_phase_sums, tables, 5000, 6, b)
+                           for b in bands]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (p1, q1), (p2, q2) in zip(got, want):
+            assert np.array_equal(p1, p2)
+            assert np.array_equal(q1, q2)
+
+    def test_entry_dies_with_its_tables(self):
+        tables = build_sieve(10_000)
+        paircorr.off_diagonal_product(tables, 5000, np.linspace(0.1, 3.0, 300))
+        entry = weakref.ref(paircorr._TERMS[tables][(5000, 0)])
+        tables_ref = weakref.ref(tables)
+        del tables
+        gc.collect()
+        assert tables_ref() is None
+        assert entry() is None
 
 
 class TestCompare:

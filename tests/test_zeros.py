@@ -334,8 +334,19 @@ class TestOrdinateAccuracy:
 
     def test_above_the_switch(self, zeros_high):
         # Riemann-Siegel Z with the leading correction: measured 6.1e-6 at
-        # t = 2990.42, 5.3e-5 at 5643.09 (the largest of 18 sampled zeros)
-        # and 2.9e-6 at 12009.75
+        # t = 2990.42, 5.3e-5 at 5643.09 and 2.9e-6 at 12009.75; none of the
+        # three is a close pair, where the error is largest (next test)
         o = zeros_high.ordinates
         for t in (o[0], o[np.searchsorted(o, 5643.0)], o[-1]):
             assert abs(t - self.oracle(t)) <= 1e-4
+
+    def test_close_pair_above_the_switch(self, zeros_high):
+        # the worst case measured: mpmath roots 4589.6434 and 4589.7488 (gap
+        # 0.105) come out 3.04e-4 low and 2.77e-4 high.  The bound is the
+        # Riemann-Siegel Z's; the plan-backed Euler-Maclaurin Z of ROADMAP
+        # item 1 is to tighten it
+        o = zeros_high.ordinates
+        pair = o[np.searchsorted(o, 4589.6) :][:2]
+        assert pair[1] - pair[0] < 0.11
+        for t in pair:
+            assert abs(t - self.oracle(t)) <= 4e-4
