@@ -55,6 +55,7 @@ from .special import (
     triangle_ft,
     sgn,
     sinc,
+    zeta_and_log_dd,
     zeta_one_line,
 )
 from .zeros import (

@@ -9,9 +9,11 @@ bin.  The theory side assembles the height-dependent curve
 whose diagonal term combines the second log-derivative of zeta on the
 1-line with a prime-power sum, and whose off-diagonal term is
 |zeta(1+i eps)|^2 exp(-2 pi i eps dbar(E)) times an absolutely convergent
-product over primes, plus the complex conjugate.  In unfolded units the
-curve tends to the random-matrix limit 1 - (sin(pi eps)/(pi eps))^2 as E
-grows.  Both prime sums are Dirichlet polynomials in eps: the primes
+product over primes, plus the complex conjugate.  The curve takes
+zeta(1+i eps) and the log-derivative from one Euler-Maclaurin evaluation
+per node (``special.zeta_and_log_dd``).  In unfolded units the curve
+tends to the random-matrix limit 1 - (sin(pi eps)/(pi eps))^2 as E grows.
+Both prime sums are Dirichlet polynomials in eps: the primes
 below 50 are summed directly, the rest by the nonuniform-FFT kernel of
 ``special`` (the product as exp of its log series), so their cost grows
 like (terms + points) log rather than terms x points.
@@ -49,6 +51,7 @@ from .special import (
     _dirichlet_sum,
     log_zeta_dd,
     mean_density,
+    zeta_and_log_dd,
     zeta_one_line,
 )
 from .zeros import ZeroList
@@ -405,8 +408,8 @@ def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarr
     return power.reshape(eps.shape), product.reshape(eps.shape)
 
 
-def _diag_term(arr: np.ndarray, cfg: ZetaEvaluator, power: np.ndarray) -> np.ndarray:
-    return -np.real(log_zeta_dd(cfg, arr) + power) / (2.0 * np.pi**2)
+def _diag_term(log_dd: np.ndarray, power: np.ndarray) -> np.ndarray:
+    return -np.real(log_dd + power) / (2.0 * np.pi**2)
 
 
 def _check_power_cutoff(k_cut: int) -> None:
@@ -423,9 +426,8 @@ def _check_height(e_height: float) -> None:
 
 
 def _off_term(
-    arr: np.ndarray, e_height: float, cfg: ZetaEvaluator, product: np.ndarray
+    z: np.ndarray, arr: np.ndarray, e_height: float, product: np.ndarray
 ) -> np.ndarray:
-    z = zeta_one_line(cfg, arr)
     mod2 = np.real(z * np.conj(z))
     phase = np.exp(-1j * TWO_PI * arr * mean_density(e_height))
     return 2.0 * np.real(mod2 * phase * product / (4.0 * np.pi**2))
@@ -454,7 +456,7 @@ def r2_diag_finite(
     _check_power_cutoff(k_cut)
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     power = _prime_phase_sums(tables, p_cut, k_cut, arr)[0]
-    return _scalar_or_array(eps, _diag_term(arr, cfg, power))
+    return _scalar_or_array(eps, _diag_term(log_zeta_dd(cfg, arr), power))
 
 
 def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np.ndarray:
@@ -480,12 +482,14 @@ def r2_off_finite(
         prod_{p <= P} (1 - ((1 - p^-i eps)/(p - 1))^2)  + c.c.
 
     Equal, bit for bit, to ``theory_curve(..., unfolded=False).offdiag``
-    at the same eps and height.
+    at the same eps and height: ``zeta_one_line`` has the bits of the zeta
+    that the curve's ``zeta_and_log_dd`` returns.
     """
     _check_height(e_height)
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     product = off_diagonal_product(tables, p_cut, arr)
-    return _scalar_or_array(eps, _off_term(arr, e_height, cfg, product))
+    z = zeta_one_line(cfg, arr)
+    return _scalar_or_array(eps, _off_term(z, arr, e_height, product))
 
 
 @dataclass(frozen=True)
@@ -526,8 +530,9 @@ def theory_curve(
     else:
         args, scale, const = eps, 1.0, dens**2
     power, product = _prime_phase_sums(tables, p_cut, k_cut, args)
-    diag = scale * _diag_term(args, cfg, power)
-    off = scale * _off_term(args, e_height, cfg, product)
+    z, log_dd = zeta_and_log_dd(cfg, args)
+    diag = scale * _diag_term(log_dd, power)
+    off = scale * _off_term(z, args, e_height, product)
     return TheoryCurve(
         eps,
         const,

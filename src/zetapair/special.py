@@ -13,7 +13,17 @@ work, which also sums the inversion's E-side phases and the prime sums of
 t-grid set by the sum's band limit and the points' band alone, and reads
 the points from it; a caller that keeps the plan (``paircorr`` does) reads
 later points in the same tile without gridding the terms again.  Small
-sums stay direct.
+sums stay direct, with each block of phases formed once for all the rows
+of a stack.
+
+The second log-derivative on the 1-line is exact in form: one evaluation
+stacks the rows n^-sigma (-ln n)^j, j = 0, 1, 2, differentiates the
+Euler-Maclaurin tail term by term, and returns zeta, zeta' and zeta''; then
+d^2/dw^2 ln zeta(1 + iw) = -[zeta''/zeta - (zeta'/zeta)^2], within 4e-13
+relative of mpmath up to eps = 150 and 3.5e-12 at eps = 2500
+(``log_zeta_dd``).  ``zeta_and_log_dd`` returns the zeta of that same
+evaluation, so a caller that needs both pays for one.
+
 Everything here is pure and thread-safe; ``ZetaEvaluator`` is immutable
 configuration, and a plan is not changed by reading it.
 """
@@ -31,6 +41,7 @@ __all__ = [
     "ZetaEvaluator",
     "mean_density",
     "zeta_one_line",
+    "zeta_and_log_dd",
     "log_zeta_dd",
     "sine_integral",
     "sgn",
@@ -135,23 +146,40 @@ class ZetaEvaluator:
 def mean_density(e: float | np.ndarray):
     """Zeros per unit height at height e: ln(e / 2pi) / 2pi."""
     e_arr = np.asarray(e, dtype=np.float64)
-    if np.any(e_arr <= 0):
-        raise ValueError("height must be positive")
+    if not np.all(np.isfinite(e_arr) & (e_arr > 0)):
+        raise ValueError("height must be finite and positive")
     out = np.log(e_arr / TWO_PI) / TWO_PI
     return float(out) if np.isscalar(e) or out.ndim == 0 else out
 
 
 def _direct_sum(c: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k c_k exp(-i t_j x_k) by phase blocks of at most 2^21 entries."""
-    out = np.zeros(t.shape, dtype=np.complex128)
+    """sum_k c_k exp(-i t_j x_k) for each row of c, over that row's nonzero terms.
+
+    c is one row, shape (K,), or a stack, shape (R, K).  Each row sums its
+    own nonzero terms in chunks of at most 2^21 phases, added up per
+    target.  The phases of a chunk are formed once for all the rows of a
+    stack, and each row sums its own columns of them, so a row of a stack
+    keeps the bits it has alone.
+    """
+    rows = np.atleast_2d(c)
+    own = [np.flatnonzero(row) for row in rows]
+    out = np.zeros((len(rows), t.size), dtype=np.complex128)
     minus_it = -1j * t
     chunk = max(1, _MAX_GRID // max(1, t.size))
-    for lo in range(0, x.size, chunk):
-        terms = np.multiply.outer(minus_it, x[lo : lo + chunk])
-        np.exp(terms, out=terms)
-        terms *= c[lo : lo + chunk]
-        out += terms.sum(axis=-1)
-    return out
+    for lo in range(0, max(map(len, own)), chunk):
+        parts = [k[lo : lo + chunk] for k in own]
+        used = np.zeros(x.size, dtype=bool)
+        for part in parts:
+            used[part] = True
+        column = np.cumsum(used) - 1
+        phases = np.multiply.outer(minus_it, x[used])
+        np.exp(phases, out=phases)
+        for acc, row, part in zip(out, rows, parts):
+            # np.take keeps each row's terms contiguous, so they sum as they would alone
+            terms = phases if len(rows) == 1 else np.take(phases, column[part], axis=1)
+            terms *= row[part]
+            acc += terms.sum(axis=-1)
+    return out[0] if c.ndim == 1 else out
 
 
 def _two_prod(a, b):
@@ -163,12 +191,6 @@ def _two_prod(a, b):
     b_hi = b_split - (b_split - b)
     a_lo, b_lo = a - a_hi, b - b_hi
     return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _direct_rows(c: np.ndarray, x: np.ndarray, t: np.ndarray):
-    """``_direct_sum`` of each row of c, each over its nonzero terms only."""
-    sums = [_direct_sum(row[row != 0], x[row != 0], t) for row in np.atleast_2d(c)]
-    return sums[0] if c.ndim == 1 else np.stack(sums)
 
 
 def _fine_size(half: int) -> int:
@@ -344,7 +366,8 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
 
     Small sums (K M below twice the transform's work, grid + 8 K + 60 M)
     and sums whose grid would pass 2^21 points take the direct sum of each
-    row over its nonzero terms, chunked and added up per target.  There
+    row over its nonzero terms, chunked and added up per target, the phases
+    of a chunk formed once for all the rows (``_direct_sum``).  There
     F(-t) = conj F(t) holds exactly for real c.  On either branch a row of
     a stack gives the bits of that row alone.
     """
@@ -353,29 +376,68 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     plan = _dirichlet_plan(c, x, t)
     if plan is None:
-        return _direct_rows(c, x, t)
+        return _direct_sum(c, x, t)
     out = plan.read(t)
     return out[0] if c.ndim == 1 else out
 
 
-def _zeta_em_block(s: np.ndarray, n_cut: int, order: int) -> np.ndarray:
-    """Euler-Maclaurin zeta for an array of s sharing Re s and one truncation point."""
+def _zeta_em_block(s: np.ndarray, n_cut: int, order: int, n_rows: int = 1) -> np.ndarray:
+    """Euler-Maclaurin zeta for an array of s sharing Re s and one truncation point.
+
+    n_rows is 1 or 3.  With 3 the result stacks zeta, zeta' and zeta''
+    (d/ds), shape (3, M): the direct sum takes the rows n^-sigma (-ln n)^j,
+    j = 0, 1, 2, as one stack, and the tail N^-s h(s),
+
+        h(s) = N/(s - 1) - 1/2 + sum_k B_2k/(2k)! (s)_(2k-1) N^(1-2k),
+
+    is differentiated exactly, with the Pochhammer products built by the
+    product rule.  Row 0 has the bits of the plain evaluation.
+    """
     s = np.asarray(s, dtype=np.complex128)
     ln_n = np.log(np.arange(1, n_cut + 1, dtype=np.float64))
     # n^-sigma by the complex exp, so each direct-sum term keeps the bits of exp(-s ln n)
     coef = np.exp(ln_n * -s.real[0] + 0j).real
-    out = _dirichlet_sum(coef, ln_n, s.imag)
+    if n_rows == 1:
+        out = _dirichlet_sum(coef, ln_n, s.imag)[None]
+    else:
+        out = _dirichlet_sum(coef * (-ln_n) ** np.arange(n_rows)[:, None], ln_n, s.imag)
     ln_big = math.log(n_cut)
     pow_ns = np.exp(-s * ln_big)           # N^-s
-    out += pow_ns * n_cut / (s - 1.0)      # integral tail
-    out -= 0.5 * pow_ns
+    out[0] += pow_ns * n_cut / (s - 1.0)   # integral tail
+    out[0] -= 0.5 * pow_ns
     poch = s.copy()                        # (s)_1
     npow = pow_ns / n_cut                  # N^(-s-1)
     inv_n2 = 1.0 / (n_cut * n_cut)
     for k in range(1, order + 1):
-        out += (_B2K[k - 1] / _FACT2K[k - 1]) * poch * npow
+        out[0] += (_B2K[k - 1] / _FACT2K[k - 1]) * poch * npow
         poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
         npow = npow * inv_n2
+    if n_rows == 1:
+        return out[0]
+    # h, h', h'' term by term; (s)_(2k+1) = (s)_(2k-1) q with q = (s + 2k - 1)(s + 2k)
+    inv = 1.0 / (s - 1.0)
+    h0, h1, h2 = n_cut * inv - 0.5, -n_cut * inv * inv, 2.0 * n_cut * inv**3
+    p0, p1, p2 = s.copy(), np.ones_like(s), np.zeros_like(s)
+    scale = 1.0 / n_cut
+    for k in range(1, order + 1):
+        b = (_B2K[k - 1] / _FACT2K[k - 1]) * scale
+        h0, h1, h2 = h0 + b * p0, h1 + b * p1, h2 + b * p2
+        q0, q1 = (s + (2 * k - 1)) * (s + 2 * k), 2.0 * s + (4 * k - 1)
+        p0, p1, p2 = p0 * q0, p1 * q0 + p0 * q1, p2 * q0 + 2.0 * p1 * q1 + 2.0 * p0
+        scale *= inv_n2
+    # d/ds N^-s = -ln N N^-s
+    out[1] += pow_ns * (h1 - ln_big * h0)
+    out[2] += pow_ns * (h2 - 2.0 * ln_big * h1 + ln_big**2 * h0)
+    return out
+
+
+def _zeta_em_rows(arr: np.ndarray, cfg: ZetaEvaluator, n_rows: int) -> np.ndarray:
+    """``_zeta_em_block`` on the points of each Re s in arr, shape (n_rows,) + arr.shape."""
+    cuts = cfg.truncation_point(arr)
+    out = np.empty((n_rows,) + arr.shape, dtype=np.complex128)
+    for sigma in np.unique(arr.real):
+        m = arr.real == sigma
+        out[:, m] = _zeta_em_block(arr[m], int(cuts[m].max()), cfg.correction_order, n_rows)
     return out
 
 
@@ -387,11 +449,7 @@ def zeta_em(s, cfg: ZetaEvaluator = ZetaEvaluator()):
     as N grows), and their direct sums are one ``_dirichlet_sum`` call.
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    cuts = cfg.truncation_point(arr)
-    out = np.empty(arr.shape, dtype=np.complex128)
-    for sigma in np.unique(arr.real):
-        m = arr.real == sigma
-        out[m] = _zeta_em_block(arr[m], int(cuts[m].max()), cfg.correction_order)
+    out = _zeta_em_rows(arr, cfg, 1)[0]
     return complex(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 
@@ -411,35 +469,39 @@ def zeta_one_line(cfg: ZetaEvaluator, eps, sign: int = 1):
     return zeta_em(1.0 + 1j * w, cfg)
 
 
-def log_zeta_dd(cfg: ZetaEvaluator, eps):
-    """d^2/dw^2 ln zeta(1 + iw) at w = eps.
+def zeta_and_log_dd(cfg: ZetaEvaluator, eps):
+    """(zeta(1 + i eps), d^2/dw^2 ln zeta(1 + iw) at w = eps) from one evaluation.
 
-    The pole is split off analytically: ln zeta(1 + iw) = -ln(iw) + g(w)
-    with g(w) = ln(iw zeta(1 + iw)) regular at w = 0, so the result is
-    1/eps^2 + g''(eps).  g'' comes from central second differences with
-    step 1e-3 * max(1, |eps|) and one Richardson step; only logs of
-    ratios of nearby values are taken, which keeps the branch fixed.
-    The step is capped at 0.02: ln zeta oscillates on O(1) scales however
-    large eps gets, so a step proportional to eps stops converging.
+    One Euler-Maclaurin evaluation gives zeta, zeta' and zeta'' at
+    s = 1 + i eps (``_zeta_em_block``), and with ds/dw = i
+
+        d^2/dw^2 ln zeta(1 + iw) = -[zeta''/zeta - (zeta'/zeta)^2].
+
+    The zeta is ``zeta_one_line(cfg, eps)`` bit for bit.  Scalars in give
+    complex scalars out.
     """
     w = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     _guard(w)
-    h = np.minimum(1e-3 * np.maximum(1.0, np.abs(w)), 0.02)
-    # never place a stencil point on the pole itself
-    h = np.where(np.minimum(np.abs(w - h), np.abs(w - h / 2)) < 1e-9, h * 1.0000373, h)
+    z, d1, d2 = _zeta_em_rows(1.0 + 1j * w, cfg, 3)
+    ratio = d1 / z
+    dd = ratio * ratio - d2 / z
+    if np.isscalar(eps) or np.asarray(eps).ndim == 0:
+        return complex(z[0]), complex(dd[0])
+    return z, dd
 
-    # the five distinct stencil points in one zeta_em call
-    half = h / 2
-    pts = np.concatenate([w, w + half, w - half, w + h, w - h])
-    z0, z_half_p, z_half_m, z_p, z_m = zeta_em(1.0 + 1j * pts, cfg).reshape(5, -1)
 
-    def d2(step: np.ndarray, zp: np.ndarray, zm: np.ndarray) -> np.ndarray:
-        ratio = (zp * zm / z0**2) * ((w + step) * (w - step) / w**2)
-        return np.log(ratio) / step**2
+def log_zeta_dd(cfg: ZetaEvaluator, eps):
+    """d^2/dw^2 ln zeta(1 + iw) at w = eps, the second output of ``zeta_and_log_dd``.
 
-    out = 1.0 / w**2 + (4.0 * d2(half, z_half_p, z_half_m) - d2(h, z_p, z_m)) / 3.0
-    scalar = np.isscalar(eps) or np.asarray(eps).ndim == 0
-    return complex(out[0]) if scalar else out
+    The exact form -[zeta''/zeta - (zeta'/zeta)^2], from the Euler-Maclaurin
+    zeta and its two s-derivatives: no difference quotient, so no step to
+    choose and no pole to dodge near w = 0, where the result follows the
+    1/w^2 of the pole.  Measured against mpmath's zeta(s, derivative=1|2)
+    at 40 digits: at most 1.1e-13 relative for eps in [0.01, 3], 3.9e-13
+    up to eps = 150, 7.6e-13 at 700 and 3.5e-12 (5.8e-12 absolute) at 2500,
+    where the double phase t ln n limits it.
+    """
+    return zeta_and_log_dd(cfg, eps)[1]
 
 
 # -- sine integral ---------------------------------------------------------

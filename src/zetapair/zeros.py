@@ -140,6 +140,8 @@ def gram_point(n):
     until each step is within a few ulp of t.
     """
     arr = np.asarray(n)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("a Gram point needs a finite index")
     if np.any(arr < _GRAM_FLOOR):
         raise ValueError("Gram points are defined for n >= -1")
     idx = np.atleast_1d(arr).astype(np.float64)
@@ -193,6 +195,8 @@ def _z_euler_maclaurin(t: np.ndarray, cfg: ZetaEvaluator) -> np.ndarray:
 def zfunc(t, cfg: ZetaEvaluator = ZetaEvaluator()):
     """Hardy's Z(t): real, with Z(t) = 0 exactly at zero ordinates."""
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("Z evaluation needs a finite t")
     if np.any(arr < 2.0):
         raise ValueError("Z evaluation needs t >= 2")
     out = np.empty(arr.shape, dtype=np.float64)

@@ -22,6 +22,7 @@ from zetapair.special import (
     sine_integral,
     triangle,
     triangle_ft,
+    zeta_and_log_dd,
     zeta_em,
     zeta_one_line,
 )
@@ -44,6 +45,12 @@ class TestMeanDensity:
             mean_density(0.0)
         with pytest.raises(ValueError):
             mean_density(-3.0)
+
+    @pytest.mark.parametrize("e", [math.nan, math.inf, np.array([1e6, math.nan])])
+    def test_rejects_non_finite(self, e):
+        # nan gave nan and inf gave inf
+        with pytest.raises(ValueError, match="height must be finite and positive"):
+            mean_density(e)
 
 
 class TestZetaOneLine:
@@ -137,6 +144,10 @@ def _no_direct_sum(*args):
     raise AssertionError("the direct sum ran where the transform should")
 
 
+def _no_plan(*args):
+    raise AssertionError("the transform ran where the direct sum should")
+
+
 def _phase_sum(c, x, t):
     """sum_k c_k exp(-i t_j x_k) by the full phase matrix, the reference."""
     return np.exp(-1j * np.multiply.outer(t, x)) @ c
@@ -197,6 +208,41 @@ class TestDirichletSum:
             # a row of the stack gives the bits it gives alone
             assert np.array_equal(sums, sums_alone)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 80),
+        st.integers(1, 80),
+        st.integers(1, 3),
+        st.sampled_from([1 << 21, 97]),
+        st.floats(0.0, 0.6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_rows_on_the_direct_branch(
+        self, n_terms, n_targets, n_rows, max_grid, zero_share, seed
+    ):
+        # each row zero at its own terms, as the derivative rows of zeta are
+        # at n = 1; a phase block of 97 entries cuts the rows into chunks
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=(n_rows, n_terms)) + 1j * rng.normal(size=(n_rows, n_terms))
+        c[rng.random(c.shape) < zero_share] = 0.0
+        x = rng.uniform(-40.0, 40.0, n_terms)
+        t = rng.uniform(-40.0, 40.0, n_targets)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(special, "_MAX_GRID", max_grid)
+            patch.setattr(special, "_Plan", _no_plan)
+            got = special._dirichlet_sum(c, x, t)
+            alone = [special._dirichlet_sum(row, x, t) for row in c]
+            kept = [special._dirichlet_sum(row[row != 0], x[row != 0], t) for row in c]
+        assert got.shape == (n_rows, n_targets)
+        for row, sums, sums_alone, sums_kept in zip(c, got, alone, kept):
+            assert np.max(np.abs(sums - _phase_sum(row, x, t)), initial=0.0) <= 1e-12 * (
+                1.0 + np.sum(np.abs(row))
+            )
+            # a row of the stack gives the bits it gives alone, and those of
+            # its nonzero terms alone
+            assert np.array_equal(sums, sums_alone)
+            assert np.array_equal(sums, sums_kept)
+
     def test_against_mpmath(self, monkeypatch):
         rng = np.random.default_rng(2024)
         c = rng.normal(size=2000) + 1j * rng.normal(size=2000)
@@ -229,8 +275,8 @@ class TestDirichletSum:
         assert np.max(np.abs(got - _phase_sum(c, x, t))) <= tol
 
     def test_small_sums_stay_direct(self, monkeypatch):
-        # exact F(-t) = conj F(t) on the direct branch, which the log_zeta_dd
-        # stencils and the even theory kernels rely on
+        # exact F(-t) = conj F(t) on the direct branch, which the conjugation
+        # identity of log_zeta_dd and the even theory kernels rely on
         n = np.arange(1, 65, dtype=np.float64)
         t = np.linspace(0.1, 40.0, 300)
         plus = special._dirichlet_sum(1.0 / n, np.log(n), t)
@@ -285,11 +331,33 @@ class TestTruncationPoint:
 
 
 class TestLogZetaDD:
+    @staticmethod
+    def reference(eps: float) -> complex:
+        """-[zeta''/zeta - (zeta'/zeta)^2] at s = 1 + i eps, at 40 digits."""
+        with mpmath.workdps(40):
+            s = mpmath.mpc(1, eps)
+            ratio = mpmath.zeta(s, derivative=1) / mpmath.zeta(s)
+            return complex(ratio**2 - mpmath.zeta(s, derivative=2) / mpmath.zeta(s))
+
+    def test_against_mpmath(self, zeta_cfg):
+        eps = np.concatenate([[1e-3, 0.01, 0.05], np.linspace(0.1, 3.0, 30),
+                              [5.0, 12.3, 40.0, 150.0, 700.0, 2500.0]])
+        ref = np.array([self.reference(float(e)) for e in eps])
+        # measured: at most 3.9e-13 relative up to eps = 150, 7.6e-13 at 700
+        # and 3.5e-12 at 2500, one point per call or all in one call (where
+        # they share the truncation point of eps = 2500)
+        bound = 1e-12 * np.maximum(1.0, eps / 250.0)
+        for got in (log_zeta_dd(zeta_cfg, eps),
+                    np.array([log_zeta_dd(zeta_cfg, float(e)) for e in eps])):
+            assert np.all(np.abs(got - ref) <= bound * np.abs(ref))
+
     def test_conjugation_identity(self, zeta_cfg):
+        # exact: the direct sum gives F(-t) = conj F(t), and the tail's complex
+        # arithmetic commutes with conjugation
         for eps in (0.2, 5.0):
             a = log_zeta_dd(zeta_cfg, eps)
             b = log_zeta_dd(zeta_cfg, -eps)
-            assert abs(b - a.conjugate()) < 1e-9 * max(1.0, abs(a))
+            assert b == a.conjugate()
 
     def test_small_eps_dominated_by_pole(self, zeta_cfg):
         for eps in (1e-3, 1e-4):
@@ -297,8 +365,23 @@ class TestLogZetaDD:
             assert abs(val * eps**2 - 1.0) < 1e-2
 
     def test_reference_value_at_5(self, zeta_cfg):
+        # measured 6.4e-14
         val = log_zeta_dd(zeta_cfg, 5.0)
-        assert abs(val - LOG_ZETA_DD_5) / abs(LOG_ZETA_DD_5) < 1e-6
+        assert abs(val - LOG_ZETA_DD_5) / abs(LOG_ZETA_DD_5) < 5e-13
+
+    @pytest.mark.parametrize("eps", [np.linspace(0.05, 3.0, 700), np.linspace(600.0, 700.0, 1500)])
+    def test_zeta_is_zeta_one_line(self, zeta_cfg, eps, monkeypatch):
+        # N = 64 terms keep the first band on the direct branch; the second,
+        # N = 433 at 1500 points, goes through the transform
+        with monkeypatch.context() as patch:
+            if eps[0] > 100.0:
+                patch.setattr(special, "_direct_sum", _no_direct_sum)
+            z, dd = zeta_and_log_dd(zeta_cfg, eps)
+            assert np.array_equal(z, zeta_one_line(zeta_cfg, eps))
+            assert np.array_equal(dd, log_zeta_dd(zeta_cfg, eps))
+        z1, dd1 = zeta_and_log_dd(zeta_cfg, float(eps[7]))
+        assert (type(z1), type(dd1)) == (complex, complex)
+        assert z1 == zeta_one_line(zeta_cfg, float(eps[7]))
 
     def test_smoothed_dirichlet_series_cross_check(self, tables_big, zeta_cfg):
         # -sum Lambda(n) ln(n) n^(-1-i eps) e^(-n/X): the exponential cutoff

@@ -125,6 +125,12 @@ class TestComputation:
         with pytest.raises(ValueError):
             compute_zeros(100.0, 50.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.array([3000.0, math.nan])])
+    def test_zfunc_rejects_non_finite(self, t):
+        # nan and inf went through to a nan Z, inf with five RuntimeWarnings
+        with pytest.raises(ValueError, match="Z evaluation needs a finite t"):
+            zfunc(t)
+
     def test_gram_points_interleave_low_zeros(self, zeros_low):
         gs = np.array([gram_point(n) for n in range(-1, 30)])
         assert abs(rs_theta(gs[0]) + math.pi) < 1e-9
@@ -252,6 +258,11 @@ class TestGramPoints:
             gram_point(-2)
         with pytest.raises(ValueError):
             gram_point(np.array([0, 5, -3]))
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, np.array([5.0, math.inf])])
+    def test_rejects_non_finite(self, n):
+        with pytest.raises(ValueError, match="a Gram point needs a finite index"):
+            gram_point(n)
 
 
 class TestCounting:
