@@ -140,11 +140,11 @@ def gram_point(n):
     until each step is within a few ulp of t.
     """
     arr = np.asarray(n)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("a Gram point needs a finite index")
     if np.any(arr < _GRAM_FLOOR):
         raise ValueError("Gram points are defined for n >= -1")
     idx = np.atleast_1d(arr).astype(np.float64)
+    if not np.all(np.isfinite(idx)):
+        raise ValueError("a Gram point needs a finite index")
     target = idx * math.pi
     from scipy.special import lambertw
 
