@@ -397,10 +397,7 @@ def _zeta_em_block(s: np.ndarray, n_cut: int, order: int, n_rows: int = 1) -> np
     ln_n = np.log(np.arange(1, n_cut + 1, dtype=np.float64))
     # n^-sigma by the complex exp, so each direct-sum term keeps the bits of exp(-s ln n)
     coef = np.exp(ln_n * -s.real[0] + 0j).real
-    if n_rows == 1:
-        out = _dirichlet_sum(coef, ln_n, s.imag)[None]
-    else:
-        out = _dirichlet_sum(coef * (-ln_n) ** np.arange(n_rows)[:, None], ln_n, s.imag)
+    out = _dirichlet_sum(coef * (-ln_n) ** np.arange(n_rows)[:, None], ln_n, s.imag)
     ln_big = math.log(n_cut)
     pow_ns = np.exp(-s * ln_big)           # N^-s
     out[0] += pow_ns * n_cut / (s - 1.0)   # integral tail
