@@ -230,7 +230,9 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
         return 0
 
     zl = _load_zero_list(args, cfg)
-    width = args.width or cfg.window_width / mean_density(args.center)
+    width = args.width
+    if width is None:
+        width = cfg.window_width / mean_density(args.center)
     est = paircorr.empirical_r2(zl, args.center, width, cfg.bin_width, args.eps_max)
     if args.mode == "empirical":
         rows = [
@@ -409,14 +411,10 @@ def run(argv: list[str] | None = None) -> int:
     if args.config:
         kwargs.update(load_config_file(args.config))
     cfg = apply_env(RunConfig(**kwargs))
-    if args.format:
-        cfg.output_format = args.format
-    if args.cache_dir:
-        cfg.cache_dir = args.cache_dir
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.sieve_limit is not None:
-        cfg.sieve_limit = args.sieve_limit
+    flags = {"output_format": args.format, "cache_dir": args.cache_dir or None,
+             "seed": args.seed, "sieve_limit": args.sieve_limit}
+    # replace runs RunConfig's checks again, on the values the flags set
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     return _HANDLERS[args.command](args, cfg)
 
 

@@ -1,6 +1,7 @@
 """Run configuration shared by the CLI subcommands.
 
 Precedence: built-in defaults < --config file < ZPD_CACHE_DIR < flags.
+The fields are checked once the flags are applied, whatever set them.
 The config file is flat ``key=value`` lines (``#`` comments allowed) with
 keys exactly the RunConfig field names.
 """
@@ -25,6 +26,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.sieve_limit < 0:
+            raise ValueError(f"sieve_limit must be >= 0 (0 = automatic), got {self.sieve_limit}")
         if self.series_cutoff <= 0:
             raise ValueError("series_cutoff must be positive")
         if self.bin_width <= 0 or self.window_width <= 0:

@@ -56,6 +56,14 @@ class TaperSpec:
     eps_roll: float | None = None   # eps roll-off width (both edges)
     e_roll: float | None = None     # E roll-off width (both edges)
 
+    def __post_init__(self):
+        for name in ("eps_roll", "e_roll"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.eps_outer is not None and not math.isfinite(self.eps_outer):
+            raise ValueError(f"eps_outer must be finite, got {self.eps_outer}")
+
 
 @dataclass(frozen=True)
 class InversionResult:

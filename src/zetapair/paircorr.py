@@ -13,10 +13,12 @@ product over primes, plus the complex conjugate.  The curve takes
 zeta(1+i eps) and the log-derivative from one Euler-Maclaurin evaluation
 per node (``special.zeta_and_log_dd``).  In unfolded units the curve
 tends to the random-matrix limit 1 - (sin(pi eps)/(pi eps))^2 as E grows.
-Both prime sums are Dirichlet polynomials in eps: the primes
-below 50 are summed directly, the rest by the nonuniform-FFT kernel of
-``special`` (the product as exp of its log series), so their cost grows
-like (terms + points) log rather than terms x points.
+Both prime sums are Dirichlet polynomials in eps, summed as one stack by
+the nonuniform-FFT kernel of ``special``: the power sum over every prime,
+the product as exp of its log series over the primes from 50 on, so their
+cost grows like (terms + points) log rather than terms x points.  The
+product factors of the primes below 50, where p = 3's vanishes at
+eps ln 3 = pi, are multiplied directly.
 
 The kernel grids the terms onto a canonical tile: a power-of-two span of
 its t-grid, centred on a multiple of half that span, which the band of
@@ -144,8 +146,8 @@ def empirical_r2(
     ~1 in every bin; both the measured point density and the window-edge
     deficit (pairs whose partner falls outside) are divided out.
     """
-    if bin_width <= 0 or eps_max <= bin_width:
-        raise ValueError("need 0 < bin_width < eps_max")
+    if not (math.isfinite(eps_max) and 0 < bin_width < eps_max):
+        raise ValueError(f"need finite 0 < bin_width < eps_max, got {bin_width}, {eps_max}")
     if not (math.isfinite(e_center) and math.isfinite(width) and width > 0):
         raise ValueError(
             f"window needs a finite centre and a finite positive width, got {e_center}, {width}"
@@ -234,8 +236,8 @@ def gue_r2(eps):
 
 # -- finite-height theory ------------------------------------------------------
 
-#: primes below this keep the direct sum over u = p^-i eps: they hold the
-#: factors that can vanish (p = 3, u = -1) and most of sum |c| of both sums
+#: primes below this keep their product factor in the direct block over
+#: u = p^-i eps: it can vanish (p = 3, u = -1), so it has no log series
 _SMALL_PRIME = 50
 #: the power sum keeps the terms with (k + 1) ln p <= 40, p^-(k+1) >= ~4e-18
 _POWER_LOG_MAX = 40.0
@@ -243,80 +245,59 @@ _POWER_LOG_MAX = 40.0
 _LOG_SERIES_TOL = 1e-18
 
 
-def _split_primes(tables: SieveTables, p_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p <= p_cut as floats, split at _SMALL_PRIME."""
+def _primes_upto(tables: SieveTables, p_cut: int) -> np.ndarray:
+    """The primes p <= p_cut as floats."""
     if p_cut < 2:
         raise ValueError(f"prime cutoff must be >= 2, got {p_cut}")
     if p_cut > tables.limit:
         raise ValueError("prime cutoff exceeds sieve limit")
     ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
-    ps = ps.astype(np.float64)
-    cut = np.searchsorted(ps, _SMALL_PRIME)
-    return ps[:cut], ps[cut:]
+    return ps.astype(np.float64)
 
 
-def _small_prime_phases(ps: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """u = p^-i eps at each (eps, p), as cos/-sin of eps ln p."""
+def _small_prime_product(ps: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """prod_p (1 - ((1 - u)/(p - 1))^2), u = p^-i eps, over the primes ps at each eps."""
     phase = np.multiply.outer(eps, np.log(ps))
     u = np.empty(phase.shape, dtype=np.complex128)
     np.cos(phase, out=u.real)
     np.negative(np.sin(phase, out=phase), out=u.imag)
-    return u
-
-
-def _small_prime_power(u: np.ndarray, ps: np.ndarray, k_cut: int) -> np.ndarray:
-    """The power sum over the columns of u, powers by repeated multiplication.
-
-    One matvec per k, over the prefix of primes with (k+1) ln p <= 40.
-    """
-    log_p = np.log(ps)
-    power = np.zeros(u.shape[0], dtype=np.complex128)
-    u_pow = u
-    for k in range(1, k_cut + 1):
-        lp = log_p[(k + 1) * log_p <= _POWER_LOG_MAX]
-        if len(lp) == 0:
-            break
-        u_pow = u_pow[:, : len(lp)] * u[:, : len(lp)]
-        # complex weights, so the matvec stays in BLAS
-        power += u_pow @ (k * lp**2 * np.exp(-(k + 1) * lp)).astype(np.complex128)
-    return power
-
-
-def _small_prime_product(u: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """prod_p (1 - ((1 - u)/(p - 1))^2) over the columns of u."""
-    ratio = np.subtract(1.0, u)
+    ratio = np.subtract(1.0, u, out=u)
     ratio /= ps - 1.0
     ratio *= ratio
     return np.prod(np.subtract(1.0, ratio, out=ratio), axis=-1)
 
 
-def _large_prime_terms(ps: np.ndarray, k_cut: int):
+def _prime_sum_terms(ps: np.ndarray, n_small: int, k_cut: int):
     """Both sums over the primes ps as Dirichlet polynomials in eps.
 
     The nodes are x = m ln p, m = 1, 2, ..., for each p in turn.  Row 0 of
-    the coefficients holds the power sum, k (ln p)^2 p^-(k+1) at m = k + 1.
-    Row 1 holds the series of
+    the coefficients holds the power sum, k (ln p)^2 p^-(k+1) at m = k + 1,
+    over every prime.  Row 1 holds, for the primes past the first n_small
+    (those from _SMALL_PRIME on), the series of
 
         ln(1 - w^2) = -sum_{j=1}^{J} w^(2j) / j,   w = (1 - u)/(p - 1),
 
     expanded in powers u^m, m = 1..2J; its u^0 terms, summed over p, come
     back as a constant.  |w| <= 2/(p - 1) = r, so J is the least with the
-    tail bound r^(2J+2) / ((J+1)(1 - r^2)) <= 1e-18.  Each row is zero at
-    the nodes it does not use.  The nodes do not depend on k_cut: they run
-    to m = 2J or to the last m with m ln p <= 40, whichever is larger, so
-    the product row is the same whatever k_cut the power row is cut at.
+    tail bound r^(2J+2) / ((J+1)(1 - r^2)) <= 1e-18.  The small primes have
+    no series (J = 0): their product factors stay in the direct block.
+    Each row is zero at the nodes it does not use.  The nodes do not
+    depend on k_cut: they run to m = 2J or to the last m with m ln p <= 40,
+    whichever is larger, so the product row is the same whatever k_cut the
+    power row is cut at.
     """
     log_p = np.log(ps)
     n_pow = np.floor(_POWER_LOG_MAX / log_p).astype(np.int64) - 1
-    q = 1.0 / (ps - 1.0) ** 2
+    q = 1.0 / (ps[n_small:] - 1.0) ** 2
     r2 = 4.0 * q
-    n_j = np.ones(len(ps), dtype=np.int64)
+    n_j = np.ones(len(q), dtype=np.int64)
     while True:
         over = r2 ** (n_j + 1) / ((n_j + 1) * (1.0 - r2)) > _LOG_SERIES_TOL
         if not np.any(over):
             break
         n_j += over
-    m_max = np.maximum(n_pow + 1, 2 * n_j)
+    m_max = n_pow + 1
+    m_max[n_small:] = np.maximum(m_max[n_small:], 2 * n_j)
     prime = np.repeat(np.arange(len(ps)), m_max)
     m = np.arange(len(prime)) - np.repeat(np.cumsum(m_max) - m_max, m_max) + 1
     lp = log_p[prime]
@@ -325,23 +306,25 @@ def _large_prime_terms(ps: np.ndarray, k_cut: int):
     in_power = (k >= 1) & (k <= np.minimum(n_pow[prime], k_cut))
     coef[0, in_power] = (k * lp**2 * np.exp(-(k + 1) * lp))[in_power]
     # -sum_j q^j (1 - u)^(2j) / j, q = (p - 1)^-2, one column per power of u
-    series = np.zeros((len(ps), int(m_max.max(initial=0)) + 1))
-    q_j = np.ones(len(ps))
+    series = np.zeros((len(q), int(m_max[n_small:].max(initial=0)) + 1))
+    q_j = np.ones(len(q))
     for j in range(1, int(n_j.max(initial=0)) + 1):
         q_j = q_j * q
         live = n_j >= j
         m_j = np.arange(2 * j + 1)
         binom = np.array([math.comb(2 * j, i) for i in m_j]) * (-1.0) ** m_j
         series[live, : 2 * j + 1] -= np.multiply.outer(q_j[live] / j, binom)
-    coef[1] = series[prime, m]
+    first = int(m_max[:n_small].sum())  # the nodes of the series primes follow the small ones
+    coef[1, first:] = series[prime[first:] - n_small, m[first:]]
     return m * lp, coef, float(np.sum(series[:, 0]))
 
 
 @dataclass
 class _PrimeTerms:
     """What the prime sums at one (p_cut, k_cut) reuse: the primes below 50,
-    the stacked Dirichlet polynomial of the rest (``_large_prime_terms``, the
-    power row left out at k_cut = 0), and the plan of the last tile read."""
+    whose product factors are formed directly, the stacked Dirichlet
+    polynomial of both sums (``_prime_sum_terms``, the power row left out at
+    k_cut = 0), and the plan of the last tile read."""
 
     small: np.ndarray
     x: np.ndarray
@@ -364,9 +347,10 @@ def _prime_terms(tables: SieveTables, p_cut: int, k_cut: int) -> _PrimeTerms:
         per_tables = _TERMS.setdefault(tables, {})
         terms = per_tables.pop(key, None)
         if terms is None:
-            small, large = _split_primes(tables, p_cut)
-            x, coef, log_const = _large_prime_terms(large, k_cut)
-            terms = _PrimeTerms(small, x, coef if k_cut else coef[1:], log_const)
+            ps = _primes_upto(tables, p_cut)
+            n_small = int(np.searchsorted(ps, _SMALL_PRIME))
+            x, coef, log_const = _prime_sum_terms(ps, n_small, k_cut)
+            terms = _PrimeTerms(ps[:n_small], x, coef if k_cut else coef[1:], log_const)
         per_tables[key] = terms  # last used goes last
         for old in list(per_tables)[:-_TERMS_PER_TABLES]:
             del per_tables[old]
@@ -380,31 +364,30 @@ def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarr
         product = prod_p (1 - ((1 - u)/(p - 1))^2),   u = p^-i eps,
 
     over the primes p <= p_cut, and for the power sum the terms with
-    (k+1) ln p <= 40.  The primes below 50 share one block of u, formed
-    directly.  Above them both sums are Dirichlet polynomials in eps,
-    summed by one stacked plan of the ``special`` kernel: the power sum at
-    the nodes (k+1) ln p, and the product as exp of its log series (see
-    ``_large_prime_terms``).  The terms and the last plan are cached per
-    tables (``_prime_terms``), and eps whose canonical tile is the cached
-    plan's read it without gridding again, with the bits a fresh
-    ``_dirichlet_sum`` gives.  With k_cut = 0 the power sum is empty, reads
-    0 and stays out of the transform.  The nodes do not depend on k_cut and
-    a row of a stack gives the bits it would alone, so the product is the
-    same, bit for bit, at every k_cut.
+    (k+1) ln p <= 40.  Both sums are Dirichlet polynomials in eps, summed
+    by one stacked plan of the ``special`` kernel: the power sum over every
+    prime at the nodes (k+1) ln p, and the product over the primes from 50
+    on as exp of its log series (see ``_prime_sum_terms``).  The product
+    factors of the primes below 50 share one block of u, formed directly.
+    The terms and the last plan are cached per tables (``_prime_terms``),
+    and eps whose canonical tile is the cached plan's read it without
+    gridding again, with the bits a fresh ``_dirichlet_sum`` gives.  With
+    k_cut = 0 the power sum is empty, reads 0 and stays out of the
+    transform.  The nodes do not depend on k_cut and a row of a stack gives
+    the bits it would alone, so the product is the same, bit for bit, at
+    every k_cut.
     """
     terms = _prime_terms(tables, p_cut, k_cut)
     eps = np.asarray(eps, dtype=np.float64)
     flat = eps.ravel()
-    u = _small_prime_phases(terms.small, flat)
     plan = _dirichlet_plan(terms.coef, terms.x, flat, terms.plan)
     if plan is None:
         sums = _dirichlet_sum(terms.coef, terms.x, flat)
     else:
         terms.plan = plan
         sums = plan.read(flat)
-    power = _small_prime_power(u, terms.small, k_cut)
-    power += sums[:-1].sum(axis=0)
-    product = _small_prime_product(u, terms.small) * np.exp(terms.log_const + sums[-1])
+    power = sums[:-1].sum(axis=0)
+    product = _small_prime_product(terms.small, flat) * np.exp(terms.log_const + sums[-1])
     return power.reshape(eps.shape), product.reshape(eps.shape)
 
 

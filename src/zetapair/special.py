@@ -384,44 +384,46 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
 def _zeta_em_block(s: np.ndarray, n_cut: int, order: int, n_rows: int = 1) -> np.ndarray:
     """Euler-Maclaurin zeta for an array of s sharing Re s and one truncation point.
 
-    n_rows is 1 or 3.  With 3 the result stacks zeta, zeta' and zeta''
-    (d/ds), shape (3, M): the direct sum takes the rows n^-sigma (-ln n)^j,
-    j = 0, 1, 2, as one stack, and the tail N^-s h(s),
+    The direct sum takes the rows n^-sigma (-ln n)^j, j < n_rows, as one
+    stack, and the tail is N^-s h(s),
 
         h(s) = N/(s - 1) - 1/2 + sum_k B_2k/(2k)! (s)_(2k-1) N^(1-2k),
 
-    is differentiated exactly, with the Pochhammer products built by the
-    product rule.  Row 0 has the bits of the plain evaluation.
+    summed by one recurrence over k.  n_rows is 1 or 3.  With 1 the result
+    is zeta, shape (M,), and the recurrence carries h alone.  With 3 it
+    stacks zeta, zeta' and zeta'' (d/ds), shape (3, M): the recurrence
+    carries h, h' and h'' too, with the Pochhammer products built by the
+    product rule.  Row 0 is the plain evaluation, with the same bits.
     """
     s = np.asarray(s, dtype=np.complex128)
     ln_n = np.log(np.arange(1, n_cut + 1, dtype=np.float64))
     # n^-sigma by the complex exp, so each direct-sum term keeps the bits of exp(-s ln n)
     coef = np.exp(ln_n * -s.real[0] + 0j).real
     out = _dirichlet_sum(coef * (-ln_n) ** np.arange(n_rows)[:, None], ln_n, s.imag)
-    ln_big = math.log(n_cut)
-    pow_ns = np.exp(-s * ln_big)           # N^-s
-    out[0] += pow_ns * n_cut / (s - 1.0)   # integral tail
-    out[0] -= 0.5 * pow_ns
-    poch = s.copy()                        # (s)_1
-    npow = pow_ns / n_cut                  # N^(-s-1)
+    # h and its derivatives term by term; (s)_(2k+1) = (s)_(2k-1) q with
+    # q = (s + 2k - 1)(s + 2k), and p_j the j-th derivative of (s)_(2k-1)
+    inv = 1.0 / (s - 1.0)
+    h0, p0 = n_cut * inv - 0.5, s.copy()
+    if n_rows == 3:
+        h1, h2 = -n_cut * inv * inv, 2.0 * n_cut * inv**3
+        p1, p2 = np.ones_like(s), np.zeros_like(s)
+    scale = 1.0 / n_cut
     inv_n2 = 1.0 / (n_cut * n_cut)
     for k in range(1, order + 1):
-        out[0] += (_B2K[k - 1] / _FACT2K[k - 1]) * poch * npow
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        npow = npow * inv_n2
+        b = (_B2K[k - 1] / _FACT2K[k - 1]) * scale
+        h0 = h0 + b * p0
+        q0 = (s + (2 * k - 1)) * (s + 2 * k)
+        if n_rows == 3:
+            h1, h2 = h1 + b * p1, h2 + b * p2
+            q1 = 2.0 * s + (4 * k - 1)
+            p1, p2 = p1 * q0 + p0 * q1, p2 * q0 + 2.0 * p1 * q1 + 2.0 * p0
+        p0 = p0 * q0
+        scale *= inv_n2
+    ln_big = math.log(n_cut)
+    pow_ns = np.exp(-s * ln_big)  # N^-s
+    out[0] += pow_ns * h0
     if n_rows == 1:
         return out[0]
-    # h, h', h'' term by term; (s)_(2k+1) = (s)_(2k-1) q with q = (s + 2k - 1)(s + 2k)
-    inv = 1.0 / (s - 1.0)
-    h0, h1, h2 = n_cut * inv - 0.5, -n_cut * inv * inv, 2.0 * n_cut * inv**3
-    p0, p1, p2 = s.copy(), np.ones_like(s), np.zeros_like(s)
-    scale = 1.0 / n_cut
-    for k in range(1, order + 1):
-        b = (_B2K[k - 1] / _FACT2K[k - 1]) * scale
-        h0, h1, h2 = h0 + b * p0, h1 + b * p1, h2 + b * p2
-        q0, q1 = (s + (2 * k - 1)) * (s + 2 * k), 2.0 * s + (4 * k - 1)
-        p0, p1, p2 = p0 * q0, p1 * q0 + p0 * q1, p2 * q0 + 2.0 * p1 * q1 + 2.0 * p0
-        scale *= inv_n2
     # d/ds N^-s = -ln N N^-s
     out[1] += pow_ns * (h1 - ln_big * h0)
     out[2] += pow_ns * (h2 - 2.0 * ln_big * h1 + ln_big**2 * h0)
@@ -457,11 +459,9 @@ def _guard(w: np.ndarray):
         )
 
 
-def zeta_one_line(cfg: ZetaEvaluator, eps, sign: int = 1):
-    """zeta(1 + i*sign*eps); rejects the pole neighbourhood |eps| < EPS_MIN."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    w = np.asarray(eps, dtype=np.float64) * sign
+def zeta_one_line(cfg: ZetaEvaluator, eps):
+    """zeta(1 + i eps); rejects the pole neighbourhood |eps| < EPS_MIN."""
+    w = np.asarray(eps, dtype=np.float64)
     _guard(np.atleast_1d(w))
     return zeta_em(1.0 + 1j * w, cfg)
 

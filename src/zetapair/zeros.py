@@ -418,7 +418,7 @@ def save_zeros(zl: ZeroList, path: str | Path) -> Path:
         with open(tmp, "w") as fh:
             fh.write(f"# zero ordinates, range ({zl.range[0]:.6f}, {zl.range[1]:.6f})\n")
             for v in zl.ordinates:
-                fh.write(f"{v:.12f}\n")
+                fh.write(f"{float(v)!r}\n")  # the shortest decimal that reads back exactly
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,10 +9,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zetapair import identities
+from zetapair import cli, identities
 from zetapair.cli import main
+from zetapair.config import RunConfig
 
 
 def run_cli(*argv):
@@ -280,6 +283,66 @@ class TestZeroCache:
             code, _, _ = self.empirical(tmp_path, f"{t_min}:1400", width="380")
             assert code == 0
         assert len(list(tmp_path.glob("zeros-*"))) == 2
+
+    def test_cached_ordinates_are_the_computed_ones(self, tmp_path):
+        # twelve fixed decimals moved 319 of these 597 ordinates, by up to 4.5e-13
+        args = argparse.Namespace(zeros=None, compute="3000:3600")
+        cfg = RunConfig(cache_dir=str(tmp_path))
+        computed = cli._load_zero_list(args, cfg)
+        assert len(list(tmp_path.glob("zeros-*"))) == 1
+        cached = cli._load_zero_list(args, cfg)
+        assert np.array_equal(cached.ordinates, computed.ordinates)
+
+
+class TestBadNumbers:
+    """Each exits 1 with a one-line message and prints nothing on stdout."""
+
+    ALPHA = ("alpha", "--method", "product", "--h", "2")
+
+    def assert_rejected(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    # a negative sieve limit was taken as "size automatically", like 0
+    def test_negative_sieve_limit_flag(self):
+        self.assert_rejected(("--sieve-limit", "-5", *self.ALPHA),
+                             "sieve_limit must be >= 0 (0 = automatic), got -5")
+
+    def test_negative_sieve_limit_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sieve_limit=-5\n")
+        self.assert_rejected(("--config", str(cfg), *self.ALPHA),
+                             "sieve_limit must be >= 0 (0 = automatic), got -5")
+
+    def test_zero_sieve_limit_is_automatic(self):
+        code, out, _ = run_cli("--sieve-limit", "0", *self.ALPHA, "--prime-cutoff", "10000")
+        assert code == 0 and len(parse_csv(out)) == 1
+
+    # --width 0 histogrammed the default window; --eps-max inf raised OverflowError
+    @pytest.mark.parametrize("flags,message", [
+        (("--width", "0"), "finite positive width"),
+        (("--eps-max", "inf"), "need finite 0 < bin_width < eps_max"),
+    ])
+    def test_empirical_window_and_bins(self, tmp_path, zeros_low, flags, message):
+        from zetapair.zeros import save_zeros
+
+        table = tmp_path / "z.txt"
+        save_zeros(zeros_low, table)
+        self.assert_rejected(
+            ("r2", "empirical", "--zeros", str(table), "--center", "600", *flags), message
+        )
+
+    # --eps-roll 0 printed a RuntimeWarning and a row with ok=true;
+    # --e-roll -1 raised ZeroDivisionError
+    @pytest.mark.parametrize("flags,message", [
+        (("--eps-roll", "0"), "eps_roll must be finite and positive, got 0.0"),
+        (("--e-roll", "-1"), "e_roll must be finite and positive, got -1.0"),
+        (("--eps-outer", "inf"), "eps_outer must be finite, got inf"),
+    ])
+    def test_invert_taper(self, flags, message):
+        self.assert_rejected(("invert", "--h", "2", "--window", "1000:1100", *flags), message)
 
 
 class TestConfigPlumbing:

@@ -28,6 +28,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             windowed_inversion(2, (1000.0, 1100.0))
 
+    # a zero eps roll gave a RuntimeWarning and a row with ok=true, a
+    # negative E roll a ZeroDivisionError
+    @pytest.mark.parametrize("field,value", [
+        ("eps_roll", 0.0), ("eps_roll", -3.0), ("eps_roll", math.nan),
+        ("e_roll", -1.0), ("e_roll", math.inf), ("eps_outer", math.inf),
+        ("eps_outer", math.nan),
+    ])
+    def test_taper_rejects_bad_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TaperSpec(**{field: value})
+
 
 class TestDegenerateWindows:
     def test_zero_width_is_diagnostic_failure(self, tables_small):

@@ -79,6 +79,14 @@ class TestEmpirical:
         with pytest.raises(ValueError, match="finite centre and a finite positive width"):
             empirical_r2(zeros_high, center, width, 0.05, 3.0)
 
+    # an infinite eps_max raised OverflowError from the bin count
+    @pytest.mark.parametrize("bin_width,eps_max", [
+        (0.05, math.inf), (0.05, math.nan), (math.nan, 3.0), (math.inf, 3.0), (0.0, 3.0),
+    ])
+    def test_rejects_bad_bins(self, zeros_high, bin_width, eps_max):
+        with pytest.raises(ValueError, match="bin_width < eps_max"):
+            empirical_r2(zeros_high, 7000.0, 400.0, bin_width, eps_max)
+
     def test_aggregate_pools_counts(self, zeros_high):
         a = empirical_r2(zeros_high, 6000.0, 300.0, 0.05, 3.0)
         b = empirical_r2(zeros_high, 8000.0, 300.0, 0.05, 3.0)
@@ -250,14 +258,35 @@ def _per_term_theory(e_height, eps, cfg, tables, p_cut, k_cut):
 class TestPrimePhaseKernel:
     # eps up to 25 keeps the phase eps ln p below ~300 rad, where its
     # double rounding stays near 1e-14
-    @pytest.mark.parametrize("p_cut,k_cut", [(20_000, 14), (100_000, 20)])
+    # 47: the primes below 50 alone, whose product has no log series;
+    # 53: the first prime with one
+    @pytest.mark.parametrize("p_cut,k_cut", [(47, 20), (53, 20), (20_000, 14), (100_000, 20)])
     def test_against_mpmath(self, tables_1m, p_cut, k_cut):
         eps = np.array([0.3, 1.7, 25.0])
         power, product = paircorr._prime_phase_sums(tables_1m, p_cut, k_cut, eps)
         want_power, want_product = _mpmath_prime_sums(tables_1m, p_cut, k_cut, eps)
-        # measured: 1.5e-15 and 2.8e-15 at worst
+        # measured: 3.0e-15 and 3.0e-15 at worst
         assert np.max(np.abs(power - want_power)) <= 1e-14
         assert np.max(np.abs(product - want_product)) <= 5e-14
+
+    def test_small_primes_through_the_transform(self, tables_1m, monkeypatch):
+        # at 250 points the power sum of the primes below 50 reads a plan;
+        # measured 2.1e-15 (power) and 1.2e-14 (product, formed directly)
+        eps = np.linspace(0.1, 25.0, 250)
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "_direct_sum", _no_direct_sum)
+            power, product = paircorr._prime_phase_sums(tables_1m, 47, 20, eps)
+        want_power, want_product = _mpmath_prime_sums(tables_1m, 47, 20, eps)
+        assert np.max(np.abs(power - want_power)) <= 1e-14
+        assert np.max(np.abs(product - want_product)) <= 5e-14
+
+    def test_nodes_do_not_depend_on_the_power_cutoff(self, tables_1m):
+        # so the product row, and the direct/transform choice, is the same at every k_cut
+        for p_cut in (47, 20_000):
+            assert np.array_equal(
+                paircorr._prime_terms(tables_1m, p_cut, 0).x,
+                paircorr._prime_terms(tables_1m, p_cut, 14).x,
+            )
 
     def test_shape_and_empty_power_sum(self, tables_1m):
         eps = np.linspace(0.5, 4.0, 12).reshape(3, 4)
@@ -268,7 +297,7 @@ class TestPrimePhaseKernel:
         assert np.array_equal(product.ravel(), flat)
 
     def test_row_chunks_line_up(self, tables_1m, monkeypatch):
-        # the primes above 50 go through the transform at 250 points and
+        # the prime sums go through the transform at 250 points and
         # through the direct sum at one; measured 3.4e-16 and 4.4e-16 at worst
         eps = np.linspace(0.1, 30.0, 250)
         with monkeypatch.context() as patch:

@@ -56,8 +56,8 @@ class TestMeanDensity:
 class TestZetaOneLine:
     def test_conjugate_symmetry(self, zeta_cfg):
         for eps in (0.3, 2.0, 17.5):
-            a = zeta_one_line(zeta_cfg, eps, sign=1)
-            b = zeta_one_line(zeta_cfg, eps, sign=-1)
+            a = zeta_one_line(zeta_cfg, eps)
+            b = zeta_one_line(zeta_cfg, -eps)
             assert abs(b - a.conjugate()) < 1e-12
 
     def test_laurent_behaviour_small_eps(self, zeta_cfg):

@@ -68,7 +68,7 @@ class TestIngestion:
         zl = load_zeros(zero_fixture_path)
         path = save_zeros(zl, tmp_path / "out.txt")
         again = load_zeros(path)
-        assert np.max(np.abs(again.ordinates - zl.ordinates)) < 1e-10
+        assert np.array_equal(again.ordinates, zl.ordinates)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(10.0, 1e5, exclude_min=True, exclude_max=True),
@@ -80,10 +80,8 @@ class TestIngestion:
                 ordinates.append(v)
         zl = ZeroList(np.array(ordinates), (10.0, 1e5), "computed", True)
         again = load_zeros(save_zeros(zl, tmp_path_factory.mktemp("rt") / "z.txt"))
-        assert len(again) == len(zl)
-        # %.12f rounds by at most 5e-13, and parsing the decimal back by half an ulp
-        assert np.all(np.abs(again.ordinates - zl.ordinates)
-                      <= 5e-13 + np.spacing(zl.ordinates))
+        # each ordinate is written as the shortest decimal that reads back to it
+        assert np.array_equal(again.ordinates, zl.ordinates)
 
 
 class TestComputation:
