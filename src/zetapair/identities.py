@@ -248,17 +248,26 @@ def ramanujan_closure_check(
 ) -> IdentityReport:
     """prod_p (1 + c_p(h)/phi(p)^2) against the singular series.
 
-    The p = 2 factor is 1 + c_2(h), identically zero for odd h; for even
-    h the truncated product must land on the product form of alpha(h).
+    The product runs over every prime p <= p_cut: c_p(h) = -1 gives the
+    factor 1 - 1/(p-1)^2, and c_p(h) = p - 1 gives 1 + 1/(p-1) where p
+    divides h.  Divisibility is tested only for p <= |h|, since a larger
+    prime cannot divide h.  The p = 2 factor is 1 + c_2(h), identically
+    zero for odd h; for even h the truncated product must land on the
+    product form of alpha(h).
     """
     h = int(h)
     if h == 0:
         raise ValueError("h = 0 is excluded")
     ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
-    ps = ps.astype(np.float64)
-    divides = (abs(h) % ps.astype(np.int64)) == 0
-    c_p = np.where(divides, ps - 1.0, -1.0)
-    factors = 1.0 + c_p / (ps - 1.0) ** 2
+    factors = ps.astype(np.float64)
+    factors -= 1.0
+    factors *= factors
+    np.divide(-1.0, factors, out=factors)
+    factors += 1.0
+    near = ps[: np.searchsorted(ps, abs(h), side="right")]
+    divides = np.flatnonzero(abs(h) % near == 0)
+    pm1 = near[divides] - 1.0
+    factors[divides] = 1.0 + pm1 / pm1**2
     value = float(np.prod(factors))  # odd h: the p = 2 factor is exactly 0
     target = 0.0 if h % 2 else alpha_product(h, tables, c2).value
     return IdentityReport(

@@ -373,19 +373,23 @@ def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarr
     and eps whose canonical tile is the cached plan's read it without
     gridding again, with the bits a fresh ``_dirichlet_sum`` gives.  With
     k_cut = 0 the power sum is empty, reads 0 and stays out of the
-    transform.  The nodes do not depend on k_cut and a row of a stack gives
-    the bits it would alone, so the product is the same, bit for bit, at
-    every k_cut.
+    transform; with no series prime either (p_cut < 53) every coefficient
+    is 0, the sums read 0 and no kernel runs.  The nodes do not depend on
+    k_cut and a row of a stack gives the bits it would alone, so the
+    product is the same, bit for bit, at every k_cut.
     """
     terms = _prime_terms(tables, p_cut, k_cut)
     eps = np.asarray(eps, dtype=np.float64)
     flat = eps.ravel()
-    plan = _dirichlet_plan(terms.coef, terms.x, flat, terms.plan)
-    if plan is None:
-        sums = _dirichlet_sum(terms.coef, terms.x, flat)
+    if not terms.coef.any():
+        sums = np.zeros((len(terms.coef), len(flat)), dtype=np.complex128)
     else:
-        terms.plan = plan
-        sums = plan.read(flat)
+        plan = _dirichlet_plan(terms.coef, terms.x, flat, terms.plan)
+        if plan is None:
+            sums = _dirichlet_sum(terms.coef, terms.x, flat)
+        else:
+            terms.plan = plan
+            sums = plan.read(flat)
     power = sums[:-1].sum(axis=0)
     product = _small_prime_product(terms.small, flat) * np.exp(terms.log_const + sums[-1])
     return power.reshape(eps.shape), product.reshape(eps.shape)

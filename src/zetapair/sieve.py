@@ -2,10 +2,13 @@
 
 One table serves everything: factorization, the Mobius and totient
 functions, von Mangoldt weights and Ramanujan sums are all O(log n)
-lookups against the spf array.  The sieve takes the odd primes
-p <= sqrt(L) in descending order and writes p over their odd multiples
-from p^2 with no mask, so the smallest odd factor writes last; then the
-even entries get 2 and every odd entry left at 0 is a prime.
+lookups against the spf array.  The sieve is segmented (Bays and Hudson):
+it finishes one cache-sized segment of the table before it starts the
+next.  In each, it takes the odd primes p <= sqrt(L) in descending order
+and writes p over their odd multiples from max(p^2, segment start) with
+no mask, so the smallest odd factor writes last; then the even entries
+get 2, and every odd entry left at 0 is a prime, collected in the same
+pass into the ascending prime list.
 
 The bulk Mobius and totient tables come from the spf recurrence
 f(k) = step(f(k / p), p = spf[k]), vectorized in doubling blocks; the
@@ -28,7 +31,7 @@ import numpy as np
 __all__ = ["SieveTables", "build_sieve"]
 
 _RECURRENCE_BLOCK = 1 << 16
-_PRIME_BLOCK = 1 << 20
+_SEGMENT = 1 << 18
 
 
 class SieveTables:
@@ -40,27 +43,12 @@ class SieveTables:
         primes: ascending int64 array of the primes <= limit.
     """
 
-    def __init__(self, limit: int, spf: np.ndarray):
+    def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
         self.limit = int(limit)
         spf = np.ascontiguousarray(spf, dtype=np.uint32)
         spf.setflags(write=False)
         self.spf = spf
-        # a composite k <= limit has a factor <= isqrt(limit), so above
-        # that root the primes are the k with spf[k] > root; they are counted
-        # and then written per block, which bounds the temporaries
-        root = math.isqrt(self.limit)
-        small = np.arange(2, root + 1, dtype=np.uint32)
-        small = small[spf[2 : root + 1] == small]
-        starts = range(root + 1, self.limit + 1, _PRIME_BLOCK)
-        counts = [np.count_nonzero(spf[lo : lo + _PRIME_BLOCK] > root) for lo in starts]
-        primes = np.empty(len(small) + sum(counts), dtype=np.int64)
-        primes[: len(small)] = small
-        at = len(small)
-        for lo, count in zip(starts, counts):
-            block = np.flatnonzero(spf[lo : lo + _PRIME_BLOCK] > root)
-            block += lo
-            primes[at : at + count] = block
-            at += count
+        primes = np.ascontiguousarray(primes, dtype=np.int64)
         primes.setflags(write=False)
         self.primes = primes
         self._bulk: dict = {}
@@ -253,27 +241,41 @@ class SieveTables:
         return lam
 
 
-def _spf_array(limit: int) -> np.ndarray:
-    """spf[0..limit] with spf[0] = spf[1] = 0.
+def _spf_array(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """spf[0..limit] with spf[0] = spf[1] = 0, and the primes <= limit (>= 2).
 
-    The odd primes p <= isqrt(limit) come from a sieve of that root.  In
-    descending order, each writes p over its odd multiples from p^2 with no
-    mask, so the smallest odd prime factor of an odd composite writes last.
-    The even entries get 2, and an odd entry still 0 is a prime.
+    The odd primes p <= isqrt(limit) come from a sieve of that root.  Each
+    segment of ``_SEGMENT`` entries is finished before the next: in
+    descending order, each p with p^2 in reach writes p over its odd
+    multiples from max(p^2, lo) with no mask, so the smallest odd prime
+    factor of an odd composite writes last.  The even entries get 2, and an
+    odd entry still 0 is a prime; the segment's primes are kept as a chunk.
     """
     root = math.isqrt(limit)
     spf = np.zeros(limit + 1, dtype=np.uint32)
+    odd = np.zeros(0, dtype=np.int64)
     if root >= 3:
-        small = _spf_array(root)
-        odd = np.arange(3, root + 1, 2, dtype=np.uint32)
-        for p in odd[small[3::2] == odd][::-1].tolist():
-            spf[p * p :: 2 * p] = p
-    spf[2::2] = 2
-    rest = np.flatnonzero(spf[3::2] == 0)
-    rest *= 2
-    rest += 3
-    spf[rest] = rest
-    return spf
+        odd = _spf_array(root)[1][1:]
+    chunks = [np.array([2], dtype=np.uint32)]
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        seg = spf[lo:hi]
+        ps = odd[: np.searchsorted(odd, math.isqrt(hi - 1), side="right")]
+        # the first odd multiple of p at or past max(p^2, lo)
+        first = -(-np.maximum(ps * ps, lo) // ps) * ps
+        first += ps * (first % 2 == 0)
+        first -= lo
+        for p, at in zip(ps[::-1].tolist(), first[::-1].tolist()):
+            seg[at :: 2 * p] = p
+        even = max(lo + lo % 2, 2)
+        seg[even - lo :: 2] = 2
+        odd_lo = max(lo | 1, 3)
+        rest = np.flatnonzero(seg[odd_lo - lo :: 2] == 0).astype(np.uint32)
+        rest *= 2
+        rest += odd_lo
+        spf[rest] = rest
+        chunks.append(rest)
+    return spf, np.concatenate(chunks, dtype=np.int64)
 
 
 def build_sieve(limit: int) -> SieveTables:
@@ -281,4 +283,4 @@ def build_sieve(limit: int) -> SieveTables:
     limit = int(limit)
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    return SieveTables(limit, _spf_array(limit))
+    return SieveTables(limit, *_spf_array(limit))

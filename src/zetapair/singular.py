@@ -142,7 +142,9 @@ def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
     h = _check_h(h, tables)
     n = int(n)
     ah = abs(h)
-    if n < 1 or n + ah > tables.limit:
+    if n < 1:
+        raise ValueError(f"sample length must be >= 1, got {n}")
+    if n + ah > tables.limit:
         raise ValueError("sample window exceeds sieve limit")
     lam = tables.von_mangoldt_table(n + ah)
     value = float(np.dot(lam[1 : n + 1], lam[1 + ah : n + ah + 1])) / n

@@ -75,6 +75,15 @@ class TestAlpha:
         # series cutoff (1e6 default) exceeds the forced sieve limit
         assert code == 1
 
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_sample_length_below_one_is_not_a_sieve_error(self, length):
+        code, out, err = run_cli(
+            "alpha", "--method", "empirical", "--h", "2",
+            "--sample-length", length, "--prime-cutoff", "1000",
+        )
+        assert (code, out) == (1, "")
+        assert "sample length must be >= 1" in err
+
     @pytest.mark.parametrize("method, args", [
         ("empirical", ("--sample-length", "100000")),
         ("series", ("--prime-cutoff", "2000000")),

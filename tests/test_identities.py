@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from zetapair import identities
 from zetapair.identities import (
     averaged_alpha_recovery,
     ft_one_over_xsq_check,
@@ -138,3 +140,21 @@ class TestRamanujanClosure:
     def test_h_zero_rejected(self, tables_1m, c2_ref):
         with pytest.raises(ValueError):
             ramanujan_closure_check(0, tables_1m, 1000, c2_ref)
+
+    @staticmethod
+    def full_modulo_product(h, tables, p_cut):
+        # every prime <= p_cut tested for divisibility
+        ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
+        ps = ps.astype(np.float64)
+        divides = (abs(h) % ps.astype(np.int64)) == 0
+        c_p = np.where(divides, ps - 1.0, -1.0)
+        return float(np.prod(1.0 + c_p / (ps - 1.0) ** 2))
+
+    def test_product_matches_full_modulo(self, tables_1m, monkeypatch):
+        # with the target at 0 the residual is the product itself (>= 0)
+        zero = SimpleNamespace(value=0.0)
+        monkeypatch.setattr(identities, "alpha_product", lambda *args: zero)
+        for p_cut in (2, 3, 97, 1_000_000):
+            for h in [*range(1, 211), *range(-210, 0)]:
+                got = ramanujan_closure_check(h, tables_1m, p_cut, None).max_residual
+                assert got == self.full_modulo_product(h, tables_1m, p_cut), (h, p_cut)

@@ -53,14 +53,21 @@ def test_prime_count_against_second_sieve(tables_1m):
     assert in_range == eratosthenes_count(1_000_000) == 78498
 
 
+def test_prime_count_to_ten_million(tables_big):
+    assert int(np.searchsorted(tables_big.primes, 10_000_000, side="right")) == 664_579
+
+
 def test_spf_matches_trial_division_at_every_small_limit():
     # every limit from 2 to 3000, so each prime square (4, 9, 25, 49, ...)
     # and the limit one below it are both covered
     ref = trial_division_spf(3000)
+    ref_primes = np.flatnonzero(eratosthenes_flags(3000))
     for limit in range(2, 3001):
-        spf = _spf_array(limit)
+        spf, primes = _spf_array(limit)
         assert spf.dtype == np.uint32
         assert np.array_equal(spf, ref[: limit + 1]), limit
+        assert primes.dtype == np.int64
+        assert np.array_equal(primes, ref_primes[ref_primes <= limit]), limit
 
 
 def test_primes_match_boolean_sieve(tables_1m):
@@ -71,11 +78,29 @@ def test_primes_match_boolean_sieve(tables_1m):
 
 @pytest.mark.parametrize("limit", [2, 3, 96, 97, 98, 3000])
 def test_primes_filled_per_block_match_boolean_sieve(monkeypatch, limit):
-    # a small block puts many block edges, and primes on them, below the limit
-    monkeypatch.setattr(sieve, "_PRIME_BLOCK", 7)
-    primes = build_sieve(limit).primes
-    assert np.array_equal(primes, np.flatnonzero(eratosthenes_flags(limit)))
-    assert primes.dtype == np.int64
+    # small segments put many segment edges, and primes and prime squares
+    # on them, below the limit
+    flags = eratosthenes_flags(limit)
+    ref = trial_division_spf(limit)
+    for segment in (6, 7, 64):
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        tables = build_sieve(limit)
+        assert np.array_equal(tables.primes, np.flatnonzero(flags)), segment
+        assert tables.primes.dtype == np.int64
+        assert np.array_equal(tables.spf, ref), segment
+
+
+@pytest.mark.parametrize("segment, top", [(6, 600), (7, 600), (64, 3000)])
+def test_segments_at_every_small_limit(monkeypatch, segment, top):
+    # the last segment is cut at each limit in turn; a segment of 6 or 7
+    # costs ~30 us, so those two stop at 600 (prime squares to 23^2)
+    monkeypatch.setattr(sieve, "_SEGMENT", segment)
+    ref = trial_division_spf(top)
+    ref_primes = np.flatnonzero(eratosthenes_flags(top))
+    for limit in range(2, top + 1):
+        spf, primes = _spf_array(limit)
+        assert np.array_equal(spf, ref[: limit + 1]), limit
+        assert np.array_equal(primes, ref_primes[ref_primes <= limit]), limit
 
 
 def test_spf_invariants(tables_small):

@@ -192,8 +192,13 @@ class TestAlphaEmpirical:
         assert a == b
 
     def test_window_overflow_rejected(self, tables_small):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample window exceeds sieve limit"):
             alpha_empirical(2, tables_small, tables_small.limit)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sample_length_below_one_rejected(self, tables_small, n):
+        with pytest.raises(ValueError, match="sample length must be >= 1"):
+            alpha_empirical(2, tables_small, n)
 
     def test_h_zero_rejected(self, tables_small):
         with pytest.raises(ValueError):
@@ -204,7 +209,7 @@ class TestCachedTablesKeepAnswers:
     """A bulk table reused or regrown never changes a value, bit for bit."""
 
     def test_empirical_shifts_build_the_mangoldt_table_twice(self, tables_big, monkeypatch):
-        tables = SieveTables(tables_big.limit, tables_big.spf)
+        tables = SieveTables(tables_big.limit, tables_big.spf, tables_big.primes)
         builds = []
         build = tables._build_mangoldt
 
@@ -216,7 +221,7 @@ class TestCachedTablesKeepAnswers:
         n = 10_000_000
         for h in (2, 4, 6, 10, 12, 30):
             got = alpha_empirical(h, tables, n).value
-            fresh = SieveTables(tables_big.limit, tables_big.spf)
+            fresh = SieveTables(tables_big.limit, tables_big.spf, tables_big.primes)
             assert got == alpha_empirical(h, fresh, n).value, h
         assert len(builds) <= 2
 
@@ -232,7 +237,7 @@ class TestCachedTablesKeepAnswers:
         return value, tables.totient(h) * per_call_tail_constant(tables, g)
 
     def test_series_matches_per_call_weights(self, tables_1m):
-        tables = SieveTables(tables_1m.limit, tables_1m.spf)
+        tables = SieveTables(tables_1m.limit, tables_1m.spf, tables_1m.primes)
         n_max = 1_000_000
         expected = [self.per_call_alpha(h, tables, n_max) for h in range(1, 31)]
 
