@@ -291,22 +291,16 @@ class TestPrimePhaseKernel:
     def test_no_series_prime_runs_no_kernel(self, monkeypatch):
         # below 53 the product alone has no nonzero coefficient: its value
         # is the direct block of the primes below 50, times exp(0)
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran on all-zero coefficients")
+
         tables = build_sieve(1000)
-        calls = []
-
-        def count(name):
-            def call(*args):
-                calls.append(name)
-                raise AssertionError(name)
-            return call
-
-        monkeypatch.setattr(paircorr, "_dirichlet_sum", count("sum"))
-        monkeypatch.setattr(paircorr, "_dirichlet_plan", count("plan"))
+        monkeypatch.setattr(paircorr, "_dirichlet_sum", no_kernel)
+        monkeypatch.setattr(paircorr, "_dirichlet_plan", no_kernel)
         eps = np.linspace(0.1, 25.0, 250)
         got = paircorr.off_diagonal_product(tables, 47, eps)
         ps = tables.primes[:15].astype(np.float64)
         want = paircorr._small_prime_product(ps, eps)
-        assert calls == []
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_shape_and_empty_power_sum(self, tables_1m):
