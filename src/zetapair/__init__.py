@@ -22,7 +22,7 @@ from .identities import (
     ramanujan_closure_check,
     triangle_relation_check,
 )
-from .inversion import InversionResult, TaperSpec, windowed_inversion
+from .inversion import InversionResult, windowed_inversion
 from .paircorr import (
     CorrelationEstimate,
     TheoryCurve,

@@ -19,7 +19,7 @@ import numpy as np
 from . import identities as idmod
 from . import paircorr, singular, zeros
 from .config import RunConfig, apply_env, load_config_file
-from .inversion import TaperSpec, windowed_inversion
+from .inversion import windowed_inversion
 from .sieve import build_sieve
 from .special import ZetaEvaluator, mean_density
 
@@ -47,7 +47,10 @@ def emit(fields: list[str], rows: list[dict], fmt: str, out=None) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    values = [int(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError("--h needs at least one shift")
+    return values
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -114,8 +117,6 @@ def _cmd_constants(args, cfg: RunConfig) -> int:
 
 def _cmd_alpha(args, cfg: RunConfig) -> int:
     hs = _parse_int_list(args.h)
-    if not hs:
-        raise ValueError("--h needs at least one shift")
     max_h = max(abs(h) for h in hs)
     # every method also reports the product form, which needs C2 at the cutoff
     needed = max(max_h, args.prime_cutoff)
@@ -288,16 +289,15 @@ def _cmd_identities(args, cfg: RunConfig) -> int:
 
 
 def _cmd_invert(args, cfg: RunConfig) -> int:
+    hs = _parse_int_list(args.h)
     e_lo, e_hi = _parse_range(args.window, "--window E_LO:E_HI")
     tables = _sieve_for(cfg, max(args.prime_cutoff, 10_000) + 1)
-    taper = TaperSpec(eps_outer=args.eps_outer, eps_roll=args.eps_roll,
-                      e_roll=args.e_roll)
     rows = []
     any_failed = False
-    for h in _parse_int_list(args.h):
+    for h in hs:
         res = windowed_inversion(
-            h, (e_lo, e_hi), eps_cutoff=args.eps_cutoff, taper=taper,
-            tables=tables, p_cut=args.prime_cutoff,
+            h, (e_lo, e_hi), eps_cutoff=args.eps_cutoff, tables=tables,
+            p_cut=args.prime_cutoff,
         )
         any_failed |= not res.ok
         rows.append({
@@ -387,9 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="comma-separated shifts")
     p.add_argument("--window", required=True, help="E_LO:E_HI")
     p.add_argument("--eps-cutoff", type=float, default=25.0)
-    p.add_argument("--eps-outer", type=float, default=None)
-    p.add_argument("--eps-roll", type=float, default=None)
-    p.add_argument("--e-roll", type=float, default=None)
     p.add_argument("--prime-cutoff", type=int, default=4000)
     return ap
 

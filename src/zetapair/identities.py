@@ -32,7 +32,7 @@ import numpy as np
 
 from .sieve import SieveTables
 from .singular import TwinPrimeConstant, alpha_product
-from .special import sgn, sine_integral, triangle
+from .special import sgn, sine_integral, triangle, triangle_ft
 
 __all__ = [
     "SUITES",
@@ -114,6 +114,7 @@ def ft_one_over_xsq_check(x_samples) -> IdentityReport:
     Fourier tails handled by oscillatory-weight quadrature.  (A hard
     k-cutoff cannot reach the tolerance: the non-oscillatory 2cos(kx)/k^2
     piece leaves a 4/k_max truncation deficit, 4e-4 even at k_max = 1e4.)
+    The head integrates ``special.triangle_ft``, sinc(k/2)^2 itself.
     Equivalent, through the triangle relation, to
     F[1/x^2](k) = -pi k sgn(k).
     """
@@ -124,7 +125,7 @@ def ft_one_over_xsq_check(x_samples) -> IdentityReport:
     pts = []
     for x in np.asarray(x_samples, dtype=np.float64):
         head, _ = quad(
-            lambda k: (np.sinc(k / (2 * np.pi)) ** 2) * math.cos(k * x),
+            lambda k: triangle_ft(k) * math.cos(k * x),
             0.0,
             k0,
             limit=200,
@@ -210,9 +211,13 @@ def local_factor_chain_sample(
     p_max: int = 10_000,
     eps_range: tuple[float, float] = (-10.0, 10.0),
 ) -> IdentityReport:
-    """Residuals over random (prime, eps) pairs; reproducible via seed."""
+    """Residuals over random (prime, eps) pairs; reproducible via seed.
+
+    The primes are drawn from those up to p_max, which must not pass the
+    sieve limit.
+    """
     rng = np.random.default_rng(seed)
-    ps = tables.primes[tables.primes <= p_max]
+    ps = tables.primes_upto(p_max)
     pts = []
     worst = 0.0
     for _ in range(n_samples):
@@ -251,20 +256,21 @@ def ramanujan_closure_check(
     The product runs over every prime p <= p_cut: c_p(h) = -1 gives the
     factor 1 - 1/(p-1)^2, and c_p(h) = p - 1 gives 1 + 1/(p-1) where p
     divides h.  Divisibility is tested only for p <= |h|, since a larger
-    prime cannot divide h.  The p = 2 factor is 1 + c_2(h), identically
+    prime cannot divide h.  p_cut past the sieve limit is an error, not a
+    product over fewer primes.  The p = 2 factor is 1 + c_2(h), identically
     zero for odd h; for even h the truncated product must land on the
     product form of alpha(h).
     """
     h = int(h)
     if h == 0:
         raise ValueError("h = 0 is excluded")
-    ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
+    ps = tables.primes_upto(p_cut)
     factors = ps.astype(np.float64)
     factors -= 1.0
     factors *= factors
     np.divide(-1.0, factors, out=factors)
     factors += 1.0
-    near = ps[: np.searchsorted(ps, abs(h), side="right")]
+    near = tables.primes_upto(min(abs(h), p_cut))
     divides = np.flatnonzero(abs(h) % near == 0)
     pm1 = near[divides] - 1.0
     factors[divides] = 1.0 + pm1 / pm1**2

@@ -9,10 +9,12 @@ exp(-i eps ln(E/2pi)), the phase h E - eps ln(E/2pi) is stationary in
 at heights E = 2 pi l/n, l coprime to n, carrying the Ramanujan phases
 e^{2 pi i h l / n}) therefore contributes to the h-coefficient exactly
 with weight w_eps(h E); an epsilon window that stops below h*E_lo returns
-pure quadrature noise.  The epsilon taper here is a smooth plateau over
-the resonance band [h E_lo, h E_hi]; ``eps_cutoff`` is the excision
-radius around the 1-line pole (the curve's 1/eps^2 mass), kept well below
-the band.
+pure quadrature noise.  The tapers are therefore derived, not chosen: the
+epsilon taper is a smooth plateau over the resonance band
+[h E_lo, h E_hi], rolling off over 5% of the band's width on each side,
+and the E taper rolls off over 12% of the window's width; ``eps_cutoff``
+is the excision radius around the 1-line pole (the curve's 1/eps^2 mass),
+kept well below the band.
 
 The absolute constant in front of the recovered series is taper
 convention (the half-mass delta bookkeeping of the exact derivation is
@@ -25,10 +27,11 @@ Gauss-Kronrod G10/K21: the estimate is the K21 value, and the embedded
 10-point Gauss rule on a subset of the same nodes gives the coarse value,
 so zeta and the Euler product are evaluated once.  The inner sums over
 eps, sum_eps coef(eps) exp(-i eps ln(E/2pi)) at every E node, are
-Dirichlet polynomials in ln(E/2pi); both rules' rows go through one call
-of the nonuniform-FFT kernel of ``special`` that also sums zeta's n^-s
-and the Euler product, in O((eps nodes + E nodes) log) work instead of a
-full phase matrix, on the canonical tile of the band of ln(E/2pi).
+Dirichlet polynomials in ln(E/2pi); both rules' rows are one stacked
+``special.DirichletSum``, the nonuniform-FFT kernel that also sums zeta's
+n^-s and the Euler product, read in O((eps nodes + E nodes) log) work
+instead of a full phase matrix, on the canonical tile of the band of
+ln(E/2pi).
 ``quad_error_est`` is |K21 - G10| times the normalization, about 1e-5 on
 the documented windows: it tracks the coarse rule's error, which makes
 it a conservative figure for the K21 estimate.
@@ -43,26 +46,9 @@ import numpy as np
 
 from .paircorr import off_diagonal_product
 from .sieve import SieveTables
-from .special import TWO_PI, ZetaEvaluator, _dirichlet_sum, zeta_one_line
+from .special import TWO_PI, DirichletSum, ZetaEvaluator, zeta_one_line
 
-__all__ = ["TaperSpec", "InversionResult", "windowed_inversion"]
-
-
-@dataclass(frozen=True)
-class TaperSpec:
-    """Smooth-bump parameters; None fields are derived from (h, E range)."""
-
-    eps_outer: float | None = None  # outer support edge of the eps taper
-    eps_roll: float | None = None   # eps roll-off width (both edges)
-    e_roll: float | None = None     # E roll-off width (both edges)
-
-    def __post_init__(self):
-        for name in ("eps_roll", "e_roll"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.eps_outer is not None and not math.isfinite(self.eps_outer):
-            raise ValueError(f"eps_outer must be finite, got {self.eps_outer}")
+__all__ = ["InversionResult", "windowed_inversion"]
 
 
 @dataclass(frozen=True)
@@ -145,7 +131,7 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, cfg, tables, p_cu
     zeta and the Euler product are evaluated once, on the K21 nodes, and
     the G10 estimate reads the subset; the E-side sums
     sum_eps coef(eps) exp(-i eps ln(E/2pi)) of both rules are one
-    Dirichlet-polynomial kernel call with two rows.
+    ``DirichletSum`` with two rows.
     """
     l_hi = math.log(e_hi / TWO_PI)
     eps_x, eps_fine, eps_coarse = _gk_panels(s_lo, s_hi, 0.7 * _GK_ORDER / (l_hi + 4.0))
@@ -163,7 +149,7 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, cfg, tables, p_cu
     e_x, e_fine, e_coarse = _gk_panels(e_lo, e_hi, e_panel)
     w_e = _bump(e_x, e_lo, e_hi, e_roll)
     log_e = np.log(e_x / TWO_PI)
-    f_of_e = _dirichlet_sum(coef, eps_x, log_e)
+    f_of_e = DirichletSum(coef, eps_x)(log_e)
     kernel = w_e * np.exp(1j * h * e_x) * 2.0 * np.real(f_of_e)
     fine = np.sum(e_fine * kernel[0])
     coarse = np.sum(e_coarse * kernel[1])
@@ -174,16 +160,18 @@ def windowed_inversion(
     h: int,
     e_range: tuple[float, float],
     eps_cutoff: float = 25.0,
-    taper: TaperSpec = TaperSpec(),
     cfg: ZetaEvaluator = ZetaEvaluator(),
     tables: SieveTables | None = None,
     p_cut: int = 4000,
 ) -> InversionResult:
     """Estimate the h-Fourier content of the tapered off-diagonal curve.
 
-    Returns a normalized estimate plus resolution diagnostics; a window
-    too narrow to hold the oscillation (or otherwise degenerate) reports
-    a diagnostic failure instead of raising.
+    The tapers come from (h, E range): the eps plateau covers the
+    resonance band [|h| E_lo, |h| E_hi] and rolls off over 5% of its width
+    on each side (no lower than ``eps_cutoff``), the E plateau rolls off
+    over 12% of the window's width.  Returns a normalized estimate plus
+    resolution diagnostics; a window too narrow to hold the oscillation (or
+    otherwise degenerate) reports a diagnostic failure instead of raising.
     """
     h = int(h)
     if h == 0:
@@ -209,12 +197,12 @@ def windowed_inversion(
 
     ah = abs(h)
     band = (ah * e_lo, ah * e_hi)
-    eps_roll = taper.eps_roll if taper.eps_roll is not None else 0.05 * (band[1] - band[0])
-    e_roll = taper.e_roll if taper.e_roll is not None else 0.12 * width
-    s_hi = taper.eps_outer if taper.eps_outer is not None else band[1] + 2.0 * eps_roll
+    eps_roll = 0.05 * (band[1] - band[0])
+    e_roll = 0.12 * width
+    # the plateau's top, s_hi - eps_roll, lies past |h| E_hi, above eps_cutoff and
+    # |h| E_lo, so the support never empties
+    s_hi = band[1] + 2.0 * eps_roll
     s_lo = max(eps_cutoff, band[0] - 2.0 * eps_roll)
-    if s_hi <= s_lo + 2.0 * eps_roll:
-        return failure("eps taper support is empty")
 
     raw, coarse, w_e_mass, n_eps, n_e = _raw_integral(
         h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, cfg, tables, p_cut

@@ -14,19 +14,21 @@ zeta(1+i eps) and the log-derivative from one Euler-Maclaurin evaluation
 per node (``special.zeta_and_log_dd``).  In unfolded units the curve
 tends to the random-matrix limit 1 - (sin(pi eps)/(pi eps))^2 as E grows.
 Both prime sums are Dirichlet polynomials in eps, summed as one stack by
-the nonuniform-FFT kernel of ``special``: the power sum over every prime,
-the product as exp of its log series over the primes from 50 on, so their
-cost grows like (terms + points) log rather than terms x points.  The
-product factors of the primes below 50, where p = 3's vanishes at
-eps ln 3 = pi, are multiplied directly.
+one ``special.DirichletSum``, the nonuniform-FFT kernel: the power sum
+over every prime, the product as exp of its log series over the primes
+from 50 on, so their cost grows like (terms + points) log rather than
+terms x points.  The product factors of the primes below 50, where
+p = 3's vanishes at eps ln 3 = pi, are multiplied directly.
 
 The kernel grids the terms onto a canonical tile: a power-of-two span of
 its t-grid, centred on a multiple of half that span, which the band of
-the eps alone selects.  Each ``SieveTables`` carries, in a module-level
-weak mapping keyed by the tables, the prime terms of its last four
-(prime cutoff, power cutoff) pairs and, for each pair, the plan of the
-last tile read.  Evaluations whose eps fall in that tile, such as the
-windows of a pooled experiment, read the plan without gridding again.
+the eps alone selects, and a ``DirichletSum`` keeps the plan of the last
+tile it read.  Each ``SieveTables`` carries, in a module-level weak
+mapping keyed by the tables, the prime terms of its last four (prime
+cutoff, power cutoff) pairs, each pair's stack held as one
+``DirichletSum``.  Evaluations whose eps fall in the tile it last read,
+such as the windows of a pooled experiment, read its plan without
+gridding again.
 The cache is weak (an entry dies with its tables), bounded (four pairs
 per tables, one tile per pair) and answer-neutral: a tile is set by the
 eps alone, so a cached read has the bits a cold evaluation gives,
@@ -48,9 +50,8 @@ import numpy as np
 from .sieve import SieveTables
 from .special import (
     TWO_PI,
+    DirichletSum,
     ZetaEvaluator,
-    _dirichlet_plan,
-    _dirichlet_sum,
     log_zeta_dd,
     mean_density,
     zeta_and_log_dd,
@@ -245,16 +246,6 @@ _POWER_LOG_MAX = 40.0
 _LOG_SERIES_TOL = 1e-18
 
 
-def _primes_upto(tables: SieveTables, p_cut: int) -> np.ndarray:
-    """The primes p <= p_cut as floats."""
-    if p_cut < 2:
-        raise ValueError(f"prime cutoff must be >= 2, got {p_cut}")
-    if p_cut > tables.limit:
-        raise ValueError("prime cutoff exceeds sieve limit")
-    ps = tables.primes[: np.searchsorted(tables.primes, p_cut, side="right")]
-    return ps.astype(np.float64)
-
-
 def _small_prime_product(ps: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """prod_p (1 - ((1 - u)/(p - 1))^2), u = p^-i eps, over the primes ps at each eps."""
     phase = np.multiply.outer(eps, np.log(ps))
@@ -319,18 +310,16 @@ def _prime_sum_terms(ps: np.ndarray, n_small: int, k_cut: int):
     return m * lp, coef, float(np.sum(series[:, 0]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PrimeTerms:
     """What the prime sums at one (p_cut, k_cut) reuse: the primes below 50,
-    whose product factors are formed directly, the stacked Dirichlet
+    whose product factors are formed directly, and the stacked Dirichlet
     polynomial of both sums (``_prime_sum_terms``, the power row left out at
-    k_cut = 0), and the plan of the last tile read."""
+    k_cut = 0), which keeps the plan of the last tile it read."""
 
     small: np.ndarray
-    x: np.ndarray
-    coef: np.ndarray
+    sums: DirichletSum
     log_const: float
-    plan: object = None
 
 
 #: the prime terms of each SieveTables, per (p_cut, k_cut); an entry dies with
@@ -342,15 +331,19 @@ _TERMS_LOCK = threading.Lock()
 
 def _prime_terms(tables: SieveTables, p_cut: int, k_cut: int) -> _PrimeTerms:
     """The cached prime terms of (tables, p_cut, k_cut), built on first use."""
+    if p_cut < 2:
+        raise ValueError(f"prime cutoff must be >= 2, got {p_cut}")
     key = (p_cut, k_cut)
     with _TERMS_LOCK:
         per_tables = _TERMS.setdefault(tables, {})
         terms = per_tables.pop(key, None)
         if terms is None:
-            ps = _primes_upto(tables, p_cut)
-            n_small = int(np.searchsorted(ps, _SMALL_PRIME))
+            ps = tables.primes_upto(p_cut).astype(np.float64)
+            n_small = int(np.count_nonzero(ps < _SMALL_PRIME))
             x, coef, log_const = _prime_sum_terms(ps, n_small, k_cut)
-            terms = _PrimeTerms(ps[:n_small], x, coef if k_cut else coef[1:], log_const)
+            terms = _PrimeTerms(
+                ps[:n_small], DirichletSum(coef if k_cut else coef[1:], x), log_const
+            )
         per_tables[key] = terms  # last used goes last
         for old in list(per_tables)[:-_TERMS_PER_TABLES]:
             del per_tables[old]
@@ -365,31 +358,23 @@ def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarr
 
     over the primes p <= p_cut, and for the power sum the terms with
     (k+1) ln p <= 40.  Both sums are Dirichlet polynomials in eps, summed
-    by one stacked plan of the ``special`` kernel: the power sum over every
-    prime at the nodes (k+1) ln p, and the product over the primes from 50
-    on as exp of its log series (see ``_prime_sum_terms``).  The product
-    factors of the primes below 50 share one block of u, formed directly.
-    The terms and the last plan are cached per tables (``_prime_terms``),
-    and eps whose canonical tile is the cached plan's read it without
-    gridding again, with the bits a fresh ``_dirichlet_sum`` gives.  With
-    k_cut = 0 the power sum is empty, reads 0 and stays out of the
-    transform; with no series prime either (p_cut < 53) every coefficient
-    is 0, the sums read 0 and no kernel runs.  The nodes do not depend on
-    k_cut and a row of a stack gives the bits it would alone, so the
-    product is the same, bit for bit, at every k_cut.
+    by one stacked ``DirichletSum``: the power sum over every prime at the
+    nodes (k+1) ln p, and the product over the primes from 50 on as exp of
+    its log series (see ``_prime_sum_terms``).  The product factors of the
+    primes below 50 share one block of u, formed directly.  The
+    ``DirichletSum`` is cached per tables (``_prime_terms``), and eps whose
+    canonical tile is the one it last read reuse its plan, with the bits a
+    fresh ``DirichletSum`` gives.  With k_cut = 0 the power sum is empty,
+    reads 0 and stays out of the transform; with no series prime either
+    (p_cut < 53) every coefficient is 0, the sums read 0 and no kernel
+    runs.  The nodes do not depend on k_cut and a row of a stack gives the
+    bits it would alone, so the product is the same, bit for bit, at every
+    k_cut.
     """
     terms = _prime_terms(tables, p_cut, k_cut)
     eps = np.asarray(eps, dtype=np.float64)
     flat = eps.ravel()
-    if not terms.coef.any():
-        sums = np.zeros((len(terms.coef), len(flat)), dtype=np.complex128)
-    else:
-        plan = _dirichlet_plan(terms.coef, terms.x, flat, terms.plan)
-        if plan is None:
-            sums = _dirichlet_sum(terms.coef, terms.x, flat)
-        else:
-            terms.plan = plan
-            sums = plan.read(flat)
+    sums = terms.sums(flat)
     power = sums[:-1].sum(axis=0)
     product = _small_prime_product(terms.small, flat) * np.exp(terms.log_const + sums[-1])
     return power.reshape(eps.shape), product.reshape(eps.shape)
@@ -450,7 +435,7 @@ def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np
     """prod_{p <= p_cut} (1 - ((1 - p^-i eps)/(p - 1))^2) at each eps (an array).
 
     The primes below 50 multiply directly; the rest give exp of one
-    ``_dirichlet_sum`` of their log series: ``_prime_phase_sums`` with no
+    ``DirichletSum`` of their log series: ``_prime_phase_sums`` with no
     power sum, so the product is the one ``theory_curve`` uses.
     """
     return _prime_phase_sums(tables, p_cut, 0, eps)[1]

@@ -40,7 +40,8 @@ class SieveTables:
     Attributes:
         limit: largest integer covered.
         spf: uint32 array, spf[n] = smallest prime factor of n (spf[p] = p).
-        primes: ascending int64 array of the primes <= limit.
+        primes: ascending int64 array of the primes <= limit; the primes up
+            to a cutoff are ``primes_upto(n)``.
     """
 
     def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
@@ -128,6 +129,16 @@ class SieveTables:
         phi_m = self.totient(m)
         return mu * (phi_n // phi_m)
 
+    def primes_upto(self, n: int) -> np.ndarray:
+        """The primes p <= n, a read-only view of ``primes``.
+
+        n past the limit is an error: the primes above it are not known.
+        """
+        n = int(n)
+        if n > self.limit:
+            raise ValueError(f"primes up to {n} exceed the sieve limit {self.limit}")
+        return self.primes[: np.searchsorted(self.primes, n, side="right")]
+
     def log_mu2_phi2_product(self) -> float:
         """ln prod_{p <= limit} (1 + (p-1)^-2), computed once per instance.
 
@@ -186,9 +197,6 @@ class SieveTables:
         """float64 array g[0..n], g[k] = mu(k) / phi(k)^2 (g[0] = 0)."""
         return self._cached("series_weight", n, self._build_series_weight)
 
-    def _primes_upto(self, n: int) -> np.ndarray:
-        return self.primes[: np.searchsorted(self.primes, n, side="right")]
-
     def _spf_recurrence(self, n: int, dtype, step) -> np.ndarray:
         """A multiplicative table out[0..n] built from its spf recurrence.
 
@@ -229,9 +237,9 @@ class SieveTables:
 
     def _build_mangoldt(self, n: int) -> np.ndarray:
         lam = np.zeros(n + 1, dtype=np.float64)
-        ps = self._primes_upto(n)
+        ps = self.primes_upto(n)
         lam[ps] = np.log(ps)
-        for p in self._primes_upto(math.isqrt(n)):
+        for p in self.primes_upto(math.isqrt(n)):
             p = int(p)
             q = p * p
             lp = math.log(p)
@@ -260,7 +268,7 @@ def _spf_array(limit: int) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         seg = spf[lo:hi]
-        ps = odd[: np.searchsorted(odd, math.isqrt(hi - 1), side="right")]
+        ps = odd[odd <= math.isqrt(hi - 1)]
         # the first odd multiple of p at or past max(p^2, lo)
         first = -(-np.maximum(ps * ps, lo) // ps) * ps
         first += ps * (first % 2 == 0)

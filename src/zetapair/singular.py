@@ -53,11 +53,8 @@ def twin_prime_constant(prime_cutoff: int, tables: SieveTables) -> TwinPrimeCons
     p_max = int(prime_cutoff)
     if p_max < 3:
         raise ValueError("prime cutoff must be >= 3")
-    if p_max > tables.limit:
-        raise ValueError("prime cutoff exceeds sieve limit")
-    ps = tables.primes[1 : np.searchsorted(tables.primes, p_max, side="right")]
     # log1p(-1 / (p - 1)^2) in place: one float copy of the primes, 5 MB at 1e7
-    x = ps.astype(np.float64)
+    x = tables.primes_upto(p_max)[1:].astype(np.float64)
     x -= 1.0
     x *= x
     np.divide(-1.0, x, out=x)
@@ -172,10 +169,9 @@ def smoothed_average(h: int, tables: SieveTables, c2: TwinPrimeConstant) -> Smoo
     h = int(h)
     if h < 2:
         raise ValueError("average needs h >= 2")
-    if h > tables.limit:
-        raise ValueError("h exceeds sieve limit")
+    odd_primes = tables.primes_upto(h)[1:]
     fac = np.ones(h + 1, dtype=np.float64)
-    for p in tables.primes[1 : np.searchsorted(tables.primes, h, side="right")]:
+    for p in odd_primes:
         fac[p::p] *= (p - 1.0) / (p - 2.0)
     avg = 2.0 * c2.value * float(np.sum(fac[2 : h + 1 : 2])) / h
     return SmoothedAverage(h, avg, 1.0 - math.log(h) / (2.0 * h))

@@ -7,14 +7,16 @@ so one routine covers both the 1-line (singular series side) and the
 critical line (Z-function side, see ``zeros``).  All points on one line
 Re s = sigma share the largest truncation point any of them needs, and
 their direct sum, the Dirichlet polynomial sum_n n^-sigma exp(-i t ln n),
-is one call to ``_dirichlet_sum``: a nonuniform FFT in O((N + points) log)
-work, which also sums the inversion's E-side phases and the prime sums of
-``paircorr``.  It plans a canonical tile, a power-of-two span of the
+is one call of a ``DirichletSum``: a nonuniform FFT in O((N + points) log)
+work.  ``DirichletSum(c, x)`` is the only way into that kernel; it also
+sums the inversion's E-side phases and the prime sums of ``paircorr``.  It
+holds the terms, plans a canonical tile, a power-of-two span of the
 t-grid set by the sum's band limit and the points' band alone, and reads
-the points from it; a caller that keeps the plan (``paircorr`` does) reads
-later points in the same tile without gridding the terms again.  Small
-sums stay direct, with each block of phases formed once for all the rows
-of a stack.
+the points from it; it keeps the plan of the last tile, so an object that
+is kept (``paircorr`` keeps one per sieve and cutoff pair) reads later
+points in the same tile without gridding the terms again.  Small sums
+stay direct, with each block of phases formed once for all the rows of a
+stack.
 
 The second log-derivative on the 1-line is exact in form: one evaluation
 stacks the rows n^-sigma (-ln n)^j, j = 0, 1, 2, differentiates the
@@ -25,7 +27,8 @@ relative of mpmath up to eps = 150 and 3.5e-12 at eps = 2500
 evaluation, so a caller that needs both pays for one.
 
 Everything here is pure and thread-safe; ``ZetaEvaluator`` is immutable
-configuration, and a plan is not changed by reading it.
+configuration, a plan is not changed by reading it, and a ``DirichletSum``
+shared between threads gives each call the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 
 __all__ = [
     "EPS_MIN",
+    "DirichletSum",
     "PoleProximityError",
     "ZetaEvaluator",
     "mean_density",
@@ -315,28 +319,14 @@ class _Plan:
         return (np.take(self.g_m, at, axis=1) * kern).sum(axis=-1)
 
 
-def _dirichlet_plan(c, x, t, reuse: _Plan | None = None) -> _Plan | None:
-    """The plan ``_dirichlet_sum`` reads the targets t from, or None for the direct sum.
+class DirichletSum:
+    """F(t_j) = sum_k c_k exp(-i t_j x_k) for real nodes x, read at real targets t.
 
-    ``reuse``, a plan of the same c and x, comes back as it is when the
-    targets' canonical tile is its tile; any other tile gets a new plan.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    tile = _canonical_tile(x, np.asarray(t, dtype=np.float64))
-    if tile is None:
-        return None
-    if reuse is not None and reuse.tile == tile:
-        return reuse
-    return _Plan(np.asarray(c, dtype=np.complex128), x, tile)
-
-
-def _dirichlet_sum(c, x, t) -> np.ndarray:
-    """F(t_j) = sum_k c_k exp(-i t_j x_k) for real nodes x and real targets t.
-
-    c is one row of coefficients, shape (K,), or a stack of R rows, shape
-    (R, K), that share x and t; a stack comes back as shape (R, M) for M
-    targets, and its rows share the grid positions, the Gaussian weights
-    and the interpolation taps.
+    The one way into the kernel.  c is one row of coefficients, shape (K,),
+    or a stack of R rows, shape (R, K), that share x; calling the object
+    with the targets t, shape (M,), gives shape (M,) for one row and
+    (R, M) for a stack, whose rows share the grid positions, the Gaussian
+    weights and the interpolation taps.
 
     A type-3 nonuniform FFT (Odlyzko and Schoenhage, Trans. AMS 309, 1988),
     split into a plan and a read.  F is band-limited to max|x|; it is
@@ -357,6 +347,11 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     targets.  t_j / dt and each term's grid position are carried in
     double-double too, so no phase is rounded on the way.
 
+    The object keeps the plan of the last tile it read: a call whose
+    targets land in that tile reads it without gridding the terms again,
+    with the bits a fresh plan gives.  A call reads ``plan`` once, so
+    threads that share the object at worst replace each other's plan.
+
     Measured against sums with exactly rounded phases: at most 1.4e-16
     sum|c_k| over random sums (K, M < 1500, |x|, |t| < 1e3), 4e-17 sum|c_k|
     on bands up to 300 wide at |t| up to 1e4 (against 30-digit sums), and
@@ -369,16 +364,28 @@ def _dirichlet_sum(c, x, t) -> np.ndarray:
     row over its nonzero terms, chunked and added up per target, the phases
     of a chunk formed once for all the rows (``_direct_sum``).  There
     F(-t) = conj F(t) holds exactly for real c.  On either branch a row of
-    a stack gives the bits of that row alone.
+    a stack gives the bits of that row alone.  All-zero coefficients read 0
+    and run neither branch.
     """
-    c = np.asarray(c, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    plan = _dirichlet_plan(c, x, t)
-    if plan is None:
-        return _direct_sum(c, x, t)
-    out = plan.read(t)
-    return out[0] if c.ndim == 1 else out
+
+    def __init__(self, c, x):
+        self.c = np.asarray(c, dtype=np.complex128)
+        self.x = np.asarray(x, dtype=np.float64)
+        self.plan: _Plan | None = None
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        if not self.c.any():
+            out = np.zeros((len(np.atleast_2d(self.c)), t.size), dtype=np.complex128)
+        else:
+            tile = _canonical_tile(self.x, t)
+            if tile is None:
+                return _direct_sum(self.c, self.x, t)
+            plan = self.plan
+            if plan is None or plan.tile != tile:
+                plan = self.plan = _Plan(self.c, self.x, tile)
+            out = plan.read(t)
+        return out[0] if self.c.ndim == 1 else out
 
 
 def _zeta_em_block(s: np.ndarray, n_cut: int, order: int, n_rows: int = 1) -> np.ndarray:
@@ -399,7 +406,7 @@ def _zeta_em_block(s: np.ndarray, n_cut: int, order: int, n_rows: int = 1) -> np
     ln_n = np.log(np.arange(1, n_cut + 1, dtype=np.float64))
     # n^-sigma by the complex exp, so each direct-sum term keeps the bits of exp(-s ln n)
     coef = np.exp(ln_n * -s.real[0] + 0j).real
-    out = _dirichlet_sum(coef * (-ln_n) ** np.arange(n_rows)[:, None], ln_n, s.imag)
+    out = DirichletSum(coef * (-ln_n) ** np.arange(n_rows)[:, None], ln_n)(s.imag)
     # h and its derivatives term by term; (s)_(2k+1) = (s)_(2k-1) q with
     # q = (s + 2k - 1)(s + 2k), and p_j the j-th derivative of (s)_(2k-1)
     inv = 1.0 / (s - 1.0)
@@ -445,7 +452,7 @@ def zeta_em(s, cfg: ZetaEvaluator = ZetaEvaluator()):
 
     The points sharing one Re s share one truncation point, the largest
     that ``truncation_point`` asks of them (the remainder bound only falls
-    as N grows), and their direct sums are one ``_dirichlet_sum`` call.
+    as N grows), and their direct sums are one ``DirichletSum`` call.
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     out = _zeta_em_rows(arr, cfg, 1)[0]

@@ -343,15 +343,13 @@ class TestBadNumbers:
             ("r2", "empirical", "--zeros", str(table), "--center", "600", *flags), message
         )
 
-    # --eps-roll 0 printed a RuntimeWarning and a row with ok=true;
-    # --e-roll -1 raised ZeroDivisionError
-    @pytest.mark.parametrize("flags,message", [
-        (("--eps-roll", "0"), "eps_roll must be finite and positive, got 0.0"),
-        (("--e-roll", "-1"), "e_roll must be finite and positive, got -1.0"),
-        (("--eps-outer", "inf"), "eps_outer must be finite, got inf"),
+    # invert --h , printed the CSV header alone and exited 0
+    @pytest.mark.parametrize("argv", [
+        ("alpha", "--method", "product", "--h", ","),
+        ("invert", "--h", ",", "--window", "1000:1100"),
     ])
-    def test_invert_taper(self, flags, message):
-        self.assert_rejected(("invert", "--h", "2", "--window", "1000:1100", *flags), message)
+    def test_empty_shift_list(self, argv):
+        self.assert_rejected(argv, "--h needs at least one shift")
 
 
 class TestConfigPlumbing:

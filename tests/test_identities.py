@@ -14,6 +14,7 @@ from zetapair.identities import (
     ramanujan_closure_check,
     triangle_relation_check,
 )
+from zetapair.sieve import build_sieve
 from zetapair.singular import alpha_product, twin_prime_constant
 
 
@@ -92,6 +93,11 @@ class TestLocalFactorChain:
         assert a.max_residual == b.max_residual
         assert a.sampled_points == b.sampled_points
 
+    def test_cutoff_past_the_sieve_rejected(self):
+        # the primes were drawn from those the sieve holds, below 100
+        with pytest.raises(ValueError, match="sieve limit 100"):
+            local_factor_chain_sample(build_sieve(100), 10, p_max=10_000)
+
     def test_sign_symmetric_in_eps(self):
         for p, eps in ((2, 0.7), (101, 4.0)):
             a = local_factor_chain_check(p, eps).max_residual
@@ -140,6 +146,12 @@ class TestRamanujanClosure:
     def test_h_zero_rejected(self, tables_1m, c2_ref):
         with pytest.raises(ValueError):
             ramanujan_closure_check(0, tables_1m, 1000, c2_ref)
+
+    def test_cutoff_past_the_sieve_rejected(self, c2_ref):
+        # the product ran over the primes up to 100 alone and reported
+        # p_cut 1e6 with a residual of 2.4e-3
+        with pytest.raises(ValueError, match="sieve limit 100"):
+            ramanujan_closure_check(2, build_sieve(100), 10**6, c2_ref)
 
     @staticmethod
     def full_modulo_product(h, tables, p_cut):

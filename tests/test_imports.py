@@ -5,6 +5,7 @@ scipy modules already (``test_special`` imports ``scipy.integrate``), so
 a call site that wrongly relied on an earlier import would pass in process.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import zetapair
 import zetapair.zeros
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "zetapair"
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
@@ -52,3 +54,17 @@ def test_each_call_site_imports_what_it_calls(expr, module):
         f"print(repr({expr}), {module!r} in sys.modules)"
     )
     assert out == f"{eval(expr)!r} True\n"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a module's private names are its own; another module that needs one
+    # needs a public way in instead
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 1
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: from {'.' * node.level}{node.module or ''} import "
+                          f"{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zetapair import inversion
-from zetapair.inversion import TaperSpec, windowed_inversion
+from zetapair.inversion import windowed_inversion
 
 
 class TestValidation:
@@ -27,17 +27,6 @@ class TestValidation:
     def test_tables_required(self):
         with pytest.raises(ValueError):
             windowed_inversion(2, (1000.0, 1100.0))
-
-    # a zero eps roll gave a RuntimeWarning and a row with ok=true, a
-    # negative E roll a ZeroDivisionError
-    @pytest.mark.parametrize("field,value", [
-        ("eps_roll", 0.0), ("eps_roll", -3.0), ("eps_roll", math.nan),
-        ("e_roll", -1.0), ("e_roll", math.inf), ("eps_outer", math.inf),
-        ("eps_outer", math.nan),
-    ])
-    def test_taper_rejects_bad_numbers(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            TaperSpec(**{field: value})
 
 
 class TestDegenerateWindows:
@@ -130,10 +119,3 @@ class TestContrast:
             "normalization",
         ):
             assert key in diag
-
-    def test_taper_overrides_respected(self, tables_small):
-        taper = TaperSpec(eps_roll=40.0, e_roll=8.0)
-        res = windowed_inversion(2, (1500.0, 1560.0), taper=taper,
-                                 tables=tables_small)
-        assert res.diagnostics["eps_roll"] == 40.0
-        assert res.diagnostics["e_roll"] == 8.0

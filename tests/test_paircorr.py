@@ -284,8 +284,8 @@ class TestPrimePhaseKernel:
         # so the product row, and the direct/transform choice, is the same at every k_cut
         for p_cut in (47, 20_000):
             assert np.array_equal(
-                paircorr._prime_terms(tables_1m, p_cut, 0).x,
-                paircorr._prime_terms(tables_1m, p_cut, 14).x,
+                paircorr._prime_terms(tables_1m, p_cut, 0).sums.x,
+                paircorr._prime_terms(tables_1m, p_cut, 14).sums.x,
             )
 
     def test_no_series_prime_runs_no_kernel(self, monkeypatch):
@@ -295,8 +295,8 @@ class TestPrimePhaseKernel:
             raise AssertionError("a kernel ran on all-zero coefficients")
 
         tables = build_sieve(1000)
-        monkeypatch.setattr(paircorr, "_dirichlet_sum", no_kernel)
-        monkeypatch.setattr(paircorr, "_dirichlet_plan", no_kernel)
+        monkeypatch.setattr(special, "_direct_sum", no_kernel)
+        monkeypatch.setattr(special, "_Plan", no_kernel)
         eps = np.linspace(0.1, 25.0, 250)
         got = paircorr.off_diagonal_product(tables, 47, eps)
         ps = tables.primes[:15].astype(np.float64)
@@ -367,19 +367,18 @@ class TestTheoryCurve:
         assert np.array_equal(tc.diag, r2_diag_finite(eps, zeta_cfg, tables_1m, 20_000, 14))
         assert np.array_equal(tc.offdiag, r2_off_finite(eps, 1e4, zeta_cfg, tables_1m, 20_000))
 
-    def test_pointwise_terms_match_curve_through_the_transform(
-        self, zeta_cfg, tables_1m, monkeypatch
-    ):
-        # at 250 points the prime sums read a plan of the transform (the
-        # direct branch is the only call of _dirichlet_sum left in paircorr),
-        # whose tile is set by the nodes and the targets; the product alone
+    def test_pointwise_terms_match_curve_through_the_transform(self, zeta_cfg, tables_1m):
+        # at 250 points the prime sums read a plan of the transform, whose
+        # tile is set by the nodes and the targets; the product alone
         # (k_cut = 0) keeps the curve's nodes, so both terms still agree bit
         # for bit
-        monkeypatch.setattr(paircorr, "_dirichlet_sum", _no_direct_sum)
         eps = np.linspace(0.2, 3.0, 250)
         tc = theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)
         assert np.array_equal(tc.diag, r2_diag_finite(eps, zeta_cfg, tables_1m, 100_000, 20))
         assert np.array_equal(tc.offdiag, r2_off_finite(eps, 1e4, zeta_cfg, tables_1m, 100_000))
+        for k_cut in (20, 0):
+            sums = paircorr._TERMS[tables_1m][(100_000, k_cut)].sums
+            assert sums.plan.tile == special._canonical_tile(sums.x, eps)
 
     def test_rejects_low_height(self, zeta_cfg, tables_1m):
         with pytest.raises(ValueError):
@@ -459,11 +458,11 @@ class TestPlanCache:
         tables = build_sieve(20_000)
         forward = self.curves(centres, tables, zeta_cfg)
         # one tile holds every window, so the whole run grids once
-        plan = paircorr._TERMS[tables][(20_000, 14)].plan
+        plan = paircorr._TERMS[tables][(20_000, 14)].sums.plan
         assert plan.tile[1:] == (128, 3 * 256 // 4 + 31)
         backward = self.curves(centres[::-1], build_sieve(20_000), zeta_cfg)[::-1]
         alone = [self.curves([c], build_sieve(20_000), zeta_cfg)[0] for c in centres]
-        assert paircorr._TERMS[tables][(20_000, 14)].plan is plan
+        assert paircorr._TERMS[tables][(20_000, 14)].sums.plan is plan
         for a, b, c in zip(forward, backward, alone):
             for name in ("diag", "offdiag", "total"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -471,20 +470,22 @@ class TestPlanCache:
 
     def test_cached_read_equals_cold_sum(self, tables_small):
         terms = paircorr._prime_terms(tables_small, 5000, 6)
-        first = np.linspace(0.1, 3.0, 300)
+        sums = special.DirichletSum(terms.sums.c, terms.sums.x)
+        sums(np.linspace(0.1, 3.0, 300))
+        plan = sums.plan
         later = np.linspace(0.4, 2.6, 217)
-        plan = special._dirichlet_plan(terms.coef, terms.x, first)
-        assert special._dirichlet_plan(terms.coef, terms.x, later, plan) is plan
-        cold = special._dirichlet_sum(terms.coef, terms.x, later)
-        assert np.array_equal(plan.read(later), cold)
+        cached = sums(later)
+        assert sums.plan is plan
+        cold = special.DirichletSum(terms.sums.c, terms.sums.x)(later)
+        assert np.array_equal(cached, cold)
 
     def test_one_tile_per_key(self):
         tables = build_sieve(10_000)
         for lo in (0.1, 40.0, 0.2, 900.0):
             eps = np.linspace(lo, lo + 3.0, 300)
             power, product = paircorr._prime_phase_sums(tables, 5000, 6, eps)
-            terms = paircorr._TERMS[tables][(5000, 6)]
-            assert terms.plan.tile == special._canonical_tile(terms.x, eps)
+            sums = paircorr._TERMS[tables][(5000, 6)].sums
+            assert sums.plan.tile == special._canonical_tile(sums.x, eps)
             # the same answer as on tables with nothing cached
             cold = paircorr._prime_phase_sums(build_sieve(10_000), 5000, 6, eps)
             assert np.array_equal(power, cold[0])

@@ -48,6 +48,15 @@ def test_limit_below_two_rejected():
         build_sieve(1)
 
 
+def test_primes_upto(tables_small):
+    ps = tables_small.primes
+    for n in (-3, 0, 1, 2, 3, 4, 97, 100, 9_973, 10_000):
+        assert np.array_equal(tables_small.primes_upto(n), ps[ps <= n])
+    assert not tables_small.primes_upto(100).flags.writeable
+    with pytest.raises(ValueError, match="primes up to 10001 exceed the sieve limit 10000"):
+        tables_small.primes_upto(10_001)
+
+
 def test_prime_count_against_second_sieve(tables_1m):
     in_range = int(np.searchsorted(tables_1m.primes, 1_000_000, side="right"))
     assert in_range == eratosthenes_count(1_000_000) == 78498

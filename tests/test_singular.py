@@ -49,6 +49,10 @@ class TestTwinPrimeConstant:
         with pytest.raises(ValueError):
             twin_prime_constant(2, tables_small)
 
+    def test_rejects_cutoff_past_the_sieve(self, tables_small):
+        with pytest.raises(ValueError, match="sieve limit 10000"):
+            twin_prime_constant(10_001, tables_small)
+
 
 class TestAlphaProduct:
     def test_odd_is_zero(self, tables_small, c2_ref):
@@ -276,3 +280,7 @@ class TestSmoothedAverage:
     def test_small_h_rejected(self, tables_small, c2_ref):
         with pytest.raises(ValueError):
             smoothed_average(1, tables_small, c2_ref)
+
+    def test_h_past_the_sieve_rejected(self, tables_small, c2_ref):
+        with pytest.raises(ValueError, match="sieve limit 10000"):
+            smoothed_average(10_001, tables_small, c2_ref)

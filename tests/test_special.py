@@ -172,7 +172,7 @@ class TestDirichletSum:
             t[: (n_targets + 1) // 2] = t[-1]
         elif targets == "with zero":
             t[0] = 0.0
-        got = special._dirichlet_sum(c, x, t)
+        got = special.DirichletSum(c, x)(t)
         # the reference rounds each phase t x, by up to an ulp of t_max x_max
         span = np.max(np.abs(t)) * np.max(np.abs(x))
         tol = np.sum(np.abs(c)) * (5e-14 + 5e-16 * span)
@@ -198,8 +198,8 @@ class TestDirichletSum:
         t = rng.uniform(t_lo, t_lo + width, n_targets)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(special, "_direct_sum", _no_direct_sum)
-            got = special._dirichlet_sum(c, x, t)
-            alone = [special._dirichlet_sum(row, x, t) for row in c]
+            got = special.DirichletSum(c, x)(t)
+            alone = [special.DirichletSum(row, x)(t) for row in c]
         assert got.shape == (n_rows, n_targets)
         span = np.max(np.abs(t)) * np.max(np.abs(x))
         for row, sums, sums_alone in zip(c, got, alone):
@@ -230,9 +230,9 @@ class TestDirichletSum:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(special, "_MAX_GRID", max_grid)
             patch.setattr(special, "_Plan", _no_plan)
-            got = special._dirichlet_sum(c, x, t)
-            alone = [special._dirichlet_sum(row, x, t) for row in c]
-            kept = [special._dirichlet_sum(row[row != 0], x[row != 0], t) for row in c]
+            got = special.DirichletSum(c, x)(t)
+            alone = [special.DirichletSum(row, x)(t) for row in c]
+            kept = [special.DirichletSum(row[row != 0], x[row != 0])(t) for row in c]
         assert got.shape == (n_rows, n_targets)
         for row, sums, sums_alone, sums_kept in zip(c, got, alone, kept):
             assert np.max(np.abs(sums - _phase_sum(row, x, t)), initial=0.0) <= 1e-12 * (
@@ -249,7 +249,7 @@ class TestDirichletSum:
         x = rng.uniform(-50.0, 50.0, 2000)
         t = np.concatenate([[0.0, -300.0, 300.0], rng.uniform(-300.0, 300.0, 1497)])
         monkeypatch.setattr(special, "_direct_sum", _no_direct_sum)
-        got = special._dirichlet_sum(c, x, t)
+        got = special.DirichletSum(c, x)(t)
         pick = np.arange(0, 1500, 150)
         with mpmath.workdps(30):
             cs = [mpmath.mpc(complex(v)) for v in c]
@@ -270,7 +270,7 @@ class TestDirichletSum:
         x = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, 1499)])
         t = np.concatenate([0.75 * np.arange(-300, 301), rng.uniform(-225.0, 225.0, 400)])
         monkeypatch.setattr(special, "_direct_sum", _no_direct_sum)
-        got = special._dirichlet_sum(c, x, t)
+        got = special.DirichletSum(c, x)(t)
         tol = np.sum(np.abs(c)) * (5e-14 + 5e-16 * 225.0)
         assert np.max(np.abs(got - _phase_sum(c, x, t))) <= tol
 
@@ -279,12 +279,22 @@ class TestDirichletSum:
         # identity of log_zeta_dd and the even theory kernels rely on
         n = np.arange(1, 65, dtype=np.float64)
         t = np.linspace(0.1, 40.0, 300)
-        plus = special._dirichlet_sum(1.0 / n, np.log(n), t)
-        minus = special._dirichlet_sum(1.0 / n, np.log(n), -t)
+        plus = special.DirichletSum(1.0 / n, np.log(n))(t)
+        minus = special.DirichletSum(1.0 / n, np.log(n))(-t)
         assert np.array_equal(minus, np.conj(plus))
         monkeypatch.setattr(special, "_direct_sum", lambda c, x, t: "direct")
-        assert special._dirichlet_sum(1.0 / n, np.log(n), t) == "direct"
-        assert special._dirichlet_sum([1.0], [0.0], np.arange(5000.0)) == "direct"
+        assert special.DirichletSum(1.0 / n, np.log(n))(t) == "direct"
+        assert special.DirichletSum([1.0], [0.0])(np.arange(5000.0)) == "direct"
+
+    def test_all_zero_rows_run_no_kernel(self, monkeypatch):
+        monkeypatch.setattr(special, "_direct_sum", _no_direct_sum)
+        monkeypatch.setattr(special, "_Plan", _no_plan)
+        x = np.linspace(-3.0, 3.0, 1500)
+        t = np.linspace(0.1, 3.0, 300)
+        stack = special.DirichletSum(np.zeros((2, 1500)), x)(t)
+        row = special.DirichletSum(np.zeros(1500), x)(t)
+        assert stack.shape == (2, 300) and row.shape == (300,)
+        assert not stack.any() and not row.any()
 
 
 class TestTruncationPoint:
