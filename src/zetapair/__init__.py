@@ -30,9 +30,7 @@ from .paircorr import (
     compare,
     empirical_r2,
     gue_r2,
-    r2_diag_finite,
     r2_diag_limit,
-    r2_off_finite,
     r2_off_limit,
     theory_curve,
 )
@@ -48,7 +46,6 @@ from .singular import (
 )
 from .special import (
     ZetaEvaluator,
-    log_zeta_dd,
     mean_density,
     sine_integral,
     triangle,

@@ -34,11 +34,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    # RFC 8259 has no NaN or infinity: a non-finite float is written as null
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def emit(fields: list[str], rows: list[dict], fmt: str, out=None) -> None:
     out = out or sys.stdout
     if fmt == "json":
-        payload = {"rows": [{k: row[k] for k in fields} for row in rows]}
-        json.dump(payload, out, indent=1, default=_fmt)
+        payload = {"rows": [{k: _json_value(row[k]) for k in fields} for row in rows]}
+        json.dump(payload, out, indent=1, default=_fmt, allow_nan=False)
         out.write("\n")
     else:
         out.write(",".join(fields) + "\n")

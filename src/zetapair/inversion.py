@@ -25,8 +25,9 @@ singular-series scale itself.
 The double integral uses one nested panel rule in both directions,
 Gauss-Kronrod G10/K21: the estimate is the K21 value, and the embedded
 10-point Gauss rule on a subset of the same nodes gives the coarse value,
-so zeta and the Euler product are evaluated once.  The inner sums over
-eps, sum_eps coef(eps) exp(-i eps ln(E/2pi)) at every E node, are
+so zeta (``special.zeta_one_line``, with its one Euler-Maclaurin
+configuration) and the Euler product are evaluated once.  The inner sums
+over eps, sum_eps coef(eps) exp(-i eps ln(E/2pi)) at every E node, are
 Dirichlet polynomials in ln(E/2pi); both rules' rows are one stacked
 ``special.DirichletSum``, the nonuniform-FFT kernel that also sums zeta's
 n^-s and the Euler product, read in O((eps nodes + E nodes) log) work
@@ -46,7 +47,7 @@ import numpy as np
 
 from .paircorr import off_diagonal_product
 from .sieve import SieveTables
-from .special import TWO_PI, DirichletSum, ZetaEvaluator, zeta_one_line
+from .special import TWO_PI, DirichletSum, zeta_one_line
 
 __all__ = ["InversionResult", "windowed_inversion"]
 
@@ -125,7 +126,7 @@ def _gk_panels(lo: float, hi: float, panel: float):
     return x, (half * w_fine).ravel(), (half * w_coarse).ravel()
 
 
-def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, cfg, tables, p_cut):
+def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, tables, p_cut):
     """The tapered double integral by the fine (K21) and embedded (G10) rules.
 
     zeta and the Euler product are evaluated once, on the K21 nodes, and
@@ -137,7 +138,7 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, cfg, tables, p_cu
     eps_x, eps_fine, eps_coarse = _gk_panels(s_lo, s_hi, 0.7 * _GK_ORDER / (l_hi + 4.0))
     w_eps = _bump(eps_x, s_lo, s_hi, eps_roll)
 
-    zeta = zeta_one_line(cfg, eps_x)
+    zeta = zeta_one_line(eps_x)
     x_val = (
         np.real(zeta * np.conj(zeta))
         * off_diagonal_product(tables, p_cut, eps_x)
@@ -160,8 +161,8 @@ def windowed_inversion(
     h: int,
     e_range: tuple[float, float],
     eps_cutoff: float = 25.0,
-    cfg: ZetaEvaluator = ZetaEvaluator(),
-    tables: SieveTables | None = None,
+    *,
+    tables: SieveTables,
     p_cut: int = 4000,
 ) -> InversionResult:
     """Estimate the h-Fourier content of the tapered off-diagonal curve.
@@ -172,12 +173,12 @@ def windowed_inversion(
     over 12% of the window's width.  Returns a normalized estimate plus
     resolution diagnostics; a window too narrow to hold the oscillation (or
     otherwise degenerate) reports a diagnostic failure instead of raising.
+    ``tables`` is a required keyword: the sieve whose primes up to
+    ``p_cut`` give the Euler product.
     """
     h = int(h)
     if h == 0:
         raise ValueError("h = 0 is excluded")
-    if tables is None:
-        raise ValueError("a SieveTables instance is required")
     if not 0.0 < eps_cutoff <= 50.0:
         raise ValueError("eps_cutoff must lie in (0, 50]")
     e_lo, e_hi = float(e_range[0]), float(e_range[1])
@@ -205,7 +206,7 @@ def windowed_inversion(
     s_lo = max(eps_cutoff, band[0] - 2.0 * eps_roll)
 
     raw, coarse, w_e_mass, n_eps, n_e = _raw_integral(
-        h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, cfg, tables, p_cut
+        h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, tables, p_cut
     )
     norm = TWO_PI / w_e_mass
     estimate = raw.real * norm

@@ -9,10 +9,13 @@ bin.  The theory side assembles the height-dependent curve
 whose diagonal term combines the second log-derivative of zeta on the
 1-line with a prime-power sum, and whose off-diagonal term is
 |zeta(1+i eps)|^2 exp(-2 pi i eps dbar(E)) times an absolutely convergent
-product over primes, plus the complex conjugate.  The curve takes
-zeta(1+i eps) and the log-derivative from one Euler-Maclaurin evaluation
-per node (``special.zeta_and_log_dd``).  In unfolded units the curve
-tends to the random-matrix limit 1 - (sin(pi eps)/(pi eps))^2 as E grows.
+product over primes, plus the complex conjugate.  ``theory_curve`` is the
+one way to these terms: with unfolded=False its ``diag`` and ``offdiag``
+are the diagonal and off-diagonal terms in absolute units.  The curve
+takes zeta(1+i eps) and the log-derivative from one Euler-Maclaurin
+evaluation per node (``special.zeta_and_log_dd``).  In unfolded units the
+curve tends to the random-matrix limit 1 - (sin(pi eps)/(pi eps))^2 as E
+grows.
 Both prime sums are Dirichlet polynomials in eps, summed as one stack by
 one ``special.DirichletSum``, the nonuniform-FFT kernel: the power sum
 over every prime, the product as exp of its log series over the primes
@@ -52,10 +55,8 @@ from .special import (
     TWO_PI,
     DirichletSum,
     ZetaEvaluator,
-    log_zeta_dd,
     mean_density,
     zeta_and_log_dd,
-    zeta_one_line,
 )
 from .zeros import ZeroList
 
@@ -70,8 +71,6 @@ __all__ = [
     "r2_diag_limit",
     "r2_off_limit",
     "gue_r2",
-    "r2_diag_finite",
-    "r2_off_finite",
     "off_diagonal_product",
     "theory_curve",
     "theory_on_bins",
@@ -367,9 +366,11 @@ def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarr
     fresh ``DirichletSum`` gives.  With k_cut = 0 the power sum is empty,
     reads 0 and stays out of the transform; with no series prime either
     (p_cut < 53) every coefficient is 0, the sums read 0 and no kernel
-    runs.  The nodes do not depend on k_cut and a row of a stack gives the
-    bits it would alone, so the product is the same, bit for bit, at every
-    k_cut.
+    runs.  The nodes do not depend on k_cut; where the sums read a plan, a
+    row of the stack gives the bits it would alone, so there the product
+    is the same, bit for bit, at every k_cut.  On the direct branch the
+    product row also sums the zeros at the power row's nodes, so with and
+    without the power sum it can differ in the last bits.
     """
     terms = _prime_terms(tables, p_cut, k_cut)
     eps = np.asarray(eps, dtype=np.float64)
@@ -405,32 +406,6 @@ def _off_term(
     return 2.0 * np.real(mod2 * phase * product / (4.0 * np.pi**2))
 
 
-def _scalar_or_array(eps, out: np.ndarray):
-    scalar = np.isscalar(eps) or np.asarray(eps).ndim == 0
-    return float(out[0]) if scalar else out
-
-
-def r2_diag_finite(
-    eps,
-    cfg: ZetaEvaluator,
-    tables: SieveTables,
-    p_cut: int = DEFAULT_PRIME_CUTOFF,
-    k_cut: int = DEFAULT_POWER_CUTOFF,
-):
-    """Finite-height diagonal term (absolute units, real by construction).
-
-    -(1/4 pi^2) [ d^2/dw^2 ln zeta(1+iw)|_eps
-                  + sum_{p <= P, 1 <= k <= K} (ln p)^2 k p^-(1+i eps)(k+1) ]
-    plus the complex conjugate.  The k = 0 term carries a factor k and
-    vanishes identically, so the sum starts at k = 1.  Equal, bit for bit,
-    to ``theory_curve(..., unfolded=False).diag`` at the same eps.
-    """
-    _check_power_cutoff(k_cut)
-    arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    power = _prime_phase_sums(tables, p_cut, k_cut, arr)[0]
-    return _scalar_or_array(eps, _diag_term(log_zeta_dd(cfg, arr), power))
-
-
 def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np.ndarray:
     """prod_{p <= p_cut} (1 - ((1 - p^-i eps)/(p - 1))^2) at each eps (an array).
 
@@ -439,29 +414,6 @@ def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np
     power sum, so the product is the one ``theory_curve`` uses.
     """
     return _prime_phase_sums(tables, p_cut, 0, eps)[1]
-
-
-def r2_off_finite(
-    eps,
-    e_height: float,
-    cfg: ZetaEvaluator,
-    tables: SieveTables,
-    p_cut: int = DEFAULT_PRIME_CUTOFF,
-):
-    """Finite-height off-diagonal term (absolute units, real).
-
-    (1/4 pi^2) |zeta(1+i eps)|^2 exp(-2 pi i eps dbar(E))
-        prod_{p <= P} (1 - ((1 - p^-i eps)/(p - 1))^2)  + c.c.
-
-    Equal, bit for bit, to ``theory_curve(..., unfolded=False).offdiag``
-    at the same eps and height: ``zeta_one_line`` has the bits of the zeta
-    that the curve's ``zeta_and_log_dd`` returns.
-    """
-    _check_height(e_height)
-    arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    product = off_diagonal_product(tables, p_cut, arr)
-    z = zeta_one_line(cfg, arr)
-    return _scalar_or_array(eps, _off_term(z, arr, e_height, product))
 
 
 @dataclass(frozen=True)
@@ -487,11 +439,19 @@ def theory_curve(
     k_cut: int = DEFAULT_POWER_CUTOFF,
     unfolded: bool = True,
 ) -> TheoryCurve:
-    """Evaluate the finite-height curve on a grid.
+    """Evaluate the finite-height curve on a grid; the one way to its terms.
 
-    With unfolded=True the grid is in mean-spacing units: arguments are
-    rescaled by 1/dbar(E) and all terms divided by dbar(E)^2, so the
-    constant term is exactly 1.
+    In absolute units (unfolded=False) the constant term is dbar(E)^2 and
+
+        diag(eps)    = -(1/4 pi^2) [ d^2/dw^2 ln zeta(1+iw)|_eps
+                         + sum_{p <= P, 1 <= k <= K} (ln p)^2 k p^-(1+i eps)(k+1) ] + c.c.,
+        offdiag(eps) = (1/4 pi^2) |zeta(1+i eps)|^2 exp(-2 pi i eps dbar(E))
+                         prod_{p <= P} (1 - ((1 - p^-i eps)/(p - 1))^2) + c.c.,
+
+    both real; the k = 0 term carries a factor k and vanishes identically,
+    so the power sum starts at k = 1.  With unfolded=True the grid is in
+    mean-spacing units: arguments are rescaled by 1/dbar(E) and all terms
+    divided by dbar(E)^2, so the constant term is exactly 1.
     """
     _check_height(e_height)
     _check_power_cutoff(k_cut)

@@ -20,11 +20,11 @@ stack.
 
 The second log-derivative on the 1-line is exact in form: one evaluation
 stacks the rows n^-sigma (-ln n)^j, j = 0, 1, 2, differentiates the
-Euler-Maclaurin tail term by term, and returns zeta, zeta' and zeta''; then
-d^2/dw^2 ln zeta(1 + iw) = -[zeta''/zeta - (zeta'/zeta)^2], within 4e-13
-relative of mpmath up to eps = 150 and 3.5e-12 at eps = 2500
-(``log_zeta_dd``).  ``zeta_and_log_dd`` returns the zeta of that same
-evaluation, so a caller that needs both pays for one.
+Euler-Maclaurin tail term by term, and returns zeta, zeta' and zeta''.
+``zeta_and_log_dd`` returns that zeta and d^2/dw^2 ln zeta(1 + iw) =
+-[zeta''/zeta - (zeta'/zeta)^2], within 4e-13 relative of mpmath up to
+eps = 150 and 3.5e-12 at eps = 2500, so a caller that needs both pays for
+one evaluation.
 
 Everything here is pure and thread-safe; ``ZetaEvaluator`` is immutable
 configuration, a plan is not changed by reading it, and a ``DirichletSum``
@@ -46,7 +46,6 @@ __all__ = [
     "mean_density",
     "zeta_one_line",
     "zeta_and_log_dd",
-    "log_zeta_dd",
     "sine_integral",
     "sgn",
     "triangle",
@@ -157,32 +156,28 @@ def mean_density(e: float | np.ndarray):
 
 
 def _direct_sum(c: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k c_k exp(-i t_j x_k) for each row of c, over that row's nonzero terms.
+    """sum_k c_k exp(-i t_j x_k) for each row of c, over the stack's nonzero columns.
 
-    c is one row, shape (K,), or a stack, shape (R, K).  Each row sums its
-    own nonzero terms in chunks of at most 2^21 phases, added up per
-    target.  The phases of a chunk are formed once for all the rows of a
-    stack, and each row sums its own columns of them, so a row of a stack
-    keeps the bits it has alone.
+    c is one row, shape (K,), or a stack, shape (R, K).  The columns where
+    any row is nonzero are summed in chunks of at most 2^21 phases, added
+    up per target; the phases of a chunk are formed once, and each row
+    reduces over all of them.  A single row thus sums its nonzero terms
+    alone; a row of a stack that is zero where another row is not also sums
+    those zeros, which can move its last bits.
     """
     rows = np.atleast_2d(c)
-    own = [np.flatnonzero(row) for row in rows]
+    cols = np.flatnonzero(rows.any(axis=0))
     out = np.zeros((len(rows), t.size), dtype=np.complex128)
     minus_it = -1j * t
     chunk = max(1, _MAX_GRID // max(1, t.size))
-    for lo in range(0, max(map(len, own)), chunk):
-        parts = [k[lo : lo + chunk] for k in own]
-        used = np.zeros(x.size, dtype=bool)
-        for part in parts:
-            used[part] = True
-        column = np.cumsum(used) - 1
-        phases = np.multiply.outer(minus_it, x[used])
+    for lo in range(0, cols.size, chunk):
+        part = cols[lo : lo + chunk]
+        phases = np.multiply.outer(minus_it, x[part])
         np.exp(phases, out=phases)
-        for acc, row, part in zip(out, rows, parts):
-            # np.take keeps each row's terms contiguous, so they sum as they would alone
-            terms = phases if len(rows) == 1 else np.take(phases, column[part], axis=1)
-            terms *= row[part]
-            acc += terms.sum(axis=-1)
+        for acc, row in zip(out[:-1], rows[:-1]):
+            acc += (phases * row[part]).sum(axis=-1)
+        phases *= rows[-1, part]
+        out[-1] += phases.sum(axis=-1)
     return out[0] if c.ndim == 1 else out
 
 
@@ -360,12 +355,15 @@ class DirichletSum:
     off by 1.4e-12.
 
     Small sums (K M below twice the transform's work, grid + 8 K + 60 M)
-    and sums whose grid would pass 2^21 points take the direct sum of each
-    row over its nonzero terms, chunked and added up per target, the phases
-    of a chunk formed once for all the rows (``_direct_sum``).  There
-    F(-t) = conj F(t) holds exactly for real c.  On either branch a row of
-    a stack gives the bits of that row alone.  All-zero coefficients read 0
-    and run neither branch.
+    and sums whose grid would pass 2^21 points take the direct sum over
+    the columns where any row is nonzero, chunked and added up per target,
+    the phases of a chunk formed once for all the rows (``_direct_sum``).
+    There F(-t) = conj F(t) holds exactly for real c, and a single row
+    sums its nonzero terms alone; a row of a stack that is nonzero wherever
+    another row is gives the bits it gives alone, and one that is zero
+    where another row has a term can differ from them in the last bits.
+    On the transform branch a row of a stack gives the bits of that row
+    alone.  All-zero coefficients read 0 and run neither branch.
     """
 
     def __init__(self, c, x):
@@ -447,7 +445,7 @@ def _zeta_em_rows(arr: np.ndarray, cfg: ZetaEvaluator, n_rows: int) -> np.ndarra
     return out
 
 
-def zeta_em(s, cfg: ZetaEvaluator = ZetaEvaluator()):
+def zeta_em(s):
     """zeta(s) by Euler-Maclaurin, vectorized.
 
     The points sharing one Re s share one truncation point, the largest
@@ -455,7 +453,7 @@ def zeta_em(s, cfg: ZetaEvaluator = ZetaEvaluator()):
     as N grows), and their direct sums are one ``DirichletSum`` call.
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    out = _zeta_em_rows(arr, cfg, 1)[0]
+    out = _zeta_em_rows(arr, ZetaEvaluator(), 1)[0]
     return complex(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 
@@ -466,22 +464,29 @@ def _guard(w: np.ndarray):
         )
 
 
-def zeta_one_line(cfg: ZetaEvaluator, eps):
+def zeta_one_line(eps):
     """zeta(1 + i eps); rejects the pole neighbourhood |eps| < EPS_MIN."""
     w = np.asarray(eps, dtype=np.float64)
     _guard(np.atleast_1d(w))
-    return zeta_em(1.0 + 1j * w, cfg)
+    return zeta_em(1.0 + 1j * w)
 
 
 def zeta_and_log_dd(cfg: ZetaEvaluator, eps):
     """(zeta(1 + i eps), d^2/dw^2 ln zeta(1 + iw) at w = eps) from one evaluation.
 
     One Euler-Maclaurin evaluation gives zeta, zeta' and zeta'' at
-    s = 1 + i eps (``_zeta_em_block``), and with ds/dw = i
+    s = 1 + i eps (``_zeta_em_block``), and with ds/dw = i the second
+    log-derivative has the exact form
 
-        d^2/dw^2 ln zeta(1 + iw) = -[zeta''/zeta - (zeta'/zeta)^2].
+        d^2/dw^2 ln zeta(1 + iw) = -[zeta''/zeta - (zeta'/zeta)^2]:
 
-    The zeta is ``zeta_one_line(cfg, eps)`` bit for bit.  Scalars in give
+    no difference quotient, so no step to choose and no pole to dodge near
+    w = 0, where it follows the 1/w^2 of the pole.  Measured against
+    mpmath's zeta(s, derivative=1|2) at 40 digits: at most 1.1e-13
+    relative for eps in [0.01, 3], 3.9e-13 up to eps = 150, 7.6e-13 at 700
+    and 3.5e-12 (5.8e-12 absolute) at 2500, where the double phase t ln n
+    limits it.  With the default ``cfg`` the zeta is ``zeta_one_line(eps)``
+    bit for bit: row 0 of the stack is nonzero at every n.  Scalars in give
     complex scalars out.
     """
     w = np.atleast_1d(np.asarray(eps, dtype=np.float64))
@@ -492,20 +497,6 @@ def zeta_and_log_dd(cfg: ZetaEvaluator, eps):
     if np.isscalar(eps) or np.asarray(eps).ndim == 0:
         return complex(z[0]), complex(dd[0])
     return z, dd
-
-
-def log_zeta_dd(cfg: ZetaEvaluator, eps):
-    """d^2/dw^2 ln zeta(1 + iw) at w = eps, the second output of ``zeta_and_log_dd``.
-
-    The exact form -[zeta''/zeta - (zeta'/zeta)^2], from the Euler-Maclaurin
-    zeta and its two s-derivatives: no difference quotient, so no step to
-    choose and no pole to dodge near w = 0, where the result follows the
-    1/w^2 of the pole.  Measured against mpmath's zeta(s, derivative=1|2)
-    at 40 digits: at most 1.1e-13 relative for eps in [0.01, 3], 3.9e-13
-    up to eps = 150, 7.6e-13 at 700 and 3.5e-12 (5.8e-12 absolute) at 2500,
-    where the double phase t ln n limits it.
-    """
-    return zeta_and_log_dd(cfg, eps)[1]
 
 
 # -- sine integral ---------------------------------------------------------

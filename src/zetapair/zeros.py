@@ -14,11 +14,13 @@ theta, started from the Lambert-W root of its leading terms; the index
 range is padded so good Gram points anchor both ends.
 
 Below t = 1000 the Z-function is evaluated through Euler-Maclaurin zeta
-on the critical line, and the ordinates are within 1e-12 of mpmath's
-(at most 6.8e-13 over 16 sampled zeros, at the zero near 986.756, and
-3.4e-13 at the others; the low zeros are also checked to 1e-6 against
-published tables).  Above, the main
-Riemann-Siegel sum with the leading correction term takes over.  Its
+on the critical line (``special.zeta_em``, with its one configuration:
+ten Bernoulli corrections, truncated where the remainder bound is 1e-14;
+no function here takes another), and the ordinates are within 1e-12 of
+mpmath's (at most 6.8e-13 over 16 sampled zeros, at the zero near
+986.756, and 3.4e-13 at the others; the low zeros are also checked to
+1e-6 against published tables).  Above, the main Riemann-Siegel sum with
+the leading correction term takes over.  Its
 error ~0.13 t^(-3/4) is orders of magnitude below the ~1e-2 scale of the
 tightest sign margins at desk heights, so no zero is lost, but it limits
 the ordinates: typically to about 1e-5 (6.1e-6, 1.3e-5 and 2.9e-6 at
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .special import TWO_PI, ZetaEvaluator, zeta_em
+from .special import TWO_PI, zeta_em
 
 __all__ = [
     "ZeroList",
@@ -188,12 +190,12 @@ def _z_riemann_siegel(t: np.ndarray) -> np.ndarray:
     return out + corr
 
 
-def _z_euler_maclaurin(t: np.ndarray, cfg: ZetaEvaluator) -> np.ndarray:
-    z = zeta_em(0.5 + 1j * t, cfg)
+def _z_euler_maclaurin(t: np.ndarray) -> np.ndarray:
+    z = zeta_em(0.5 + 1j * t)
     return np.real(np.exp(1j * rs_theta(t)) * z)
 
 
-def zfunc(t, cfg: ZetaEvaluator = ZetaEvaluator()):
+def zfunc(t):
     """Hardy's Z(t): real, with Z(t) = 0 exactly at zero ordinates."""
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
@@ -203,7 +205,7 @@ def zfunc(t, cfg: ZetaEvaluator = ZetaEvaluator()):
     out = np.empty(arr.shape, dtype=np.float64)
     low = arr < Z_EM_SWITCH
     if np.any(low):
-        out[low] = _z_euler_maclaurin(arr[low], cfg)
+        out[low] = _z_euler_maclaurin(arr[low])
     if np.any(~low):
         out[~low] = _z_riemann_siegel(arr[~low])
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
@@ -224,7 +226,7 @@ _REFINE_SWEEPS = 4 * 50
 _EPS = np.finfo(np.float64).eps
 
 
-def _refine(a, b, fa, fb, cfg) -> np.ndarray:
+def _refine(a, b, fa, fb) -> np.ndarray:
     """One root of Z per bracket (a, b), given Z(a) = fa and Z(b) = fb of opposite sign.
 
     Each sweep takes one Illinois step on every open bracket (Dowell and
@@ -252,7 +254,7 @@ def _refine(a, b, fa, fb, cfg) -> np.ndarray:
         x = np.where((width > 0.5 * widths[0, open_]) | np.isnan(x), 0.5 * (ai + bi), x)
         widths[:-1, open_] = widths[1:, open_]
         widths[-1, open_] = width
-        fx = zfunc(x, cfg)
+        fx = zfunc(x)
         move_a = np.signbit(fx) == np.signbit(fai)
         # Illinois: halve the Z of an end kept for the second sweep running
         fbi = np.where(move_a & (kept[open_] == 1), 0.5 * fbi, fbi)
@@ -269,7 +271,7 @@ def _refine(a, b, fa, fb, cfg) -> np.ndarray:
     return root
 
 
-def _bracket_blocks(g, zg, anchors, cfg):
+def _bracket_blocks(g, zg, anchors):
     """Bracket the zeros of every Gram block between consecutive anchors.
 
     A block of m Gram intervals between good Gram points g[a] and g[a + m]
@@ -293,7 +295,7 @@ def _bracket_blocks(g, zg, anchors, cfg):
         if depth:
             mid = 0.5 * (t[:, :-1] + t[:, 1:])
             t = _interleave(t, mid)
-            z = _interleave(z, zfunc(mid.ravel(), cfg).reshape(mid.shape))
+            z = _interleave(z, zfunc(mid.ravel()).reshape(mid.shape))
         rows, cols = np.nonzero(np.signbit(z[:, 1:]) != np.signbit(z[:, :-1]))
         found = np.bincount(block[rows], minlength=len(m))
         over = np.flatnonzero(found > m)
@@ -320,9 +322,7 @@ def _interleave(coarse, fine):
     return out
 
 
-def compute_zeros(
-    t_min: float, t_max: float, cfg: ZetaEvaluator = ZetaEvaluator()
-) -> ZeroList:
+def compute_zeros(t_min: float, t_max: float) -> ZeroList:
     """Enumerate every zero ordinate in (t_min, t_max].
 
     Works in Gram blocks: between consecutive good Gram points (where
@@ -348,7 +348,7 @@ def compute_zeros(
 
     idx = np.arange(max(_GRAM_FLOOR, n_lo - _ANCHOR_PAD), n_hi + _ANCHOR_PAD + 1)
     g = gram_point(idx)
-    zg = zfunc(g, cfg)
+    zg = zfunc(g)
     good = ((-1.0) ** idx * zg > 0) & (np.abs(zg) > 1e-14)
 
     # anchor on the nearest good Gram points at or beyond both ends
@@ -360,7 +360,7 @@ def compute_zeros(
     if len(above) == 0:
         raise IncompleteEnumerationError("no good Gram anchor above the requested range")
     anchors = anchors[(anchors >= below[-1]) & (anchors <= above[0])]
-    zeros = np.sort(_refine(*_bracket_blocks(g, zg, anchors, cfg), cfg))
+    zeros = np.sort(_refine(*_bracket_blocks(g, zg, anchors)))
     zeros = zeros[(zeros > t_min) & (zeros <= t_max)]
     return ZeroList(zeros, (float(t_min), float(t_max)), "computed", True)
 

@@ -119,6 +119,21 @@ class TestOutputContract:
         rows = json.loads(out_json)["rows"]
         assert list(rows[0].keys()) == header
 
+    def test_json_writes_non_finite_as_null(self):
+        # a window too narrow to invert reports nan; RFC 8259 has no NaN
+        def strict(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        args = ("invert", "--h", "2", "--window", "1000:1030")
+        code, out, err = run_cli("--format", "json", *args)
+        assert code == 1
+        assert "holds too few oscillation periods" in err
+        row = json.loads(out, parse_constant=strict)["rows"][0]
+        assert row["estimate"] is None and row["quad_error_est"] is None
+        assert row["ok"] is False
+        _, out_csv, _ = run_cli(*args)
+        assert parse_csv(out_csv)[0]["estimate"] == "nan"
+
     def test_byte_identical_reruns(self):
         args = ("--seed", "77", "identities", "--suite", "local-factor")
         _, a, _ = run_cli(*args)

@@ -24,9 +24,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             windowed_inversion(2, (1000.0, 2e7), tables=tables_small)
 
-    def test_tables_required(self):
-        with pytest.raises(ValueError):
+    def test_tables_required(self, tables_small):
+        # a required keyword: no call without it, and none that passes it by position
+        with pytest.raises(TypeError, match="tables"):
             windowed_inversion(2, (1000.0, 1100.0))
+        with pytest.raises(TypeError):
+            windowed_inversion(2, (1000.0, 1100.0), 25.0, tables_small)
 
 
 class TestDegenerateWindows:

@@ -21,15 +21,13 @@ from zetapair.paircorr import (
     gue_on_bins,
     gue_r2,
     poisson_noise_floor,
-    r2_diag_finite,
     r2_diag_limit,
-    r2_off_finite,
     r2_off_limit,
     theory_curve,
     theory_on_bins,
 )
 from zetapair.sieve import build_sieve
-from zetapair.special import TWO_PI, log_zeta_dd, mean_density, zeta_one_line
+from zetapair.special import TWO_PI, mean_density, zeta_and_log_dd, zeta_one_line
 from zetapair.zeros import ZeroList
 
 
@@ -153,41 +151,48 @@ class TestLimits:
         assert np.allclose(combined, gue_r2(eps), rtol=0, atol=1e-14)
 
 
+def _terms(e_height, eps, cfg, tables, p_cut=paircorr.DEFAULT_PRIME_CUTOFF,
+           k_cut=paircorr.DEFAULT_POWER_CUTOFF):
+    """The diagonal and off-diagonal terms in absolute units at each eps."""
+    tc = theory_curve(e_height, np.atleast_1d(eps), cfg, tables, p_cut, k_cut, unfolded=False)
+    return tc.diag, tc.offdiag
+
+
 class TestFiniteHeight:
     def test_diag_even_and_real(self, zeta_cfg, tables_1m):
-        for eps in (0.3, 1.7):
-            a = r2_diag_finite(eps, zeta_cfg, tables_1m)
-            b = r2_diag_finite(-eps, zeta_cfg, tables_1m)
-            assert a == b
-            assert isinstance(a, float)
+        eps = np.array([0.3, 1.7])
+        a = _terms(1e4, eps, zeta_cfg, tables_1m)[0]
+        b = _terms(1e4, -eps, zeta_cfg, tables_1m)[0]
+        assert np.array_equal(a, b)
+        assert a.dtype == np.float64
 
     def test_off_even_and_real(self, zeta_cfg, tables_1m):
-        for eps in (0.3, 1.7):
-            a = r2_off_finite(eps, 1e4, zeta_cfg, tables_1m)
-            b = r2_off_finite(-eps, 1e4, zeta_cfg, tables_1m)
-            assert a == b
-            assert isinstance(a, float)
+        eps = np.array([0.3, 1.7])
+        a = _terms(1e4, eps, zeta_cfg, tables_1m)[1]
+        b = _terms(1e4, -eps, zeta_cfg, tables_1m)[1]
+        assert np.array_equal(a, b)
+        assert a.dtype == np.float64
 
     def test_diag_prime_tail_converged(self, zeta_cfg, tables_1m):
         # measured truncation shift, P 1e4 -> 1e5 at eps = 5: ~4e-6
-        a = r2_diag_finite(5.0, zeta_cfg, tables_1m, 10_000, 20)
-        b = r2_diag_finite(5.0, zeta_cfg, tables_1m, 100_000, 20)
+        a = _terms(1e4, 5.0, zeta_cfg, tables_1m, 10_000, 20)[0]
+        b = _terms(1e4, 5.0, zeta_cfg, tables_1m, 100_000, 20)[0]
         assert abs(a - b) < 2e-5
 
     def test_off_prime_tail_converged(self, zeta_cfg, tables_1m):
-        a = r2_off_finite(5.0, 1e4, zeta_cfg, tables_1m, 10_000)
-        b = r2_off_finite(5.0, 1e4, zeta_cfg, tables_1m, 100_000)
+        a = _terms(1e4, 5.0, zeta_cfg, tables_1m, 10_000)[1]
+        b = _terms(1e4, 5.0, zeta_cfg, tables_1m, 100_000)[1]
         assert abs(a - b) < 5e-6
 
     def test_off_rejects_low_height(self, zeta_cfg, tables_1m):
         with pytest.raises(ValueError):
-            r2_off_finite(1.0, 5.0, zeta_cfg, tables_1m)
+            _terms(5.0, 1.0, zeta_cfg, tables_1m)
 
     def test_diag_approaches_unfolded_limit(self, zeta_cfg, tables_1m):
         e_height = 1e10
         dens = mean_density(e_height)
         for eps in (0.5, 1.0, 2.0):
-            unfolded = r2_diag_finite(eps / dens, zeta_cfg, tables_1m) / dens**2
+            unfolded = _terms(e_height, eps / dens, zeta_cfg, tables_1m)[0] / dens**2
             assert abs(unfolded - r2_diag_limit(eps)) < 1e-2
 
     def test_off_approaches_unfolded_limit(self, zeta_cfg, tables_1m):
@@ -196,7 +201,7 @@ class TestFiniteHeight:
         devs = []
         for e_height in (1e6, 1e8, 1e10):
             dens = mean_density(e_height)
-            unfolded = r2_off_finite(1.0 / dens, e_height, zeta_cfg, tables_1m) / dens**2
+            unfolded = _terms(e_height, 1.0 / dens, zeta_cfg, tables_1m)[1] / dens**2
             devs.append(abs(unfolded - r2_off_limit(1.0)))
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] <= 1e-2
@@ -244,10 +249,10 @@ def _per_term_theory(e_height, eps, cfg, tables, p_cut, k_cut):
     dens = mean_density(e_height)
     args = eps / dens
     power = np.exp(-1j * np.multiply.outer(args, logs)) @ weights
-    diag = -np.real(log_zeta_dd(cfg, args) + power) / (2.0 * np.pi**2)
+    diag = -np.real(zeta_and_log_dd(cfg, args)[1] + power) / (2.0 * np.pi**2)
     ratio = (1.0 - np.exp(-1j * np.multiply.outer(args, np.log(ps)))) / (ps - 1.0)
     product = np.prod(1.0 - ratio * ratio, axis=-1)
-    z = zeta_one_line(cfg, args)
+    z = zeta_one_line(args)
     off = 2.0 * np.real(
         np.real(z * np.conj(z)) * np.exp(-1j * TWO_PI * args * dens) * product
         / (4.0 * np.pi**2)
@@ -347,7 +352,7 @@ class TestPrimePhaseKernel:
         with pytest.raises(ValueError, match="prime cutoff must be >= 2"):
             paircorr.off_diagonal_product(tables_small, 1, eps)
         with pytest.raises(ValueError, match="power cutoff must be >= 1"):
-            r2_diag_finite(eps, zeta_cfg, tables_small, 1000, 0)
+            theory_curve(1e4, eps, zeta_cfg, tables_small, 1000, 0)
         # the product alone runs the kernel with no power sum
         assert paircorr.off_diagonal_product(tables_small, 2, eps).shape == (1,)
 
@@ -361,21 +366,13 @@ class TestTheoryCurve:
         assert np.max(np.abs(tc.diag - diag)) <= 1e-13
         assert np.max(np.abs(tc.offdiag - off)) <= 1e-13
 
-    def test_pointwise_terms_match_curve(self, zeta_cfg, tables_1m):
-        eps = np.array([0.4, 1.3, 2.9])
-        tc = theory_curve(1e4, eps, zeta_cfg, tables_1m, 20_000, 14, unfolded=False)
-        assert np.array_equal(tc.diag, r2_diag_finite(eps, zeta_cfg, tables_1m, 20_000, 14))
-        assert np.array_equal(tc.offdiag, r2_off_finite(eps, 1e4, zeta_cfg, tables_1m, 20_000))
-
-    def test_pointwise_terms_match_curve_through_the_transform(self, zeta_cfg, tables_1m):
+    def test_cached_sums_read_the_targets_tile(self, zeta_cfg, tables_1m):
         # at 250 points the prime sums read a plan of the transform, whose
         # tile is set by the nodes and the targets; the product alone
-        # (k_cut = 0) keeps the curve's nodes, so both terms still agree bit
-        # for bit
+        # (k_cut = 0) keeps the curve's nodes, so it reads the same tile
         eps = np.linspace(0.2, 3.0, 250)
-        tc = theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)
-        assert np.array_equal(tc.diag, r2_diag_finite(eps, zeta_cfg, tables_1m, 100_000, 20))
-        assert np.array_equal(tc.offdiag, r2_off_finite(eps, 1e4, zeta_cfg, tables_1m, 100_000))
+        theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)
+        paircorr.off_diagonal_product(tables_1m, 100_000, eps)
         for k_cut in (20, 0):
             sums = paircorr._TERMS[tables_1m][(100_000, k_cut)].sums
             assert sums.plan.tile == special._canonical_tile(sums.x, eps)
@@ -384,12 +381,10 @@ class TestTheoryCurve:
         with pytest.raises(ValueError):
             theory_curve(5.0, np.array([0.5]), zeta_cfg, tables_1m)
 
-    # nan gave [nan] from r2_off_finite, and inf tripped the pole guard
+    # nan gave [nan] from the off-diagonal term, and inf tripped the pole guard
     @pytest.mark.parametrize("e_height", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_height(self, zeta_cfg, tables_small, e_height):
         eps = np.array([0.5])
-        with pytest.raises(ValueError, match="height must be finite and exceed 2 pi"):
-            r2_off_finite(eps, e_height, zeta_cfg, tables_small, 1000)
         with pytest.raises(ValueError, match="height must be finite and exceed 2 pi"):
             theory_curve(e_height, eps, zeta_cfg, tables_small, 1000, 4)
         with pytest.raises(ValueError, match="height must be finite and exceed 2 pi"):

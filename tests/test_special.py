@@ -15,7 +15,6 @@ from zetapair.special import (
     TWO_PI,
     PoleProximityError,
     ZetaEvaluator,
-    log_zeta_dd,
     mean_density,
     sgn,
     sinc,
@@ -54,37 +53,37 @@ class TestMeanDensity:
 
 
 class TestZetaOneLine:
-    def test_conjugate_symmetry(self, zeta_cfg):
+    def test_conjugate_symmetry(self):
         for eps in (0.3, 2.0, 17.5):
-            a = zeta_one_line(zeta_cfg, eps)
-            b = zeta_one_line(zeta_cfg, -eps)
+            a = zeta_one_line(eps)
+            b = zeta_one_line(-eps)
             assert abs(b - a.conjugate()) < 1e-12
 
-    def test_laurent_behaviour_small_eps(self, zeta_cfg):
+    def test_laurent_behaviour_small_eps(self):
         devs = []
         for eps in (1e-1, 1e-2, 1e-3):
-            z = zeta_one_line(zeta_cfg, eps)
+            z = zeta_one_line(eps)
             devs.append(abs(z - (1.0 / (1j * eps) + EULER_GAMMA)))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-4
 
-    def test_reference_value(self, zeta_cfg):
-        z = zeta_one_line(zeta_cfg, 1.0)
+    def test_reference_value(self):
+        z = zeta_one_line(1.0)
         assert abs(z - ZETA_1_PLUS_I) / abs(ZETA_1_PLUS_I) < 1e-12
 
-    def test_pole_guard(self, zeta_cfg):
+    def test_pole_guard(self):
         with pytest.raises(PoleProximityError):
-            zeta_one_line(zeta_cfg, EPS_MIN / 2)
+            zeta_one_line(EPS_MIN / 2)
 
-    def test_modulus_squared_times_eps_squared(self, zeta_cfg):
+    def test_modulus_squared_times_eps_squared(self):
         devs = []
         for eps in (1e-1, 1e-2, 1e-3):
-            z = zeta_one_line(zeta_cfg, eps)
+            z = zeta_one_line(eps)
             devs.append(abs(abs(z) ** 2 * eps**2 - 1.0))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-2
 
-    def test_euler_product_consistency(self, tables_1m, zeta_cfg):
+    def test_euler_product_consistency(self, tables_1m):
         # The raw product over p <= 1e5 misses zeta by ~1/(eps ln P) (8% at
         # eps = 1); appending the integral tail of the prime sum,
         # exp(E1(i eps ln P)), brings it within 1e-3 of Euler-Maclaurin.
@@ -96,7 +95,7 @@ class TestZetaOneLine:
             log_prod = -np.sum(np.log1p(-np.exp(-s * log_p)))
             tail = exp1(1j * eps * math.log(p_cut))
             prod = cmath.exp(log_prod + tail)
-            z = zeta_one_line(zeta_cfg, eps)
+            z = zeta_one_line(eps)
             assert abs(prod - z) / abs(z) < 1e-3
 
     def test_config_validation(self):
@@ -220,11 +219,13 @@ class TestDirichletSum:
     def test_stacked_rows_on_the_direct_branch(
         self, n_terms, n_targets, n_rows, max_grid, zero_share, seed
     ):
-        # each row zero at its own terms, as the derivative rows of zeta are
-        # at n = 1; a phase block of 97 entries cuts the rows into chunks
+        # rows past the first zero at their own terms, as the derivative rows
+        # of zeta are at n = 1, and some columns zero in every row; a phase
+        # block of 97 entries cuts the columns into chunks
         rng = np.random.default_rng(seed)
         c = rng.normal(size=(n_rows, n_terms)) + 1j * rng.normal(size=(n_rows, n_terms))
-        c[rng.random(c.shape) < zero_share] = 0.0
+        c[1:][rng.random((n_rows - 1, n_terms)) < zero_share] = 0.0
+        c[:, rng.random(n_terms) < 0.5 * zero_share] = 0.0
         x = rng.uniform(-40.0, 40.0, n_terms)
         t = rng.uniform(-40.0, 40.0, n_targets)
         with pytest.MonkeyPatch.context() as patch:
@@ -233,15 +234,20 @@ class TestDirichletSum:
             got = special.DirichletSum(c, x)(t)
             alone = [special.DirichletSum(row, x)(t) for row in c]
             kept = [special.DirichletSum(row[row != 0], x[row != 0])(t) for row in c]
+            real = special.DirichletSum(c.real, x)
+            plus, minus = real(t), real(-t)
         assert got.shape == (n_rows, n_targets)
-        for row, sums, sums_alone, sums_kept in zip(c, got, alone, kept):
+        for row, sums in zip(c, got):
             assert np.max(np.abs(sums - _phase_sum(row, x, t)), initial=0.0) <= 1e-12 * (
                 1.0 + np.sum(np.abs(row))
             )
-            # a row of the stack gives the bits it gives alone, and those of
-            # its nonzero terms alone
-            assert np.array_equal(sums, sums_alone)
-            assert np.array_equal(sums, sums_kept)
+        # a single row gives the bits of its nonzero terms alone
+        for sums_alone, sums_kept in zip(alone, kept):
+            assert np.array_equal(sums_alone, sums_kept)
+        # the first row, nonzero wherever another row is, gives the bits it gives alone
+        assert np.array_equal(got[0], alone[0])
+        # F(-t) = conj F(t) exactly for a real stack with zeros in its rows
+        assert np.array_equal(minus, np.conj(plus))
 
     def test_against_mpmath(self, monkeypatch):
         rng = np.random.default_rng(2024)
@@ -276,7 +282,7 @@ class TestDirichletSum:
 
     def test_small_sums_stay_direct(self, monkeypatch):
         # exact F(-t) = conj F(t) on the direct branch, which the conjugation
-        # identity of log_zeta_dd and the even theory kernels rely on
+        # identity of zeta_and_log_dd and the even theory kernels rely on
         n = np.arange(1, 65, dtype=np.float64)
         t = np.linspace(0.1, 40.0, 300)
         plus = special.DirichletSum(1.0 / n, np.log(n))(t)
@@ -341,6 +347,8 @@ class TestTruncationPoint:
 
 
 class TestLogZetaDD:
+    """The second output of ``zeta_and_log_dd``, d^2/dw^2 ln zeta(1 + iw)."""
+
     @staticmethod
     def reference(eps: float) -> complex:
         """-[zeta''/zeta - (zeta'/zeta)^2] at s = 1 + i eps, at 40 digits."""
@@ -357,26 +365,26 @@ class TestLogZetaDD:
         # and 3.5e-12 at 2500, one point per call or all in one call (where
         # they share the truncation point of eps = 2500)
         bound = 1e-12 * np.maximum(1.0, eps / 250.0)
-        for got in (log_zeta_dd(zeta_cfg, eps),
-                    np.array([log_zeta_dd(zeta_cfg, float(e)) for e in eps])):
+        for got in (zeta_and_log_dd(zeta_cfg, eps)[1],
+                    np.array([zeta_and_log_dd(zeta_cfg, float(e))[1] for e in eps])):
             assert np.all(np.abs(got - ref) <= bound * np.abs(ref))
 
     def test_conjugation_identity(self, zeta_cfg):
         # exact: the direct sum gives F(-t) = conj F(t), and the tail's complex
         # arithmetic commutes with conjugation
         for eps in (0.2, 5.0):
-            a = log_zeta_dd(zeta_cfg, eps)
-            b = log_zeta_dd(zeta_cfg, -eps)
+            a = zeta_and_log_dd(zeta_cfg, eps)[1]
+            b = zeta_and_log_dd(zeta_cfg, -eps)[1]
             assert b == a.conjugate()
 
     def test_small_eps_dominated_by_pole(self, zeta_cfg):
         for eps in (1e-3, 1e-4):
-            val = log_zeta_dd(zeta_cfg, eps)
+            val = zeta_and_log_dd(zeta_cfg, eps)[1]
             assert abs(val * eps**2 - 1.0) < 1e-2
 
     def test_reference_value_at_5(self, zeta_cfg):
         # measured 6.4e-14
-        val = log_zeta_dd(zeta_cfg, 5.0)
+        val = zeta_and_log_dd(zeta_cfg, 5.0)[1]
         assert abs(val - LOG_ZETA_DD_5) / abs(LOG_ZETA_DD_5) < 5e-13
 
     @pytest.mark.parametrize("eps", [np.linspace(0.05, 3.0, 700), np.linspace(600.0, 700.0, 1500)])
@@ -387,11 +395,10 @@ class TestLogZetaDD:
             if eps[0] > 100.0:
                 patch.setattr(special, "_direct_sum", _no_direct_sum)
             z, dd = zeta_and_log_dd(zeta_cfg, eps)
-            assert np.array_equal(z, zeta_one_line(zeta_cfg, eps))
-            assert np.array_equal(dd, log_zeta_dd(zeta_cfg, eps))
+            assert np.array_equal(z, zeta_one_line(eps))
         z1, dd1 = zeta_and_log_dd(zeta_cfg, float(eps[7]))
         assert (type(z1), type(dd1)) == (complex, complex)
-        assert z1 == zeta_one_line(zeta_cfg, float(eps[7]))
+        assert z1 == zeta_one_line(float(eps[7]))
 
     def test_smoothed_dirichlet_series_cross_check(self, tables_big, zeta_cfg):
         # -sum Lambda(n) ln(n) n^(-1-i eps) e^(-n/X): the exponential cutoff
@@ -404,12 +411,12 @@ class TestLogZetaDD:
         logn = np.log(n)
         weights = lam[1:] * logn / n * np.exp(-n / X)
         smoothed = -np.sum(weights * np.exp(-1j * 5.0 * logn))
-        val = log_zeta_dd(zeta_cfg, 5.0)
+        val = zeta_and_log_dd(zeta_cfg, 5.0)[1]
         assert abs(val - smoothed) < 1e-2
 
     def test_pole_guard(self, zeta_cfg):
         with pytest.raises(PoleProximityError):
-            log_zeta_dd(zeta_cfg, 0.0)
+            zeta_and_log_dd(zeta_cfg, 0.0)[1]
 
 
 class TestSineIntegral:

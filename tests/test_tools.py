@@ -83,6 +83,17 @@ class TestBenchJson:
         assert out["workloads"]["prime-side"]["change_job_s_lower"] == "1 of 2"
         assert out["workloads"]["cli-readme"]["change_job_s_lower"] == "2 of 2"
 
+    def test_change_setup_s_and_peak_rss_mb_lower(self, bench_json, record_dirs):
+        out = bench_json.summarize(*(bench_json.load(d) for d in record_dirs))
+        prime, cli = out["workloads"]["prime-side"], out["workloads"]["cli-readme"]
+        # setup_s: seed 0 0.6 -> 0.6 is not lower, seed 1 0.9 -> 0.6 is;
+        # peak_rss_mb: 100 -> 90 and 104 -> 94 are both lower
+        assert prime["change_setup_s_lower"] == "1 of 2"
+        assert prime["change_peak_rss_mb_lower"] == "2 of 2"
+        # equal values on both sides are not lower
+        assert cli["change_setup_s_lower"] == "0 of 2"
+        assert cli["change_peak_rss_mb_lower"] == "0 of 2"
+
     def test_cli_readme_digests(self, bench_json, record_dirs):
         out = bench_json.summarize(*(bench_json.load(d) for d in record_dirs))
         assert out["workloads"]["cli-readme"]["stdout_sha256"] == {

@@ -161,12 +161,12 @@ class TestRefine:
 
         seen = []
 
-        def counted(t, cfg=None):
+        def counted(t):
             seen.append(np.array(t, copy=True))
             return zfunc(t)
 
         monkeypatch.setattr(zeros, "zfunc", counted)
-        got = zeros._refine(lo, hi, zv[flip], zv[flip + 1], None)
+        got = zeros._refine(lo, hi, zv[flip], zv[flip + 1])
         monkeypatch.undo()
 
         assert np.all((got > lo) & (got < hi))
@@ -184,9 +184,9 @@ class TestRefine:
 
     def test_stops_where_z_vanishes(self, monkeypatch):
         # Z(t) = t - 3 on brackets whose secant point is the root itself
-        monkeypatch.setattr(zeros, "zfunc", lambda t, cfg=None: t - 3.0)
+        monkeypatch.setattr(zeros, "zfunc", lambda t: t - 3.0)
         got = zeros._refine(np.array([2.0, 1.0]), np.array([4.0, 7.0]),
-                            np.array([-1.0, -2.0]), np.array([1.0, 4.0]), None)
+                            np.array([-1.0, -2.0]), np.array([1.0, 4.0]))
         assert np.array_equal(got, [3.0, 3.0])
 
 
@@ -205,7 +205,7 @@ class TestGramBlocks:
     def test_one_z_call_per_depth(self, monkeypatch):
         calls = []
 
-        def counted(t, cfg=None):
+        def counted(t):
             calls.append(np.size(t))
             return zfunc(t)
 

@@ -6,8 +6,9 @@ PARENT_OUT and CHANGE_OUT are the ``perfbench/out`` directories of two
 checkouts that ran ``perfbench/run.py --trace 0`` on the same workloads and
 seeds.  For each workload the output gives, per side, the median and
 quartiles over seeds of each run's ``job_s`` (median of its jobs), ``setup_s``
-(median of its spawns) and ``peak_rss_mb``, the seeds, the number of seeds on
-which the change's ``job_s`` is lower, and each side's fail rate; for
+(median of its spawns) and ``peak_rss_mb``, the seeds, for each of the three
+the number of seeds on which the change's value is lower
+(``change_<metric>_lower``, "k of n"), and each side's fail rate; for
 ``cli-readme`` it adds the stdout sha256 digests per seed.  The machine and
 both commits come from the records' provenance.
 """
@@ -72,13 +73,15 @@ def summarize(parent: dict, change: dict) -> dict:
         keys = sorted(k for k in parent if k[0] == name and k in change)
         if not keys:
             continue
-        wins = sum(run_values(change[k])["job_s"] < run_values(parent[k])["job_s"] for k in keys)
+        pairs = [(run_values(parent[k]), run_values(change[k])) for k in keys]
         entry = {
             "seeds": [s for _, s in keys],
             "parent": side(parent, keys),
             "change": side(change, keys),
-            "change_job_s_lower": f"{wins} of {len(keys)}",
         }
+        for m in METRICS:
+            wins = sum(c[m] < p[m] for p, c in pairs)
+            entry[f"change_{m}_lower"] = f"{wins} of {len(keys)}"
         if name == "cli-readme":
             entry["stdout_sha256"] = {
                 str(s): {"parent": parent[(name, s)].get("stdout_sha256"),
