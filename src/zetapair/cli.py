@@ -256,20 +256,14 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
         args.center, est.bin_edges, zcfg, tables, args.prime_cutoff,
         args.power_cutoff,
     )
-    rep = paircorr.compare(est, curve)
-    diag_b = paircorr.bin_average(
-        replace(curve, total=curve.diag), est.bin_edges
-    )
-    off_b = paircorr.bin_average(
-        replace(curve, total=curve.offdiag), est.bin_edges
-    )
+    rep = paircorr.compare([est], [curve])
     rows = [
         {"epsilon": float(c), "empirical": float(v), "theory_total": float(t),
          "theory_diag": float(d), "theory_off": float(o),
          "constant": curve.constant_term, "residual": float(r)}
         for c, v, t, d, o, r in zip(
-            rep.bin_centers, rep.empirical, rep.theory_binned, diag_b, off_b,
-            rep.residuals,
+            rep.estimate.bin_centers, rep.estimate.values, rep.theory, rep.diag,
+            rep.offdiag, rep.residuals,
         )
     ]
     emit(

@@ -38,7 +38,9 @@ eps alone, so a cached read has the bits a cold evaluation gives,
 whatever ran before.
 
 Oscillatory theory is always bin-averaged (5-point Gauss-Legendre per
-bin) before it is compared with a histogram.
+bin) before it is compared with a histogram, by ``compare``, for one window
+or the 200-mean-spacing windows of ``pooled_windows``: it pools the
+histograms and the windows' binned theory, weighted by their norms.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ __all__ = [
     "gue_on_bins",
     "bin_average",
     "compare",
+    "pooled_windows",
     "poisson_noise_floor",
 ]
 
@@ -165,6 +168,8 @@ def empirical_r2(
     length = width * dens
     lam = len(x) / length
     nbins = int(round(eps_max / bin_width))
+    if nbins * bin_width > length:  # a bin past the window has a negative norm
+        raise ValueError(f"bins reach past the window's unfolded length {length:g}")
     edges = np.linspace(0.0, nbins * bin_width, nbins + 1)
     diffs = _pair_differences(x, float(edges[-1]))
     counts = np.histogram(diffs, bins=edges)[0].astype(np.float64)
@@ -512,9 +517,7 @@ def gue_on_bins(edges: np.ndarray) -> TheoryCurve:
     )
 
 
-def bin_average(curve: TheoryCurve, edges: np.ndarray) -> np.ndarray:
-    """Collapse a node-layout curve to per-bin averages."""
-    edges = np.asarray(edges)
+def _check_layout(curve: TheoryCurve, edges: np.ndarray) -> None:
     expect = _bin_quadrature_nodes(edges)
     if curve.epsilons.shape != expect.shape or not np.allclose(
         curve.epsilons, expect, rtol=0, atol=1e-12
@@ -522,26 +525,66 @@ def bin_average(curve: TheoryCurve, edges: np.ndarray) -> np.ndarray:
         raise GridMismatchError(
             "theory grid is not the 5-node quadrature layout of these bins"
         )
-    vals = curve.total.reshape(-1, 5)
-    return vals @ (_GL_WEIGHTS / 2.0)
+
+
+def _bin_mean(values: np.ndarray) -> np.ndarray:
+    """Per-bin 5-node Gauss-Legendre means of values on the node layout."""
+    return values.reshape(-1, 5) @ (_GL_WEIGHTS / 2.0)
+
+
+def bin_average(curve: TheoryCurve, edges: np.ndarray) -> np.ndarray:
+    """Collapse a node-layout curve to per-bin averages."""
+    _check_layout(curve, np.asarray(edges))
+    return _bin_mean(curve.total)
+
+
+def pooled_windows(lo: float, hi: float) -> list[tuple[float, float]]:
+    """(centre, width) of consecutive windows from lo, each 200 mean spacings
+    wide at its start, while the next one ends at or below hi."""
+    _check_height(lo)
+    _check_height(hi)
+    windows, e = [], lo
+    while e + (w := 200.0 / mean_density(e)) <= hi:
+        windows.append((e + w / 2.0, w))
+        e += w
+    return windows
 
 
 @dataclass(frozen=True)
 class CompareReport:
-    bin_centers: np.ndarray
-    empirical: np.ndarray
-    theory_binned: np.ndarray
-    residuals: np.ndarray
-    ms_residual: float
+    """The pooled histogram; the pooled bin means of the theory and its
+    terms; the bin means of the GUE curve."""
+
+    estimate: CorrelationEstimate
+    theory: np.ndarray
+    diag: np.ndarray
+    offdiag: np.ndarray
+    gue: np.ndarray
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return self.estimate.values - self.theory
+
+    @property
+    def ms_residual(self) -> float:
+        return float(np.mean(self.residuals**2))
 
 
-def compare(est: CorrelationEstimate, curve: TheoryCurve) -> CompareReport:
-    """Residuals of a histogram against the bin-averaged theory curve."""
-    theory = bin_average(curve, est.bin_edges)
-    res = est.values - theory
-    return CompareReport(
-        est.bin_centers, est.values, theory, res, float(np.mean(res**2))
-    )
+def compare(ests: list[CorrelationEstimate], curves: list[TheoryCurve]) -> CompareReport:
+    """Pool the windows' histograms (``aggregate``) and bin-averaged theory
+    curves, one per window, weighting each window's bin means by
+    norms / norms.sum(axis=0): one window's weight is exactly 1."""
+    if not ests or len(ests) != len(curves):
+        raise ValueError(f"need one theory curve per estimate, got {len(curves)} for {len(ests)}")
+    pooled = aggregate(ests)
+    for curve in curves:
+        _check_layout(curve, pooled.bin_edges)
+    norms = np.array([est.norms for est in ests])
+    weights = norms / norms.sum(axis=0)
+    binned = np.array([[_bin_mean(v) for v in (c.total, c.diag, c.offdiag)] for c in curves])
+    theory, diag, offdiag = (binned * weights[:, None]).sum(axis=0)
+    gue = _bin_mean(gue_on_bins(pooled.bin_edges).total)
+    return CompareReport(pooled, theory, diag, offdiag, gue)
 
 
 def poisson_noise_floor(est: CorrelationEstimate, reference: np.ndarray | None = None) -> float:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -403,8 +403,7 @@ def load_zeros(path: str | Path) -> ZeroList:
         raise ZeroTableFormatError(f"no ordinates in {path}")
     arr = np.array(vals)
     zl = ZeroList(arr, (float(arr[0]), float(arr[-1])), "ingested", False)
-    complete = abs(counting_check(zl).discrepancy) <= 2.0
-    return ZeroList(arr, zl.range, "ingested", complete)
+    return replace(zl, claimed_complete=not counting_check(zl).flagged)
 
 
 def save_zeros(zl: ZeroList, path: str | Path) -> Path:

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetapair.paircorr import aggregate, empirical_r2, gue_on_bins, theory_on_bins
+from zetapair.paircorr import compare, empirical_r2, pooled_windows, theory_on_bins
 from zetapair.sieve import build_sieve
 from zetapair.singular import twin_prime_constant
-from zetapair.special import ZetaEvaluator, mean_density
+from zetapair.special import ZetaEvaluator
 from zetapair.zeros import compute_zeros
 
 DATA = Path(__file__).parent / "data"
@@ -61,45 +61,15 @@ def zero_fixture_path():
 
 @pytest.fixture(scope="session")
 def pooled_experiment(zeros_high, tables_1m, zeta_cfg):
-    """Pooled empirical R2 over (3000, 12000) plus matched theory curves.
+    """Pooled empirical R2 over (3000, 12000) against the matched theory.
 
-    Windows of 200 mean spacings, bins of width 0.05 up to eps = 3; the
-    per-window theory (bin-averaged, unfolded, at the window center) is
-    pooled with the same normalization weights as the data.
+    Windows of 200 mean spacings, bins of width 0.05 up to eps = 3; each
+    window's theory is unfolded at its center and pooled by ``compare``.
     """
-    lo, hi = 3000.0, 12000.0
-    p_cut, k_cut = 20_000, 14
-    windows = []
-    e = lo
-    while True:
-        w = 200.0 / mean_density(e)
-        if e + w > hi:
-            break
-        windows.append((e + w / 2.0, w))
-        e += w
-    ests, curves = [], []
-    for center, w in windows:
-        est = empirical_r2(zeros_high, center, w, 0.05, 3.0)
-        ests.append(est)
-        curves.append(theory_on_bins(center, est.bin_edges, zeta_cfg, tables_1m,
-                                     p_cut, k_cut))
-    pooled = aggregate(ests)
-    weights = np.array([e.norms for e in ests])
-    from zetapair.paircorr import bin_average
-
-    theory_binned = np.array(
-        [bin_average(c, pooled.bin_edges) for c in curves]
-    )
-    theory_pooled = (theory_binned * weights).sum(axis=0) / weights.sum(axis=0)
-    gue_binned = bin_average(gue_on_bins(pooled.bin_edges), pooled.bin_edges)
-    n_zeros = sum(
-        int(np.sum((zeros_high.ordinates >= c - w / 2) & (zeros_high.ordinates <= c + w / 2)))
-        for c, w in windows
-    )
-    return {
-        "pooled": pooled,
-        "theory": theory_pooled,
-        "gue": gue_binned,
-        "n_zeros": n_zeros,
-        "n_windows": len(windows),
-    }
+    windows = pooled_windows(3000.0, 12000.0)
+    ests = [empirical_r2(zeros_high, c, w, 0.05, 3.0) for c, w in windows]
+    curves = [theory_on_bins(c, est.bin_edges, zeta_cfg, tables_1m, 20_000, 14)
+              for (c, _), est in zip(windows, ests)]
+    ords = zeros_high.ordinates
+    n_zeros = sum(int(np.sum((ords >= c - w / 2) & (ords <= c + w / 2))) for c, w in windows)
+    return {"report": compare(ests, curves), "n_zeros": n_zeros, "n_windows": len(windows)}

@@ -17,7 +17,7 @@ import pytest
 from zetapair.cli import main as cli_main
 from zetapair.identities import identity_suite
 from zetapair.inversion import windowed_inversion
-from zetapair.paircorr import gue_r2, poisson_noise_floor, theory_curve
+from zetapair.paircorr import gue_r2, theory_curve
 from zetapair.singular import (
     alpha_empirical,
     alpha_product,
@@ -102,7 +102,7 @@ def test_criterion_4_zero_enumeration(zero_fixture_path):
 
 def test_criterion_5_pair_correlation_vs_gue(pooled_experiment):
     exp = pooled_experiment
-    pooled, gue = exp["pooled"], exp["gue"]
+    pooled, gue = exp["report"].estimate, exp["report"].gue
     sl = slice(2, None)  # eps in (0.1, 3]
     floor = float(np.mean(gue[sl] / pooled.norms[sl]))
     ms_gue = float(np.mean((pooled.values[sl] - gue[sl]) ** 2))
@@ -118,8 +118,8 @@ def test_criterion_5_pair_correlation_vs_gue(pooled_experiment):
 
 
 def test_criterion_6_finite_height_improvement(pooled_experiment):
-    exp = pooled_experiment
-    pooled, gue, theory = exp["pooled"], exp["gue"], exp["theory"]
+    rep = pooled_experiment["report"]
+    pooled, gue, theory = rep.estimate, rep.gue, rep.theory
     sl = slice(2, None)
     ms_gue = float(np.mean((pooled.values[sl] - gue[sl]) ** 2))
     ms_fin = float(np.mean((pooled.values[sl] - theory[sl]) ** 2))
@@ -160,7 +160,7 @@ def test_criterion_8_identity_suite(tables_1m, c2_ref):
 
 
 def test_criterion_9_inversion_contrast(tables_1m):
-    # documented window: E in (1000, 1100), pole excision 25, default tapers
+    # documented window: E in (1000, 1100), pole excision 25, derived tapers
     t0 = time.time()
     est = {
         h: windowed_inversion(h, (1000.0, 1100.0), eps_cutoff=25.0,

@@ -344,10 +344,12 @@ class TestBadNumbers:
         code, out, _ = run_cli("--sieve-limit", "0", *self.ALPHA, "--prime-cutoff", "10000")
         assert code == 0 and len(parse_csv(out)) == 1
 
-    # --width 0 histogrammed the default window; --eps-max inf raised OverflowError
+    # --width 0 histogrammed the default window; --eps-max inf raised OverflowError;
+    # --eps-max 400 printed -0 in every bin past the 200-spacing window
     @pytest.mark.parametrize("flags,message", [
         (("--width", "0"), "finite positive width"),
         (("--eps-max", "inf"), "need finite 0 < bin_width < eps_max"),
+        (("--eps-max", "400"), "past the window's unfolded length"),
     ])
     def test_empirical_window_and_bins(self, tmp_path, zeros_low, flags, message):
         from zetapair.zeros import save_zeros

@@ -3,6 +3,7 @@ import math
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from zetapair.paircorr import (
     gue_on_bins,
     gue_r2,
     poisson_noise_floor,
+    pooled_windows,
     r2_diag_limit,
     r2_off_limit,
     theory_curve,
@@ -84,6 +86,13 @@ class TestEmpirical:
     def test_rejects_bad_bins(self, zeros_high, bin_width, eps_max):
         with pytest.raises(ValueError, match="bin_width < eps_max"):
             empirical_r2(zeros_high, 7000.0, 400.0, bin_width, eps_max)
+
+    # bins past the window's unfolded length printed -0 from a negative norm
+    def test_rejects_bins_past_the_window(self, zeros_high):
+        width = 400.0 / mean_density(7000.0)
+        assert empirical_r2(zeros_high, 7000.0, width, 2.0, 398.0).values.size == 199
+        with pytest.raises(ValueError, match="past the window's unfolded length"):
+            empirical_r2(zeros_high, 7000.0, width, 2.0, 402.0)
 
     def test_aggregate_pools_counts(self, zeros_high):
         a = empirical_r2(zeros_high, 6000.0, 300.0, 0.05, 3.0)
@@ -426,17 +435,6 @@ class TestTheoryCurve:
         assert np.all(np.abs(avg - 1.0) < 1e-2)
 
 
-def _pooled_window_centres(lo=3000.0, hi=6600.0):
-    """The window centres of the 18-window pooled experiment on (lo, hi)."""
-    centres = []
-    e = lo
-    while e + 200.0 / mean_density(e) <= hi:
-        w = 200.0 / mean_density(e)
-        centres.append(e + w / 2.0)
-        e += w
-    return centres
-
-
 class TestPlanCache:
     """The cached prime terms and plans of ``_prime_phase_sums`` never change an answer."""
 
@@ -448,7 +446,7 @@ class TestPlanCache:
                 for c in centres]
 
     def test_windows_independent_of_order_and_cache(self, zeta_cfg):
-        centres = _pooled_window_centres()
+        centres = [c for c, _ in pooled_windows(3000.0, 6600.0)]
         assert len(centres) == 18
         tables = build_sieve(20_000)
         forward = self.curves(centres, tables, zeta_cfg)
@@ -521,30 +519,73 @@ class TestPlanCache:
         assert entry() is None
 
 
+class TestPooledWindows:
+    def test_tiles_the_range(self):
+        lo, hi = 3000.0, 6600.0
+        windows = pooled_windows(lo, hi)
+        assert len(windows) == 18
+        start = lo
+        for c, w in windows:
+            assert c - w / 2.0 == pytest.approx(start, rel=1e-15)
+            assert w * mean_density(start) == pytest.approx(200.0, rel=1e-15)
+            assert c + w / 2.0 <= hi
+            start = c + w / 2.0
+        # the next window would pass hi
+        assert start + 200.0 / mean_density(start) > hi
+
+    def test_empty_below_one_window(self):
+        assert pooled_windows(3000.0, 3000.0 + 199.0 / mean_density(3000.0)) == []
+
+    # a range starting below 2 pi, or with no finite end, would never stop tiling
+    @pytest.mark.parametrize("lo,hi", [(1.0, 6600.0), (math.nan, 6600.0), (3000.0, math.inf)])
+    def test_rejects_endless_ranges(self, lo, hi):
+        with pytest.raises(ValueError, match="finite and exceed 2 pi"):
+            pooled_windows(lo, hi)
+
+
 class TestCompare:
-    def test_zero_residual_on_identical_input(self, zeta_cfg, tables_1m, zeros_high):
-        width = 200.0 / mean_density(7000.0)
-        est = empirical_r2(zeros_high, 7000.0, width, 0.05, 3.0)
-        curve = theory_on_bins(7000.0, est.bin_edges, zeta_cfg, tables_1m, 20_000, 14)
-        synthetic = est.__class__(
-            est.bin_edges,
-            bin_average(curve, est.bin_edges),
-            est.window,
-            est.pair_count,
-            counts=est.counts,
-            norms=est.norms,
-        )
-        rep = compare(synthetic, curve)
+    @pytest.fixture(scope="class")
+    def window(self, zeta_cfg, tables_1m, zeros_high):
+        est = empirical_r2(zeros_high, 7000.0, 200.0 / mean_density(7000.0), 0.05, 3.0)
+        return est, theory_on_bins(7000.0, est.bin_edges, zeta_cfg, tables_1m, 20_000, 14)
+
+    def test_zero_residual_on_identical_input(self, window):
+        est, curve = window
+        binned = bin_average(curve, est.bin_edges)
+        # counts / norms is then the binned theory exactly
+        synthetic = replace(est, values=binned, counts=binned, norms=np.ones_like(est.norms))
+        rep = compare([synthetic], [curve])
         assert rep.ms_residual == 0.0
         assert np.all(rep.residuals == 0.0)
 
-    def test_grid_mismatch_rejected(self, zeta_cfg, tables_1m, zeros_high):
-        width = 200.0 / mean_density(7000.0)
-        est = empirical_r2(zeros_high, 7000.0, width, 0.05, 3.0)
+    def test_one_window_reports_its_bin_means(self, window):
+        est, curve = window
+        rep = compare([est], [curve])
+        assert np.array_equal(rep.estimate.values, est.values)
+        assert np.array_equal(rep.theory, bin_average(curve, est.bin_edges))
+        for name in ("diag", "offdiag"):
+            alone = bin_average(replace(curve, total=getattr(curve, name)), est.bin_edges)
+            assert np.array_equal(getattr(rep, name), alone)
+        gue = bin_average(gue_on_bins(est.bin_edges), est.bin_edges)
+        assert np.array_equal(rep.gue, gue)
+
+    def test_two_equal_windows_weigh_half_each(self, window):
+        est, curve = window
+        rep = compare([est, est], [curve, curve])
+        assert np.array_equal(rep.theory, bin_average(curve, est.bin_edges))
+
+    @pytest.mark.parametrize("n_ests,n_curves", [(0, 0), (1, 2), (2, 1)])
+    def test_rejects_empty_and_unequal_lists(self, window, n_ests, n_curves):
+        est, curve = window
+        with pytest.raises(ValueError, match="one theory curve per estimate"):
+            compare([est] * n_ests, [curve] * n_curves)
+
+    def test_grid_mismatch_rejected(self, zeta_cfg, tables_1m, window):
+        est, _ = window
         other_edges = np.linspace(0.0, 3.0, 31)
         curve = theory_on_bins(7000.0, other_edges, zeta_cfg, tables_1m, 20_000, 14)
         with pytest.raises(GridMismatchError):
-            compare(est, curve)
+            compare([est], [curve])
 
     def test_gue_on_bins_total_is_gue(self):
         edges = np.linspace(0.0, 3.0, 61)
