@@ -54,7 +54,10 @@ def emit(fields: list[str], rows: list[dict], fmt: str, out=None) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    values = [int(x) for x in text.split(",") if x.strip()]
+    try:
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"expected --h H1,H2,..., got {text!r}")
     if not values:
         raise ValueError("--h needs at least one shift")
     return values
@@ -365,8 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = rs.add_parser("theory")
     pt.add_argument("--grid", required=True)
     pt.add_argument("--height", type=float, required=True)
-    pt.add_argument("--prime-cutoff", type=int, default=100_000)
-    pt.add_argument("--power-cutoff", type=int, default=20)
+    pt.add_argument("--prime-cutoff", type=int, default=paircorr.DEFAULT_PRIME_CUTOFF)
+    pt.add_argument("--power-cutoff", type=int, default=paircorr.DEFAULT_POWER_CUTOFF)
     pt.add_argument("--absolute", action="store_true",
                     help="absolute units instead of unfolded")
     for mode in ("empirical", "compare"):
@@ -378,8 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="window width (default window_width spacings)")
         pe.add_argument("--eps-max", type=float, default=3.0)
         if mode == "compare":
-            pe.add_argument("--prime-cutoff", type=int, default=100_000)
-            pe.add_argument("--power-cutoff", type=int, default=20)
+            pe.add_argument("--prime-cutoff", type=int, default=paircorr.DEFAULT_PRIME_CUTOFF)
+            pe.add_argument("--power-cutoff", type=int, default=paircorr.DEFAULT_POWER_CUTOFF)
 
     p = sub.add_parser("identities", help="run the derivation-chain checks")
     p.add_argument("--suite", choices=("all",) + idmod.SUITES, default="all")

@@ -37,6 +37,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -54,12 +55,10 @@ def load_config_file(path: str | Path) -> dict:
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
         kind = _FIELD_TYPES[key]
-        if kind == "int":
-            out[key] = int(value)
-        elif kind == "float":
-            out[key] = float(value)
-        else:
-            out[key] = value
+        try:
+            out[key] = _PARSERS[kind](value)
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: {key} expects {kind}, got {value!r}")
     return out
 
 

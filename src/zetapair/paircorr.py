@@ -20,8 +20,10 @@ Both prime sums are Dirichlet polynomials in eps, summed as one stack by
 one ``special.DirichletSum``, the nonuniform-FFT kernel: the power sum
 over every prime, the product as exp of its log series over the primes
 from 50 on, so their cost grows like (terms + points) log rather than
-terms x points.  The product factors of the primes below 50, where
-p = 3's vanishes at eps ln 3 = pi, are multiplied directly.
+terms x points.  Each factor splits as (p - 2 + u)(p - u)/(p - 1)^2,
+u = p^-i eps, so its log is a constant plus the closed-form series of
+ln(1 + u/(p - 2)) + ln(1 - u/p).  The product factors of the primes below
+50, where p = 3's vanishes at eps ln 3 = pi, are multiplied directly.
 
 The kernel grids the terms onto a canonical tile: a power-of-two span of
 its t-grid, centred on a multiple of half that span, which the band of
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,18 +103,23 @@ class GridMismatchError(ValueError):
 class CorrelationEstimate:
     """Binned two-point density of unfolded ordinate differences.
 
-    values[b] estimates R2 on bin b in unfolded units; counts/norms hold
-    the raw pair counts and the Poisson-calibrated denominators so
-    estimates from different windows can be pooled.
+    counts/norms hold the raw pair counts and the Poisson-calibrated
+    denominators, so estimates from different windows can be pooled;
+    values[b] = counts[b] / norms[b] estimates R2 on bin b in unfolded units.
     """
 
     bin_edges: np.ndarray
-    values: np.ndarray
     window: tuple[float, float]  # (E_center, width)
-    pair_count: int
-    normalization: str = "unfolded_density_squared"
-    counts: np.ndarray = field(default=None, repr=False)
-    norms: np.ndarray = field(default=None, repr=False)
+    counts: np.ndarray
+    norms: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.counts / self.norms
+
+    @property
+    def pair_count(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -175,14 +182,7 @@ def empirical_r2(
     counts = np.histogram(diffs, bins=edges)[0].astype(np.float64)
     centers = 0.5 * (edges[:-1] + edges[1:])
     norms = lam * lam * bin_width * (length - centers)
-    return CorrelationEstimate(
-        edges,
-        counts / norms,
-        (float(e_center), float(width)),
-        int(counts.sum()),
-        counts=counts,
-        norms=norms,
-    )
+    return CorrelationEstimate(edges, (float(e_center), float(width)), counts, norms)
 
 
 def aggregate(estimates: list[CorrelationEstimate]) -> CorrelationEstimate:
@@ -191,7 +191,7 @@ def aggregate(estimates: list[CorrelationEstimate]) -> CorrelationEstimate:
         raise ValueError("nothing to aggregate")
     edges = estimates[0].bin_edges
     for est in estimates[1:]:
-        if est.bin_edges.shape != edges.shape or not np.allclose(est.bin_edges, edges):
+        if not np.array_equal(est.bin_edges, edges):
             raise GridMismatchError("estimates use different bin grids")
     counts = np.sum([e.counts for e in estimates], axis=0)
     norms = np.sum([e.norms for e in estimates], axis=0)
@@ -199,14 +199,7 @@ def aggregate(estimates: list[CorrelationEstimate]) -> CorrelationEstimate:
     widths = np.array([e.window[1] for e in estimates])
     span = (np.max(centers + widths / 2) + np.min(centers - widths / 2)) / 2.0
     total_w = float(np.max(centers + widths / 2) - np.min(centers - widths / 2))
-    return CorrelationEstimate(
-        edges,
-        counts / norms,
-        (float(span), total_w),
-        int(counts.sum()),
-        counts=counts,
-        norms=norms,
-    )
+    return CorrelationEstimate(edges, (float(span), total_w), counts, norms)
 
 
 # -- limiting (unfolded) theory ----------------------------------------------
@@ -246,7 +239,7 @@ def gue_r2(eps):
 _SMALL_PRIME = 50
 #: the power sum keeps the terms with (k + 1) ln p <= 40, p^-(k+1) >= ~4e-18
 _POWER_LOG_MAX = 40.0
-#: bound on the dropped tail of each prime's series for ln(1 - w^2)
+#: bound on the dropped tail of each prime's series for ln(1 + u/(p - 2)) + ln(1 - u/p)
 _LOG_SERIES_TOL = 1e-18
 
 
@@ -268,31 +261,29 @@ def _prime_sum_terms(ps: np.ndarray, n_small: int, k_cut: int):
     The nodes are x = m ln p, m = 1, 2, ..., for each p in turn.  Row 0 of
     the coefficients holds the power sum, k (ln p)^2 p^-(k+1) at m = k + 1,
     over every prime.  Row 1 holds, for the primes past the first n_small
-    (those from _SMALL_PRIME on), the series of
+    (those from _SMALL_PRIME on), the log of the product factor, which
+    splits as 1 - w^2 = (p - 2 + u)(p - u)/(p - 1)^2, w = (1 - u)/(p - 1):
 
-        ln(1 - w^2) = -sum_{j=1}^{J} w^(2j) / j,   w = (1 - u)/(p - 1),
+        ln(1 - w^2) = ln(1 - (p - 1)^-2) + ln(1 + u/(p - 2)) + ln(1 - u/p),
 
-    expanded in powers u^m, m = 1..2J; its u^0 terms, summed over p, come
-    back as a constant.  |w| <= 2/(p - 1) = r, so J is the least with the
-    tail bound r^(2J+2) / ((J+1)(1 - r^2)) <= 1e-18.  The small primes have
-    no series (J = 0): their product factors stay in the direct block.
-    Each row is zero at the nodes it does not use.  The nodes do not
-    depend on k_cut: they run to m = 2J or to the last m with m ln p <= 40,
-    whichever is larger, so the product row is the same whatever k_cut the
-    power row is cut at.
+    so the coefficient of u^m is ((-1)^(m+1) (p - 2)^-m - p^-m) / m; the
+    constants, summed over p, come back as a constant.  With a = 1/(p - 2)
+    each |coefficient| is at most 2 a^m / m, so the series runs to the
+    least M with the tail bound 2 a^(M+1) / ((M+1)(1 - a)) <= 1e-18.  The
+    small primes have no series (M = 0): their product factors stay in the
+    direct block.  Each row is zero at the nodes it does not use.  The nodes
+    do not depend on k_cut: they run to m = M or to the last m with
+    m ln p <= 40, whichever is larger, so the product row is the same
+    whatever k_cut the power row is cut at.
     """
     log_p = np.log(ps)
     n_pow = np.floor(_POWER_LOG_MAX / log_p).astype(np.int64) - 1
-    q = 1.0 / (ps[n_small:] - 1.0) ** 2
-    r2 = 4.0 * q
-    n_j = np.ones(len(q), dtype=np.int64)
-    while True:
-        over = r2 ** (n_j + 1) / ((n_j + 1) * (1.0 - r2)) > _LOG_SERIES_TOL
-        if not np.any(over):
-            break
-        n_j += over
-    m_max = n_pow + 1
-    m_max[n_small:] = np.maximum(m_max[n_small:], 2 * n_j)
+    a = 1.0 / (ps[n_small:] - 2.0)
+    n_m = np.ones(len(a), dtype=np.int64)
+    while np.any(over := 2.0 * a ** (n_m + 1) / ((n_m + 1) * (1.0 - a)) > _LOG_SERIES_TOL):
+        n_m += over
+    n_series = np.concatenate([np.zeros(n_small, dtype=np.int64), n_m])
+    m_max = np.maximum(n_pow + 1, n_series)
     prime = np.repeat(np.arange(len(ps)), m_max)
     m = np.arange(len(prime)) - np.repeat(np.cumsum(m_max) - m_max, m_max) + 1
     lp = log_p[prime]
@@ -300,18 +291,10 @@ def _prime_sum_terms(ps: np.ndarray, n_small: int, k_cut: int):
     coef = np.zeros((2, len(prime)))
     in_power = (k >= 1) & (k <= np.minimum(n_pow[prime], k_cut))
     coef[0, in_power] = (k * lp**2 * np.exp(-(k + 1) * lp))[in_power]
-    # -sum_j q^j (1 - u)^(2j) / j, q = (p - 1)^-2, one column per power of u
-    series = np.zeros((len(q), int(m_max[n_small:].max(initial=0)) + 1))
-    q_j = np.ones(len(q))
-    for j in range(1, int(n_j.max(initial=0)) + 1):
-        q_j = q_j * q
-        live = n_j >= j
-        m_j = np.arange(2 * j + 1)
-        binom = np.array([math.comb(2 * j, i) for i in m_j]) * (-1.0) ** m_j
-        series[live, : 2 * j + 1] -= np.multiply.outer(q_j[live] / j, binom)
-    first = int(m_max[:n_small].sum())  # the nodes of the series primes follow the small ones
-    coef[1, first:] = series[prime[first:] - n_small, m[first:]]
-    return m * lp, coef, float(np.sum(series[:, 0]))
+    in_series = m <= n_series[prime]
+    m_s, p_s = m[in_series], ps[prime[in_series]]
+    coef[1, in_series] = (np.where(m_s % 2, 1.0, -1.0) * (p_s - 2.0) ** -m_s - p_s**-m_s) / m_s
+    return m * lp, coef, float(np.sum(np.log1p(-1.0 / (ps[n_small:] - 1.0) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -429,10 +412,13 @@ class TheoryCurve:
     constant_term: float
     diag: np.ndarray
     offdiag: np.ndarray
-    total: np.ndarray
     e_height: float
     truncation: dict
     unfolded: bool
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.constant_term + self.diag + self.offdiag
 
 
 def theory_curve(
@@ -475,7 +461,6 @@ def theory_curve(
         const,
         diag,
         off,
-        const + diag + off,
         float(e_height),
         {"prime_cutoff": p_cut, "power_cutoff": k_cut},
         unfolded,
@@ -510,18 +495,11 @@ def theory_on_bins(
 def gue_on_bins(edges: np.ndarray) -> TheoryCurve:
     """The limit curve on the same quadrature layout (constant term 1)."""
     nodes = _bin_quadrature_nodes(np.asarray(edges))
-    diag = r2_diag_limit(nodes)
-    off = r2_off_limit(nodes)
-    return TheoryCurve(
-        nodes, 1.0, diag, off, 1.0 + diag + off, math.inf, {}, True
-    )
+    return TheoryCurve(nodes, 1.0, r2_diag_limit(nodes), r2_off_limit(nodes), math.inf, {}, True)
 
 
 def _check_layout(curve: TheoryCurve, edges: np.ndarray) -> None:
-    expect = _bin_quadrature_nodes(edges)
-    if curve.epsilons.shape != expect.shape or not np.allclose(
-        curve.epsilons, expect, rtol=0, atol=1e-12
-    ):
+    if not np.array_equal(curve.epsilons, _bin_quadrature_nodes(edges)):
         raise GridMismatchError(
             "theory grid is not the 5-node quadrature layout of these bins"
         )

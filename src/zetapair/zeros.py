@@ -107,6 +107,8 @@ class ZeroList:
             self, "ordinates", np.ascontiguousarray(self.ordinates, dtype=np.float64)
         )
         self.ordinates.setflags(write=False)
+        if not (np.all(np.isfinite(self.ordinates)) and np.all(np.isfinite(self.range))):
+            raise ValueError("ordinates and range must be finite")
         if len(self.ordinates) > 1 and np.any(np.diff(self.ordinates) <= 0):
             raise ValueError("ordinates must be strictly ascending")
         if len(self.ordinates) and (
@@ -389,11 +391,15 @@ def load_zeros(path: str | Path) -> ZeroList:
                         offset = float(body.split()[1])
                     except (IndexError, ValueError):
                         raise ZeroTableFormatError("malformed #offset header", ln)
+                    if not math.isfinite(offset):
+                        raise ZeroTableFormatError(f"non-finite #offset {offset!r}", ln)
                 continue
             try:
                 v = offset + float(line)
             except ValueError:
                 raise ZeroTableFormatError(f"unparsable ordinate {line!r}", ln)
+            if not math.isfinite(v):
+                raise ZeroTableFormatError(f"non-finite ordinate {line!r}", ln)
             if vals and v <= vals[-1]:
                 raise ZeroTableFormatError(
                     f"ordinate {v!r} not above its predecessor", ln

@@ -192,6 +192,18 @@ class TestZeros:
         assert code == 1
         assert parse_csv(out)[0]["flagged"] == "true"
 
+    # check exited 0 and called an inf or all-nan table complete; ingest printed nan
+    @pytest.mark.parametrize("action", ["check", "ingest"])
+    @pytest.mark.parametrize("text,line", [
+        ("14.1\ninf\n", 2), ("#offset nan\n14.1\n21.0\n", 1), ("14.1\nnan\n21.0\n", 2),
+    ])
+    def test_non_finite_table_names_line(self, tmp_path, action, text, line):
+        table = tmp_path / "z.txt"
+        table.write_text(text)
+        code, out, err = run_cli("zeros", action, "--path", str(table))
+        assert (code, out) == (1, "")
+        assert f"line {line}: non-finite" in err and err.count("\n") == 1
+
     def test_ingest_roundtrip(self, zero_fixture_path):
         code, out, _ = run_cli("zeros", "ingest", "--path", str(zero_fixture_path))
         assert code == 0
@@ -367,6 +379,21 @@ class TestBadNumbers:
     ])
     def test_empty_shift_list(self, argv):
         self.assert_rejected(argv, "--h needs at least one shift")
+
+    # printed int()'s "invalid literal for int() with base 10: '2.5'"
+    def test_non_integer_shift(self):
+        self.assert_rejected(("alpha", "--method", "product", "--h", "2.5"),
+                             "expected --h H1,H2,..., got '2.5'")
+
+    # printed Python's conversion message with no file or line
+    @pytest.mark.parametrize("line,message", [
+        ("seed=1.5", "seed expects int, got '1.5'"),
+        ("bin_width=abc", "bin_width expects float, got 'abc'"),
+    ])
+    def test_config_value_names_file_and_line(self, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        self.assert_rejected(("--config", str(cfg), *self.ALPHA), f"{cfg}:2: {message}")
 
 
 class TestConfigPlumbing:

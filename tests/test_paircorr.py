@@ -108,6 +108,14 @@ class TestEmpirical:
         with pytest.raises(GridMismatchError):
             aggregate([a, b])
 
+    # edges up to 6e-7 apart pooled under np.allclose, labelled with the first grid
+    def test_aggregate_rejects_nearly_equal_grids(self, zeros_high):
+        a = empirical_r2(zeros_high, 3300.0, 300.0, 0.05, 3.0)
+        b = empirical_r2(zeros_high, 3300.0, 300.0, 0.05000001, 3.0)
+        assert a.bin_edges.shape == b.bin_edges.shape
+        with pytest.raises(GridMismatchError):
+            aggregate([a, b])
+
 
 def _all_pair_differences(x, max_diff):
     """Every x[k] - x[i], i < k, with x[k] <= x[i] + max_diff, pair by pair."""
@@ -274,7 +282,10 @@ class TestPrimePhaseKernel:
     # double rounding stays near 1e-14
     # 47: the primes below 50 alone, whose product has no log series;
     # 53: the first prime with one
-    @pytest.mark.parametrize("p_cut,k_cut", [(47, 20), (53, 20), (20_000, 14), (100_000, 20)])
+    # 4000: the inversion's cutoff
+    @pytest.mark.parametrize("p_cut,k_cut", [
+        (47, 20), (53, 20), (4000, 20), (20_000, 14), (100_000, 20),
+    ])
     def test_against_mpmath(self, tables_1m, p_cut, k_cut):
         eps = np.array([0.3, 1.7, 25.0])
         power, product = paircorr._prime_phase_sums(tables_1m, p_cut, k_cut, eps)
@@ -282,6 +293,25 @@ class TestPrimePhaseKernel:
         # measured: 3.0e-15 and 3.0e-15 at worst
         assert np.max(np.abs(power - want_power)) <= 1e-14
         assert np.max(np.abs(product - want_product)) <= 5e-14
+
+    # each series is the Taylor series of ln(1 - ((1 - u)/(p - 1))^2) at u = 0,
+    # cut at the least M whose tail bound 2 a^(M+1) / ((M+1)(1 - a)), a = 1/(p - 2),
+    # is at most 1e-18
+    @pytest.mark.parametrize("p", [53, 97, 1009])
+    def test_log_series_against_mpmath_taylor(self, p):
+        a = 1.0 / (p - 2)
+        n_m = 1
+        while 2.0 * a ** (n_m + 1) / ((n_m + 1) * (1.0 - a)) > 1e-18:
+            n_m += 1
+        _, coef, log_const = paircorr._prime_sum_terms(np.array([float(p)]), 0, 0)
+        series = coef[1]
+        assert np.all(series[:n_m] != 0.0) and np.all(series[n_m:] == 0.0)
+        with mpmath.workdps(40):
+            want = mpmath.taylor(lambda u: mpmath.log(1 - ((1 - u) / (p - 1)) ** 2), 0, n_m)
+        want = np.array([float(c) for c in want])
+        m = np.arange(1, n_m + 1)
+        assert abs(log_const - want[0]) <= 1e-15 * abs(want[0])
+        assert np.all(np.abs(series[:n_m] - want[1:]) <= 1e-15 * a**m / m)
 
     def test_small_primes_through_the_transform(self, tables_1m, monkeypatch):
         # at 250 points the power sum of the primes below 50 reads a plan;
@@ -327,7 +357,7 @@ class TestPrimePhaseKernel:
 
     def test_row_chunks_line_up(self, tables_1m, monkeypatch):
         # the prime sums go through the transform at 250 points and
-        # through the direct sum at one; measured 3.4e-16 and 4.4e-16 at worst
+        # through the direct sum at one; measured 8.6e-16 and 5.0e-16 at worst
         eps = np.linspace(0.1, 30.0, 250)
         with monkeypatch.context() as patch:
             patch.setattr(special, "_direct_sum", _no_direct_sum)
@@ -464,9 +494,12 @@ class TestPlanCache:
     def test_cached_read_equals_cold_sum(self, tables_small):
         terms = paircorr._prime_terms(tables_small, 5000, 6)
         sums = special.DirichletSum(terms.sums.c, terms.sums.x)
-        sums(np.linspace(0.1, 3.0, 300))
+        first = np.linspace(0.1, 3.0, 300)
+        later = np.linspace(0.3, 2.8, 217)
+        tile = special._canonical_tile(sums.x, first)
+        assert special._canonical_tile(sums.x, later) == tile
+        sums(first)
         plan = sums.plan
-        later = np.linspace(0.4, 2.6, 217)
         cached = sums(later)
         assert sums.plan is plan
         cold = special.DirichletSum(terms.sums.c, terms.sums.x)(later)
@@ -553,7 +586,7 @@ class TestCompare:
         est, curve = window
         binned = bin_average(curve, est.bin_edges)
         # counts / norms is then the binned theory exactly
-        synthetic = replace(est, values=binned, counts=binned, norms=np.ones_like(est.norms))
+        synthetic = replace(est, counts=binned, norms=np.ones_like(est.norms))
         rep = compare([synthetic], [curve])
         assert rep.ms_residual == 0.0
         assert np.all(rep.residuals == 0.0)
@@ -563,8 +596,10 @@ class TestCompare:
         rep = compare([est], [curve])
         assert np.array_equal(rep.estimate.values, est.values)
         assert np.array_equal(rep.theory, bin_average(curve, est.bin_edges))
+        zeros = np.zeros_like(curve.diag)
         for name in ("diag", "offdiag"):
-            alone = bin_average(replace(curve, total=getattr(curve, name)), est.bin_edges)
+            term = replace(curve, constant_term=0.0, diag=getattr(curve, name), offdiag=zeros)
+            alone = bin_average(term, est.bin_edges)
             assert np.array_equal(getattr(rep, name), alone)
         gue = bin_average(gue_on_bins(est.bin_edges), est.bin_edges)
         assert np.array_equal(rep.gue, gue)

@@ -59,6 +59,25 @@ class TestIngestion:
             load_zeros(p)
         assert err.value.line == 2
 
+    # each was ingested, and zeros check called the table complete
+    @pytest.mark.parametrize("text,line", [
+        ("14.1\ninf\n", 2), ("#offset nan\n14.1\n21.0\n", 1), ("14.1\nnan\n21.0\n", 2),
+    ])
+    def test_non_finite_names_line(self, tmp_path, text, line):
+        p = tmp_path / "z.txt"
+        p.write_text(text)
+        with pytest.raises(ZeroTableFormatError, match=f"line {line}: non-finite") as err:
+            load_zeros(p)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("ordinates,bounds", [
+        ([14.1, math.nan], (10.0, 30.0)), ([14.1, math.inf], (10.0, math.inf)),
+        ([14.1], (math.nan, 30.0)),
+    ])
+    def test_zero_list_rejects_non_finite(self, ordinates, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            ZeroList(np.array(ordinates), bounds, "ingested", False)
+
     def test_fixture_is_complete(self, zero_fixture_path):
         zl = load_zeros(zero_fixture_path)
         assert len(zl) == 100
