@@ -11,14 +11,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from . import identities as idmod
 from . import paircorr, singular, zeros
-from .config import RunConfig, apply_env, load_config_file
+from .config import RunConfig, load_config_file
 from .inversion import windowed_inversion
 from .sieve import build_sieve
 from .special import ZetaEvaluator, mean_density
@@ -83,29 +81,16 @@ def _parse_range(text: str, form: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _sieve_for(cfg: RunConfig, needed: int):
-    limit = cfg.sieve_limit if cfg.sieve_limit > 0 else max(needed, 1000)
-    if limit < needed:
-        raise ValueError(
-            f"configured sieve_limit {limit} is below the required {needed}"
-        )
-    return build_sieve(limit)
+def _sieve(needed: int):
+    # at least 1000: the limit also sets the tail bound that `alpha --method series` prints
+    return build_sieve(max(needed, 1000))
 
 
-def _load_zero_list(args, cfg: RunConfig) -> zeros.ZeroList:
+def _load_zero_list(args) -> zeros.ZeroList:
     if getattr(args, "zeros", None):
         return zeros.load_zeros(args.zeros)
     if getattr(args, "compute", None):
         t_min, t_max = _parse_range(args.compute, "--compute TMIN:TMAX")
-        if cfg.cache_dir:
-            # repr round-trips, so distinct ranges never share a file
-            cache = Path(cfg.cache_dir) / f"zeros-{t_min!r}-{t_max!r}.txt"
-            if cache.is_file():
-                # the table ends at its outermost zeros, not at the range
-                return replace(zeros.load_zeros(cache), range=(t_min, t_max))
-            zl = zeros.compute_zeros(t_min, t_max)
-            zeros.save_zeros(zl, cache)
-            return zl
         return zeros.compute_zeros(t_min, t_max)
     raise ValueError("provide --zeros PATH or --compute TMIN:TMAX")
 
@@ -114,7 +99,7 @@ def _load_zero_list(args, cfg: RunConfig) -> zeros.ZeroList:
 
 def _cmd_constants(args, cfg: RunConfig) -> int:
     p = args.prime_cutoff
-    tables = _sieve_for(cfg, p + 1)
+    tables = _sieve(p + 1)
     c2 = singular.twin_prime_constant(p, tables)
     emit(
         ["prime_cutoff", "value", "tail_log_bound"],
@@ -134,7 +119,7 @@ def _cmd_alpha(args, cfg: RunConfig) -> int:
         needed = max(needed, cfg.series_cutoff)
     elif args.method == "empirical":
         needed = max(needed, args.sample_length + max_h)
-    tables = _sieve_for(cfg, needed + 1)
+    tables = _sieve(needed + 1)
     c2 = singular.twin_prime_constant(args.prime_cutoff, tables)
     rows = []
     for h in hs:
@@ -158,7 +143,7 @@ def _cmd_alpha(args, cfg: RunConfig) -> int:
 
 
 def _cmd_avg_alpha(args, cfg: RunConfig) -> int:
-    tables = _sieve_for(cfg, max(args.h, args.prime_cutoff) + 1)
+    tables = _sieve(max(args.h, args.prime_cutoff) + 1)
     c2 = singular.twin_prime_constant(args.prime_cutoff, tables)
     s = singular.smoothed_average(args.h, tables, c2)
     emit(
@@ -225,7 +210,7 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
 
     if args.mode == "theory":
         grid = _parse_grid(args.grid)
-        tables = _sieve_for(cfg, args.prime_cutoff + 1)
+        tables = _sieve(args.prime_cutoff + 1)
         curve = paircorr.theory_curve(
             args.height, grid, zcfg, tables, args.prime_cutoff,
             args.power_cutoff, unfolded=not args.absolute,
@@ -240,7 +225,7 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
              rows, cfg.output_format)
         return 0
 
-    zl = _load_zero_list(args, cfg)
+    zl = _load_zero_list(args)
     width = args.width
     if width is None:
         width = cfg.window_width / mean_density(args.center)
@@ -254,7 +239,7 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
         return 0
 
     # compare
-    tables = _sieve_for(cfg, args.prime_cutoff + 1)
+    tables = _sieve(args.prime_cutoff + 1)
     curve = paircorr.theory_on_bins(
         args.center, est.bin_edges, zcfg, tables, args.prime_cutoff,
         args.power_cutoff,
@@ -280,7 +265,7 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
 
 def _cmd_identities(args, cfg: RunConfig) -> int:
     wanted = idmod.SUITES if args.suite == "all" else (args.suite,)
-    tables = _sieve_for(cfg, max(cfg.series_cutoff, 10_000) + 1)
+    tables = _sieve(max(cfg.series_cutoff, 10_000) + 1)
     c2 = singular.twin_prime_constant(cfg.series_cutoff, tables)
     reports = idmod.identity_suite(tables, c2, cfg.series_cutoff, cfg.seed, wanted)
     emit(["identity_name", "samples", "max_residual", "tolerance", "passed"],
@@ -295,7 +280,7 @@ def _cmd_identities(args, cfg: RunConfig) -> int:
 def _cmd_invert(args, cfg: RunConfig) -> int:
     hs = _parse_int_list(args.h)
     e_lo, e_hi = _parse_range(args.window, "--window E_LO:E_HI")
-    tables = _sieve_for(cfg, max(args.prime_cutoff, 10_000) + 1)
+    tables = _sieve(max(args.prime_cutoff, 10_000) + 1)
     rows = []
     any_failed = False
     for h in hs:
@@ -330,9 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--format", choices=("csv", "json"), help="output format")
-    ap.add_argument("--cache-dir", help="zero-table cache directory (env ZPD_CACHE_DIR)")
     ap.add_argument("--seed", type=int, help="seed for sampled checks")
-    ap.add_argument("--sieve-limit", type=int, help="fixed sieve size (0 = auto)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="twin prime constant")
@@ -408,14 +391,10 @@ _HANDLERS = {
 
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    kwargs = {}
-    if args.config:
-        kwargs.update(load_config_file(args.config))
-    cfg = apply_env(RunConfig(**kwargs))
-    flags = {"output_format": args.format, "cache_dir": args.cache_dir or None,
-             "seed": args.seed, "sieve_limit": args.sieve_limit}
-    # replace runs RunConfig's checks again, on the values the flags set
-    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    kwargs = load_config_file(args.config) if args.config else {}
+    flags = {"output_format": args.format, "seed": args.seed}
+    kwargs.update({k: v for k, v in flags.items() if v is not None})
+    cfg = RunConfig(**kwargs)
     return _HANDLERS[args.command](args, cfg)
 
 

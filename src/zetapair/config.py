@@ -1,6 +1,6 @@
 """Run configuration shared by the CLI subcommands.
 
-Precedence: built-in defaults < --config file < ZPD_CACHE_DIR < flags.
+Precedence: built-in defaults < --config file < flags.
 The fields are checked once the flags are applied, whatever set them.
 The config file is flat ``key=value`` lines (``#`` comments allowed) with
 keys exactly the RunConfig field names.
@@ -8,30 +8,26 @@ keys exactly the RunConfig field names.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["RunConfig", "load_config_file", "apply_env"]
+__all__ = ["RunConfig", "load_config_file"]
 
 
 @dataclass
 class RunConfig:
-    sieve_limit: int = 0          # 0 = size automatically for the command
     series_cutoff: int = 1_000_000
     bin_width: float = 0.05
     window_width: float = 200.0   # in mean spacings
-    cache_dir: str = ""
     output_format: str = "csv"
     seed: int = 0
 
     def __post_init__(self):
-        if self.sieve_limit < 0:
-            raise ValueError(f"sieve_limit must be >= 0 (0 = automatic), got {self.sieve_limit}")
         if self.series_cutoff <= 0:
             raise ValueError("series_cutoff must be positive")
-        if self.bin_width <= 0 or self.window_width <= 0:
-            raise ValueError("bin_width and window_width must be positive")
+        if not (0 < self.bin_width < math.inf and 0 < self.window_width < math.inf):
+            raise ValueError("bin_width and window_width must be finite and positive")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be 'csv' or 'json'")
 
@@ -59,12 +55,6 @@ def load_config_file(path: str | Path) -> dict:
             out[key] = _PARSERS[kind](value)
         except ValueError:
             raise ValueError(f"{path}:{ln}: {key} expects {kind}, got {value!r}")
+        if kind == "float" and not math.isfinite(out[key]):
+            raise ValueError(f"{path}:{ln}: {key} expects a finite float, got {value!r}")
     return out
-
-
-def apply_env(cfg: RunConfig) -> RunConfig:
-    """ZPD_CACHE_DIR overrides the configured cache directory."""
-    env = os.environ.get("ZPD_CACHE_DIR")
-    if env:
-        cfg.cache_dir = env
-    return cfg

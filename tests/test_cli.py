@@ -1,18 +1,18 @@
-import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from zetapair import cli, identities
+from zetapair import identities
 from zetapair.cli import main
 from zetapair.config import RunConfig
 
@@ -68,12 +68,14 @@ class TestAlpha:
 
     def test_series_reports_truncation(self):
         code, out, _ = run_cli(
-            "--sieve-limit", "200000",
-            "--config", "/dev/null",
             "alpha", "--method", "series", "--h", "2", "--prime-cutoff", "10000",
         )
-        # series cutoff (1e6 default) exceeds the forced sieve limit
-        assert code == 1
+        assert code == 0
+        cutoff, tail = parse_csv(out)[0]["truncation"].split(";")
+        assert cutoff == "series_cutoff=1000000"
+        name, _, value = tail.partition("=")
+        assert name == "tail_bound"
+        assert math.isfinite(float(value)) and float(value) > 0.0
 
     @pytest.mark.parametrize("length", ["0", "-5"])
     def test_sample_length_below_one_is_not_a_sieve_error(self, length):
@@ -301,35 +303,6 @@ class TestNonFiniteHeight:
         )
 
 
-class TestZeroCache:
-    def empirical(self, cache_dir, t_range, width="400"):
-        return run_cli(
-            "--cache-dir", str(cache_dir), "r2", "empirical", "--compute", t_range,
-            "--center", "1200", "--width", width,
-        )
-
-    def test_rerun_from_cache_is_identical(self, tmp_path):
-        first = self.empirical(tmp_path, "1000:1400")
-        assert first[0] == 0
-        assert self.empirical(tmp_path, "1000:1400") == first
-        assert len(list(tmp_path.glob("zeros-*"))) == 1
-
-    def test_close_ranges_do_not_share_a_file(self, tmp_path):
-        for t_min in ("1000.12345", "1000.12349"):
-            code, _, _ = self.empirical(tmp_path, f"{t_min}:1400", width="380")
-            assert code == 0
-        assert len(list(tmp_path.glob("zeros-*"))) == 2
-
-    def test_cached_ordinates_are_the_computed_ones(self, tmp_path):
-        # twelve fixed decimals moved 319 of these 597 ordinates, by up to 4.5e-13
-        args = argparse.Namespace(zeros=None, compute="3000:3600")
-        cfg = RunConfig(cache_dir=str(tmp_path))
-        computed = cli._load_zero_list(args, cfg)
-        assert len(list(tmp_path.glob("zeros-*"))) == 1
-        cached = cli._load_zero_list(args, cfg)
-        assert np.array_equal(cached.ordinates, computed.ordinates)
-
-
 class TestBadNumbers:
     """Each exits 1 with a one-line message and prints nothing on stdout."""
 
@@ -340,21 +313,6 @@ class TestBadNumbers:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
-
-    # a negative sieve limit was taken as "size automatically", like 0
-    def test_negative_sieve_limit_flag(self):
-        self.assert_rejected(("--sieve-limit", "-5", *self.ALPHA),
-                             "sieve_limit must be >= 0 (0 = automatic), got -5")
-
-    def test_negative_sieve_limit_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("sieve_limit=-5\n")
-        self.assert_rejected(("--config", str(cfg), *self.ALPHA),
-                             "sieve_limit must be >= 0 (0 = automatic), got -5")
-
-    def test_zero_sieve_limit_is_automatic(self):
-        code, out, _ = run_cli("--sieve-limit", "0", *self.ALPHA, "--prime-cutoff", "10000")
-        assert code == 0 and len(parse_csv(out)) == 1
 
     # --width 0 histogrammed the default window; --eps-max inf raised OverflowError;
     # --eps-max 400 printed -0 in every bin past the 200-spacing window
@@ -389,6 +347,9 @@ class TestBadNumbers:
     @pytest.mark.parametrize("line,message", [
         ("seed=1.5", "seed expects int, got '1.5'"),
         ("bin_width=abc", "bin_width expects float, got 'abc'"),
+        # nan and inf parsed as floats and were accepted
+        ("bin_width=nan", "bin_width expects a finite float, got 'nan'"),
+        ("window_width=inf", "window_width expects a finite float, got 'inf'"),
     ])
     def test_config_value_names_file_and_line(self, tmp_path, line, message):
         cfg = tmp_path / "run.cfg"
@@ -415,27 +376,26 @@ class TestConfigPlumbing:
             assert code == 1
             assert f"unknown config key {key!r}" in err
 
-    # the zero table that r2 empirical --compute caches is the witness
-    EMPIRICAL = ("r2", "empirical", "--compute", "1000:1400", "--center", "1200",
-                 "--width", "400")
-
-    def test_env_cache_dir(self, tmp_path, monkeypatch):
+    def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"cache_dir={tmp_path / 'cfgdir'}\n")
-        monkeypatch.setenv("ZPD_CACHE_DIR", str(tmp_path / "envdir"))
-        code, _, _ = run_cli("--config", str(cfg), *self.EMPIRICAL)
+        cfg.write_text("output_format=json\n")
+        code, out, _ = run_cli(
+            "--config", str(cfg), "--format", "csv", "r2", "gue", "--grid", "0:1:0.5"
+        )
         assert code == 0
-        assert len(list((tmp_path / "envdir").glob("zeros-*.txt"))) == 1
-        assert not (tmp_path / "cfgdir").exists()
+        assert out.splitlines()[0] == "epsilon,value"
 
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZPD_CACHE_DIR", str(tmp_path / "envdir"))
-        flag_dir = tmp_path / "flagdir"
-        code, _, _ = run_cli("--cache-dir", str(flag_dir), *self.EMPIRICAL)
-        assert code == 0
-        assert len(list(flag_dir.glob("zeros-*.txt"))) == 1
-        assert not (tmp_path / "envdir").exists()
+    @pytest.mark.parametrize("kwargs", [{"bin_width": math.nan}, {"window_width": math.inf}])
+    def test_non_finite_widths_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RunConfig(**kwargs)
 
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        match = re.search(r"keys are the\s+`RunConfig` field names: ([^)]*)\)", readme)
+        assert match, "README lost its sentence listing the config keys"
+        listed = re.findall(r"`(\w+)`", match.group(1))
+        assert listed == [f.name for f in dataclasses.fields(RunConfig)]
 
 class TestIdentitiesCommand:
     def test_quick_suites_pass(self):

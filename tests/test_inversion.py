@@ -5,6 +5,7 @@ import pytest
 
 from zetapair import inversion
 from zetapair.inversion import windowed_inversion
+from zetapair.singular import alpha_product, twin_prime_constant
 
 
 class TestValidation:
@@ -122,3 +123,20 @@ class TestContrast:
             "normalization",
         ):
             assert key in diag
+
+
+class TestOracle:
+    # the prime side shares only the sieve with the inversion; with prime
+    # cutoff P both give the singular series of the primes up to P.  Measured
+    # est/alpha - 1: -2.9e-4 (h = 2), -2.2e-4 (4), -6.2e-6 (6); est: -1.7e-5
+    # (h = 1), +2.6e-7 (3).  Wider bands, |h| (E_hi - E_lo) past 3000, run
+    # into the direct sum and take seconds each.
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 6])
+    def test_estimate_is_alpha(self, tables_1m, h):
+        res = windowed_inversion(h, (1000.0, 1500.0), tables=tables_1m, p_cut=4000)
+        assert res.ok
+        alpha = alpha_product(h, tables_1m, twin_prime_constant(4000, tables_1m)).value
+        if h % 2:
+            assert alpha == 0.0 and abs(res.estimate) <= 1e-4
+        else:
+            assert abs(res.estimate / alpha - 1.0) <= 1e-3

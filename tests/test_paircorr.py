@@ -430,10 +430,15 @@ class TestTheoryCurve:
             theory_on_bins(e_height, np.linspace(0.0, 1.0, 3), zeta_cfg, tables_small, 1000, 4)
 
     def test_decomposition_identity(self, zeta_cfg, tables_1m):
+        # the unfolded diag and offdiag are the absolute ones at eps / dbar, over dbar^2
         eps = np.linspace(0.2, 3.0, 20)
-        for unfolded in (True, False):
-            tc = theory_curve(1e4, eps, zeta_cfg, tables_1m, 20_000, 14, unfolded)
-            assert np.array_equal(tc.total, tc.constant_term + tc.diag + tc.offdiag)
+        dbar = mean_density(1e4)
+        unfolded = theory_curve(1e4, eps, zeta_cfg, tables_1m, 20_000, 14, unfolded=True)
+        absolute = theory_curve(1e4, eps / dbar, zeta_cfg, tables_1m, 20_000, 14,
+                                unfolded=False)
+        for term in ("diag", "offdiag"):
+            expected = getattr(absolute, term) / dbar**2
+            assert np.allclose(getattr(unfolded, term), expected, rtol=1e-15, atol=0.0)
 
     def test_constant_term(self, zeta_cfg, tables_1m):
         eps = np.array([0.5])
