@@ -18,12 +18,12 @@ kept well below the band.
 
 The estimate is normalized by 2 pi / integral(w_E), and so normalized it
 is alpha(h) itself: the singular series of the primes up to ``p_cut``,
-over which the Euler product runs.  Against ``singular.alpha_product``
-with C2 cut at the same 4000, on E in (1000, 1500), est/alpha - 1 reads
--2.9e-4, -2.2e-4 and -6.2e-6 at h = 2, 4 and 6, and the odd shifts read
--1.7e-5 (h = 1) and 2.6e-7 (h = 3).  A window holds finitely many
-Fourier atoms, so narrower or higher windows scatter more: on
-(1000, 1100) h = 2 and h = 6 are off by -1.1% and +2.0%, and on
+over which the Euler product runs.  With p_cut = 4000 on E in
+(1000, 1500), against ``singular.alpha_product`` with C2 cut at 4000,
+est/alpha - 1 reads -2.9e-4, -2.2e-4 and -6.2e-6 at h = 2, 4 and 6, and
+the odd shifts read -1.7e-5 (h = 1) and 2.6e-7 (h = 3).  A window holds
+finitely many Fourier atoms, so narrower or higher windows scatter more:
+on (1000, 1100) h = 2 and h = 6 are off by -1.1% and +2.0%, and on
 (3000, 3500) h = 2 by +1.5%.
 
 The double integral uses one nested panel rule in both directions,
