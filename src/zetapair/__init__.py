@@ -10,7 +10,6 @@ Each scipy submodule is imported by the function that calls it, so
 importing the package loads numpy alone.
 """
 
-from .config import RunConfig
 from .identities import (
     IdentityReport,
     averaged_alpha_recovery,

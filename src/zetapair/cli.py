@@ -1,8 +1,8 @@
 """Command-line surface: machine-readable CSV/JSON over every module.
 
-One binary with subcommands; identical invocations with identical config
-and seed produce byte-identical output.  Diagnostics go to stderr, data
-to stdout.  Exit codes: 0 success, 1 domain/verification error, 2 usage.
+One binary with subcommands; identical invocations with identical seed
+produce byte-identical output.  Diagnostics go to stderr, data to stdout.
+Exit codes: 0 success, 1 domain/verification error, 2 usage.
 """
 
 from __future__ import annotations
@@ -15,13 +15,18 @@ import sys
 import numpy as np
 
 from . import identities as idmod
-from . import paircorr, singular, zeros
-from .config import RunConfig, load_config_file
-from .inversion import windowed_inversion
+from . import inversion, paircorr, singular, zeros
 from .sieve import build_sieve
 from .special import ZetaEvaluator, mean_density
 
 __all__ = ["main", "run"]
+
+#: N of the Ramanujan series in ``alpha --method series`` (criterion 2's)
+SERIES_CUTOFF = 1_000_000
+#: prime cutoff, C2 cutoff and sieve size of ``identities`` (criterion 8's)
+IDENTITY_CUTOFF = 1_000_000
+#: histogram bin width of ``r2 empirical`` and ``r2 compare``, in mean spacings
+BIN_WIDTH = 0.05
 
 
 def _fmt(value) -> str:
@@ -73,6 +78,15 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
+def _seed(text: str) -> int:
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _parse_range(text: str, form: str) -> tuple[float, float]:
     try:
         lo, hi = (float(x) for x in text.split(":"))
@@ -97,7 +111,7 @@ def _load_zero_list(args) -> zeros.ZeroList:
 
 # -- subcommand bodies -------------------------------------------------------
 
-def _cmd_constants(args, cfg: RunConfig) -> int:
+def _cmd_constants(args) -> int:
     p = args.prime_cutoff
     tables = _sieve(p + 1)
     c2 = singular.twin_prime_constant(p, tables)
@@ -105,18 +119,18 @@ def _cmd_constants(args, cfg: RunConfig) -> int:
         ["prime_cutoff", "value", "tail_log_bound"],
         [{"prime_cutoff": c2.prime_cutoff, "value": c2.value,
           "tail_log_bound": c2.tail_log_bound}],
-        cfg.output_format,
+        args.format,
     )
     return 0
 
 
-def _cmd_alpha(args, cfg: RunConfig) -> int:
+def _cmd_alpha(args) -> int:
     hs = _parse_int_list(args.h)
     max_h = max(abs(h) for h in hs)
     # every method also reports the product form, which needs C2 at the cutoff
     needed = max(max_h, args.prime_cutoff)
     if args.method == "series":
-        needed = max(needed, cfg.series_cutoff)
+        needed = max(needed, SERIES_CUTOFF)
     elif args.method == "empirical":
         needed = max(needed, args.sample_length + max_h)
     tables = _sieve(needed + 1)
@@ -127,7 +141,7 @@ def _cmd_alpha(args, cfg: RunConfig) -> int:
         if args.method == "product":
             res = ref
         elif args.method == "series":
-            res = singular.alpha_ramanujan(h, tables, cfg.series_cutoff)
+            res = singular.alpha_ramanujan(h, tables, SERIES_CUTOFF)
         else:
             res = singular.alpha_empirical(h, tables, args.sample_length)
         rows.append({
@@ -138,11 +152,11 @@ def _cmd_alpha(args, cfg: RunConfig) -> int:
             "reference_product": ref.value,
         })
     emit(["h", "method", "value", "truncation", "reference_product"], rows,
-         cfg.output_format)
+         args.format)
     return 0
 
 
-def _cmd_avg_alpha(args, cfg: RunConfig) -> int:
+def _cmd_avg_alpha(args) -> int:
     tables = _sieve(max(args.h, args.prime_cutoff) + 1)
     c2 = singular.twin_prime_constant(args.prime_cutoff, tables)
     s = singular.smoothed_average(args.h, tables, c2)
@@ -150,41 +164,33 @@ def _cmd_avg_alpha(args, cfg: RunConfig) -> int:
         ["h", "average", "asymptote", "abs_deviation"],
         [{"h": s.h, "average": s.average, "asymptote": s.asymptote,
           "abs_deviation": s.deviation}],
-        cfg.output_format,
+        args.format,
     )
     return 0
 
 
-def _cmd_zeros(args, cfg: RunConfig) -> int:
+def _cmd_zeros(args) -> int:
     if args.action == "compute":
         zl = zeros.compute_zeros(args.t_min, args.t_max)
-        if args.out:
-            zeros.save_zeros(zl, args.out)
-        rep = zeros.counting_check(zl)
-        if args.out:
-            emit(
-                ["count", "t_min", "t_max", "expected", "discrepancy", "path"],
-                [{"count": len(zl), "t_min": zl.range[0], "t_max": zl.range[1],
-                  "expected": rep.expected, "discrepancy": rep.discrepancy,
-                  "path": str(args.out)}],
-                cfg.output_format,
-            )
-        else:
-            emit(
-                ["index", "ordinate"],
-                [{"index": i + 1, "ordinate": float(v)}
-                 for i, v in enumerate(zl.ordinates)],
-                cfg.output_format,
-            )
-        return 0
-    zl = zeros.load_zeros(args.path)
-    rep = zeros.counting_check(zl)
-    if args.action == "ingest":
+    else:
+        zl = zeros.load_zeros(args.path)
+    if args.action == "ingest" or (args.action == "compute" and not args.out):
         emit(
             ["index", "ordinate"],
             [{"index": i + 1, "ordinate": float(v)}
              for i, v in enumerate(zl.ordinates)],
-            cfg.output_format,
+            args.format,
+        )
+        return 0
+    rep = zeros.counting_check(zl)
+    if args.action == "compute":
+        zeros.save_zeros(zl, args.out)
+        emit(
+            ["count", "t_min", "t_max", "expected", "discrepancy", "path"],
+            [{"count": len(zl), "t_min": zl.range[0], "t_max": zl.range[1],
+              "expected": rep.expected, "discrepancy": rep.discrepancy,
+              "path": str(args.out)}],
+            args.format,
         )
         return 0
     # check
@@ -194,18 +200,18 @@ def _cmd_zeros(args, cfg: RunConfig) -> int:
         [{"count": rep.actual, "t_min": zl.range[0], "t_max": zl.range[1],
           "expected": rep.expected, "discrepancy": rep.discrepancy,
           "flagged": rep.flagged, "claimed_complete": zl.claimed_complete}],
-        cfg.output_format,
+        args.format,
     )
     return 1 if rep.flagged else 0
 
 
-def _cmd_r2(args, cfg: RunConfig) -> int:
+def _cmd_r2(args) -> int:
     zcfg = ZetaEvaluator()
     if args.mode == "gue":
         grid = _parse_grid(args.grid)
         rows = [{"epsilon": float(e), "value": paircorr.gue_r2(float(e))}
                 for e in grid]
-        emit(["epsilon", "value"], rows, cfg.output_format)
+        emit(["epsilon", "value"], rows, args.format)
         return 0
 
     if args.mode == "theory":
@@ -222,20 +228,20 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
                                   curve.offdiag)
         ]
         emit(["epsilon", "theory_total", "theory_diag", "theory_off", "constant"],
-             rows, cfg.output_format)
+             rows, args.format)
         return 0
 
     zl = _load_zero_list(args)
     width = args.width
     if width is None:
-        width = cfg.window_width / mean_density(args.center)
-    est = paircorr.empirical_r2(zl, args.center, width, cfg.bin_width, args.eps_max)
+        width = paircorr.WINDOW_SPACINGS / mean_density(args.center)
+    est = paircorr.empirical_r2(zl, args.center, width, BIN_WIDTH, args.eps_max)
     if args.mode == "empirical":
         rows = [
             {"epsilon": float(c), "empirical": float(v), "pairs": int(n)}
             for c, v, n in zip(est.bin_centers, est.values, est.counts)
         ]
-        emit(["epsilon", "empirical", "pairs"], rows, cfg.output_format)
+        emit(["epsilon", "empirical", "pairs"], rows, args.format)
         return 0
 
     # compare
@@ -257,19 +263,19 @@ def _cmd_r2(args, cfg: RunConfig) -> int:
     emit(
         ["epsilon", "empirical", "theory_total", "theory_diag", "theory_off",
          "constant", "residual"],
-        rows, cfg.output_format,
+        rows, args.format,
     )
     print(f"ms_residual {rep.ms_residual:.17g}", file=sys.stderr)
     return 0
 
 
-def _cmd_identities(args, cfg: RunConfig) -> int:
+def _cmd_identities(args) -> int:
     wanted = idmod.SUITES if args.suite == "all" else (args.suite,)
-    tables = _sieve(max(cfg.series_cutoff, 10_000) + 1)
-    c2 = singular.twin_prime_constant(cfg.series_cutoff, tables)
-    reports = idmod.identity_suite(tables, c2, cfg.series_cutoff, cfg.seed, wanted)
+    tables = _sieve(IDENTITY_CUTOFF + 1)
+    c2 = singular.twin_prime_constant(IDENTITY_CUTOFF, tables)
+    reports = idmod.identity_suite(tables, c2, IDENTITY_CUTOFF, args.seed, wanted)
     emit(["identity_name", "samples", "max_residual", "tolerance", "passed"],
-         [r.row() for r in reports], cfg.output_format)
+         [r.row() for r in reports], args.format)
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(f"FAILED {r.identity_name}: max_residual {r.max_residual:.6g} "
@@ -277,14 +283,14 @@ def _cmd_identities(args, cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _cmd_invert(args, cfg: RunConfig) -> int:
+def _cmd_invert(args) -> int:
     hs = _parse_int_list(args.h)
     e_lo, e_hi = _parse_range(args.window, "--window E_LO:E_HI")
-    tables = _sieve(max(args.prime_cutoff, 10_000) + 1)
+    tables = _sieve(args.prime_cutoff + 1)
     rows = []
     any_failed = False
     for h in hs:
-        res = windowed_inversion(
+        res = inversion.windowed_inversion(
             h, (e_lo, e_hi), eps_cutoff=args.eps_cutoff, tables=tables,
             p_cut=args.prime_cutoff,
         )
@@ -301,7 +307,7 @@ def _cmd_invert(args, cfg: RunConfig) -> int:
             print(f"h={h}: {res.diagnostics.get('error', 'failed')}",
                   file=sys.stderr)
     emit(["h", "estimate", "ok", "quad_error_est", "band_leakage",
-          "imag_fraction"], rows, cfg.output_format)
+          "imag_fraction"], rows, args.format)
     return 1 if any_failed else 0
 
 
@@ -313,9 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Twin-prime singular series vs pair correlation of zeta "
                     "zeros: compute both sides and verify the bridge.",
     )
-    ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--format", choices=("csv", "json"), help="output format")
-    ap.add_argument("--seed", type=int, help="seed for sampled checks")
+    ap.add_argument("--format", choices=("csv", "json"), default="csv",
+                    help="output format")
+    ap.add_argument("--seed", type=_seed, default=0, help="seed for sampled checks")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="twin prime constant")
@@ -361,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
         pe.add_argument("--compute", help="TMIN:TMAX to compute zeros")
         pe.add_argument("--center", type=float, required=True)
         pe.add_argument("--width", type=float, default=None,
-                        help="window width (default window_width spacings)")
+                        help=f"window width (default {paircorr.WINDOW_SPACINGS:g} "
+                             "mean spacings at --center)")
         pe.add_argument("--eps-max", type=float, default=3.0)
         if mode == "compare":
             pe.add_argument("--prime-cutoff", type=int, default=paircorr.DEFAULT_PRIME_CUTOFF)
@@ -373,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="windowed inversion of the off-diagonal curve")
     p.add_argument("--h", required=True, help="comma-separated shifts")
     p.add_argument("--window", required=True, help="E_LO:E_HI")
-    p.add_argument("--eps-cutoff", type=float, default=25.0)
-    p.add_argument("--prime-cutoff", type=int, default=4000)
+    p.add_argument("--eps-cutoff", type=float, default=inversion.DEFAULT_EPS_CUTOFF)
+    p.add_argument("--prime-cutoff", type=int, default=inversion.DEFAULT_PRIME_CUTOFF)
     return ap
 
 
@@ -391,11 +398,7 @@ _HANDLERS = {
 
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    kwargs = load_config_file(args.config) if args.config else {}
-    flags = {"output_format": args.format, "seed": args.seed}
-    kwargs.update({k: v for k, v in flags.items() if v is not None})
-    cfg = RunConfig(**kwargs)
-    return _HANDLERS[args.command](args, cfg)
+    return _HANDLERS[args.command](args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -55,6 +55,9 @@ from .special import TWO_PI, DirichletSum, zeta_one_line
 
 __all__ = ["InversionResult", "windowed_inversion"]
 
+DEFAULT_EPS_CUTOFF = 25.0
+DEFAULT_PRIME_CUTOFF = 4000
+
 
 @dataclass(frozen=True)
 class InversionResult:
@@ -164,10 +167,10 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, tables, p_cut):
 def windowed_inversion(
     h: int,
     e_range: tuple[float, float],
-    eps_cutoff: float = 25.0,
+    eps_cutoff: float = DEFAULT_EPS_CUTOFF,
     *,
     tables: SieveTables,
-    p_cut: int = 4000,
+    p_cut: int = DEFAULT_PRIME_CUTOFF,
 ) -> InversionResult:
     """Estimate the h-Fourier content of the tapered off-diagonal curve.
 

@@ -87,6 +87,8 @@ __all__ = [
 
 DEFAULT_PRIME_CUTOFF = 100_000
 DEFAULT_POWER_CUTOFF = 20
+#: width of a ``pooled_windows`` window, in mean spacings at its start
+WINDOW_SPACINGS = 200.0
 
 
 class InsufficientDataError(ValueError):
@@ -517,12 +519,12 @@ def bin_average(curve: TheoryCurve, edges: np.ndarray) -> np.ndarray:
 
 
 def pooled_windows(lo: float, hi: float) -> list[tuple[float, float]]:
-    """(centre, width) of consecutive windows from lo, each 200 mean spacings
-    wide at its start, while the next one ends at or below hi."""
+    """(centre, width) of consecutive windows from lo, each ``WINDOW_SPACINGS``
+    mean spacings wide at its start, while the next one ends at or below hi."""
     _check_height(lo)
     _check_height(hi)
     windows, e = [], lo
-    while e + (w := 200.0 / mean_density(e)) <= hi:
+    while e + (w := WINDOW_SPACINGS / mean_density(e)) <= hi:
         windows.append((e + w / 2.0, w))
         e += w
     return windows

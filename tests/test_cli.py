@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -12,9 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from zetapair import identities
+from zetapair import cli, identities, paircorr
 from zetapair.cli import main
-from zetapair.config import RunConfig
 
 
 def run_cli(*argv):
@@ -306,8 +304,6 @@ class TestNonFiniteHeight:
 class TestBadNumbers:
     """Each exits 1 with a one-line message and prints nothing on stdout."""
 
-    ALPHA = ("alpha", "--method", "product", "--h", "2")
-
     def assert_rejected(self, argv, message):
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, "")
@@ -343,59 +339,61 @@ class TestBadNumbers:
         self.assert_rejected(("alpha", "--method", "product", "--h", "2.5"),
                              "expected --h H1,H2,..., got '2.5'")
 
-    # printed Python's conversion message with no file or line
-    @pytest.mark.parametrize("line,message", [
-        ("seed=1.5", "seed expects int, got '1.5'"),
-        ("bin_width=abc", "bin_width expects float, got 'abc'"),
-        # nan and inf parsed as floats and were accepted
-        ("bin_width=nan", "bin_width expects a finite float, got 'nan'"),
-        ("window_width=inf", "window_width expects a finite float, got 'inf'"),
-    ])
-    def test_config_value_names_file_and_line(self, tmp_path, line, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"# comment\n{line}\n")
-        self.assert_rejected(("--config", str(cfg), *self.ALPHA), f"{cfg}:2: {message}")
 
+class TestSettings:
+    """``--format`` and ``--seed`` are the only global flags; the rest is fixed."""
 
-class TestConfigPlumbing:
-    def test_config_file_sets_format(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\noutput_format=json\nseed=3\n")
-        code, out, _ = run_cli(
-            "--config", str(cfg), "r2", "gue", "--grid", "0:1:0.5"
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @staticmethod
+    def help_pages(prefix=()):
+        """(argv, exit code, text) of --help on prefix and on every subcommand below it."""
+        code, out, _ = run_cli(*prefix, "--help")
+        pages = [(prefix, code, out)]
+        usage = out.split("\n\n")[0]
+        sub = re.search(r"\{([\w,-]+)\}\s+\.\.\.", usage)
+        for name in sub.group(1).split(",") if sub else ():
+            pages += TestSettings.help_pages((*prefix, name))
+        return pages
+
+    def test_every_help_page_exits_0_without_config(self):
+        pages = self.help_pages()
+        argvs = [argv for argv, _, _ in pages]
+        assert ("zeros", "ingest") in argvs and ("r2", "compare") in argvs
+        for argv, code, text in pages:
+            assert code == 0 and text.startswith("usage: zetapair"), argv
+            assert "--config" not in text, argv
+
+    def test_config_flag_is_a_usage_error(self):
+        code, out, err = run_cli("--config", "f.cfg", "r2", "gue", "--grid", "0:1:1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: zetapair")
+
+    # exited 1 with numpy's "expected non-negative integer" for local-factor,
+    # and 0 for mobius, which draws no samples
+    @pytest.mark.parametrize("suite", ["local-factor", "mobius"])
+    def test_negative_seed_is_a_usage_error(self, suite):
+        code, out, err = run_cli("--seed", "-1", "identities", "--suite", suite)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: argument --seed: expected a non-negative integer, got '-1'\n"
         )
-        assert code == 0
-        assert json.loads(out)["rows"][0]["epsilon"] == 0.0
 
-    def test_bad_config_key_rejected(self, tmp_path):
-        # prime_cutoff is a flag of each subcommand, not a config key
-        cfg = tmp_path / "run.cfg"
-        for key, value in (("no_such_key", 1), ("prime_cutoff", 5000)):
-            cfg.write_text(f"{key}={value}\n")
-            code, _, err = run_cli("--config", str(cfg), "r2", "gue", "--grid", "0:1:1")
-            assert code == 1
-            assert f"unknown config key {key!r}" in err
+    def test_readme_states_the_global_flags_and_fixed_values(self):
+        text = " ".join(self.README.read_text().split())
+        settings = re.search(r"Settings: the global flags are (.*?)\. ", text)
+        assert settings, "README lost its sentence naming the global flags"
+        _, usage, _ = run_cli("--help")
+        global_flags = re.findall(r"\[(--[\w-]+)", usage.split("\n\n")[0])
+        assert re.findall(r"`(--[\w-]+)`", settings.group(1)) == global_flags
+        for phrase in (
+            f"truncates the Ramanujan series at N = {cli.SERIES_CUTOFF},",
+            f"cuts its primes, C2 and sieve at {cli.IDENTITY_CUTOFF},",
+            f"use bins {cli.BIN_WIDTH:g} wide",
+            f"a window {paircorr.WINDOW_SPACINGS:g} mean spacings wide at `--center`",
+        ):
+            assert phrase in text
 
-    def test_flag_overrides_config_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("output_format=json\n")
-        code, out, _ = run_cli(
-            "--config", str(cfg), "--format", "csv", "r2", "gue", "--grid", "0:1:0.5"
-        )
-        assert code == 0
-        assert out.splitlines()[0] == "epsilon,value"
-
-    @pytest.mark.parametrize("kwargs", [{"bin_width": math.nan}, {"window_width": math.inf}])
-    def test_non_finite_widths_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="finite and positive"):
-            RunConfig(**kwargs)
-
-    def test_readme_lists_the_config_keys(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        match = re.search(r"keys are the\s+`RunConfig` field names: ([^)]*)\)", readme)
-        assert match, "README lost its sentence listing the config keys"
-        listed = re.findall(r"`(\w+)`", match.group(1))
-        assert listed == [f.name for f in dataclasses.fields(RunConfig)]
 
 class TestIdentitiesCommand:
     def test_quick_suites_pass(self):
