@@ -50,7 +50,6 @@ from .special import (
     triangle,
     triangle_ft,
     sgn,
-    sinc,
     zeta_and_log_dd,
     zeta_one_line,
 )

@@ -44,16 +44,15 @@ def _json_value(value):
     return value
 
 
-def emit(fields: list[str], rows: list[dict], fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(fields: list[str], rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         payload = {"rows": [{k: _json_value(row[k]) for k in fields} for row in rows]}
-        json.dump(payload, out, indent=1, default=_fmt, allow_nan=False)
-        out.write("\n")
+        json.dump(payload, sys.stdout, indent=1, default=_fmt, allow_nan=False)
+        sys.stdout.write("\n")
     else:
-        out.write(",".join(fields) + "\n")
+        sys.stdout.write(",".join(fields) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(row[k]) for k in fields) + "\n")
+            sys.stdout.write(",".join(_fmt(row[k]) for k in fields) + "\n")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -71,11 +70,11 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
         a = b = step = math.nan
+    # the step must divide the span to 1e-9 relative, or the points would not be step apart
     if not (all(math.isfinite(v) for v in (a, b, step)) and step > 0 and b >= a
-            and math.isfinite((b - a) / step)):
+            and math.isfinite(n := (b - a) / step) and abs(n - round(n)) <= 1e-9 * n):
         raise ValueError(f"expected --grid START:STOP:STEP, got {text!r}")
-    n = int(round((b - a) / step))
-    return np.linspace(a, b, n + 1)
+    return np.linspace(a, b, round(n) + 1)
 
 
 def _seed(text: str) -> int:
@@ -96,7 +95,8 @@ def _parse_range(text: str, form: str) -> tuple[float, float]:
 
 
 def _sieve(needed: int):
-    # at least 1000: the limit also sets the tail bound that `alpha --method series` prints
+    # at least 1000, so a cutoff below its domain (`invert --prime-cutoff 0`) reaches
+    # that cutoff's own check rather than build_sieve's
     return build_sieve(max(needed, 1000))
 
 
@@ -115,7 +115,7 @@ def _cmd_constants(args) -> int:
     p = args.prime_cutoff
     tables = _sieve(p + 1)
     c2 = singular.twin_prime_constant(p, tables)
-    emit(
+    _emit(
         ["prime_cutoff", "value", "tail_log_bound"],
         [{"prime_cutoff": c2.prime_cutoff, "value": c2.value,
           "tail_log_bound": c2.tail_log_bound}],
@@ -151,8 +151,8 @@ def _cmd_alpha(args) -> int:
             "truncation": ";".join(f"{k}={_fmt(v)}" for k, v in res.truncation.items()),
             "reference_product": ref.value,
         })
-    emit(["h", "method", "value", "truncation", "reference_product"], rows,
-         args.format)
+    _emit(["h", "method", "value", "truncation", "reference_product"], rows,
+          args.format)
     return 0
 
 
@@ -160,7 +160,7 @@ def _cmd_avg_alpha(args) -> int:
     tables = _sieve(max(args.h, args.prime_cutoff) + 1)
     c2 = singular.twin_prime_constant(args.prime_cutoff, tables)
     s = singular.smoothed_average(args.h, tables, c2)
-    emit(
+    _emit(
         ["h", "average", "asymptote", "abs_deviation"],
         [{"h": s.h, "average": s.average, "asymptote": s.asymptote,
           "abs_deviation": s.deviation}],
@@ -175,7 +175,7 @@ def _cmd_zeros(args) -> int:
     else:
         zl = zeros.load_zeros(args.path)
     if args.action == "ingest" or (args.action == "compute" and not args.out):
-        emit(
+        _emit(
             ["index", "ordinate"],
             [{"index": i + 1, "ordinate": float(v)}
              for i, v in enumerate(zl.ordinates)],
@@ -185,7 +185,7 @@ def _cmd_zeros(args) -> int:
     rep = zeros.counting_check(zl)
     if args.action == "compute":
         zeros.save_zeros(zl, args.out)
-        emit(
+        _emit(
             ["count", "t_min", "t_max", "expected", "discrepancy", "path"],
             [{"count": len(zl), "t_min": zl.range[0], "t_max": zl.range[1],
               "expected": rep.expected, "discrepancy": rep.discrepancy,
@@ -194,7 +194,7 @@ def _cmd_zeros(args) -> int:
         )
         return 0
     # check
-    emit(
+    _emit(
         ["count", "t_min", "t_max", "expected", "discrepancy", "flagged",
          "claimed_complete"],
         [{"count": rep.actual, "t_min": zl.range[0], "t_max": zl.range[1],
@@ -211,7 +211,7 @@ def _cmd_r2(args) -> int:
         grid = _parse_grid(args.grid)
         rows = [{"epsilon": float(e), "value": paircorr.gue_r2(float(e))}
                 for e in grid]
-        emit(["epsilon", "value"], rows, args.format)
+        _emit(["epsilon", "value"], rows, args.format)
         return 0
 
     if args.mode == "theory":
@@ -227,8 +227,8 @@ def _cmd_r2(args) -> int:
             for e, t, d, o in zip(curve.epsilons, curve.total, curve.diag,
                                   curve.offdiag)
         ]
-        emit(["epsilon", "theory_total", "theory_diag", "theory_off", "constant"],
-             rows, args.format)
+        _emit(["epsilon", "theory_total", "theory_diag", "theory_off", "constant"],
+              rows, args.format)
         return 0
 
     zl = _load_zero_list(args)
@@ -241,7 +241,7 @@ def _cmd_r2(args) -> int:
             {"epsilon": float(c), "empirical": float(v), "pairs": int(n)}
             for c, v, n in zip(est.bin_centers, est.values, est.counts)
         ]
-        emit(["epsilon", "empirical", "pairs"], rows, args.format)
+        _emit(["epsilon", "empirical", "pairs"], rows, args.format)
         return 0
 
     # compare
@@ -260,7 +260,7 @@ def _cmd_r2(args) -> int:
             rep.offdiag, rep.residuals,
         )
     ]
-    emit(
+    _emit(
         ["epsilon", "empirical", "theory_total", "theory_diag", "theory_off",
          "constant", "residual"],
         rows, args.format,
@@ -274,8 +274,8 @@ def _cmd_identities(args) -> int:
     tables = _sieve(IDENTITY_CUTOFF + 1)
     c2 = singular.twin_prime_constant(IDENTITY_CUTOFF, tables)
     reports = idmod.identity_suite(tables, c2, IDENTITY_CUTOFF, args.seed, wanted)
-    emit(["identity_name", "samples", "max_residual", "tolerance", "passed"],
-         [r.row() for r in reports], args.format)
+    _emit(["identity_name", "samples", "max_residual", "tolerance", "passed"],
+          [r.row() for r in reports], args.format)
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(f"FAILED {r.identity_name}: max_residual {r.max_residual:.6g} "
@@ -306,8 +306,8 @@ def _cmd_invert(args) -> int:
         if not res.ok:
             print(f"h={h}: {res.diagnostics.get('error', 'failed')}",
                   file=sys.stderr)
-    emit(["h", "estimate", "ok", "quad_error_est", "band_leakage",
-          "imag_fraction"], rows, args.format)
+    _emit(["h", "estimate", "ok", "quad_error_est", "band_leakage",
+           "imag_fraction"], rows, args.format)
     return 1 if any_failed else 0
 
 

@@ -193,7 +193,7 @@ def windowed_inversion(
         raise ValueError("E range must lie within [1e3, 1e7]")
 
     def failure(msg: str) -> InversionResult:
-        return InversionResult(h, math.nan, False, {"error": msg, "e_range": (e_lo, e_hi)})
+        return InversionResult(h, math.nan, False, {"error": msg})
 
     if not e_lo < e_hi:
         return failure("degenerate E window")
@@ -225,8 +225,6 @@ def windowed_inversion(
     leakage = 1.0 - max(0.0, cov_hi - cov_lo) / (band[1] - band[0])
     ok = quad_err <= 0.05 * max(abs(estimate), 0.3)
     diag = {
-        "e_range": (e_lo, e_hi),
-        "eps_cutoff": eps_cutoff,
         "eps_support": (s_lo, s_hi),
         "eps_roll": eps_roll,
         "e_roll": e_roll,
@@ -234,10 +232,8 @@ def windowed_inversion(
         "band_leakage": leakage,
         "eps_nodes": n_eps,
         "e_nodes": n_e,
-        "prime_cutoff": p_cut,
         "quad_error_est": quad_err,
         "imag_fraction": imag_frac,
-        "normalization": "2 pi / integral(w_E)",
     }
     if not ok:
         diag["error"] = "quadrature estimate did not stabilize"

@@ -29,12 +29,12 @@ The kernel grids the terms onto a canonical tile: a power-of-two span of
 its t-grid, centred on a multiple of half that span, which the band of
 the eps alone selects, and a ``DirichletSum`` keeps the plan of the last
 tile it read.  Each ``SieveTables`` carries, in a module-level weak
-mapping keyed by the tables, the prime terms of its last four (prime
-cutoff, power cutoff) pairs, each pair's stack held as one
+mapping keyed by the tables, the prime terms of the (prime cutoff, power
+cutoff) pair it was last read at, the stack held as one
 ``DirichletSum``.  Evaluations whose eps fall in the tile it last read,
 such as the windows of a pooled experiment, read its plan without
 gridding again.
-The cache is weak (an entry dies with its tables), bounded (four pairs
+The cache is weak (an entry dies with its tables), bounded (one pair
 per tables, one tile per pair) and answer-neutral: a tile is set by the
 eps alone, so a cached read has the bits a cold evaluation gives,
 whatever ran before.
@@ -62,7 +62,7 @@ from .special import (
     mean_density,
     zeta_and_log_dd,
 )
-from .zeros import ZeroList
+from .zeros import ZeroList, unfold
 
 __all__ = [
     "CorrelationEstimate",
@@ -111,7 +111,6 @@ class CorrelationEstimate:
     """
 
     bin_edges: np.ndarray
-    window: tuple[float, float]  # (E_center, width)
     counts: np.ndarray
     norms: np.ndarray
 
@@ -167,14 +166,11 @@ def empirical_r2(
     lo, hi = e_center - width / 2.0, e_center + width / 2.0
     if lo < zl.range[0] or hi > zl.range[1]:
         raise ValueError("window extends beyond the zero list range")
-    sel = zl.ordinates[(zl.ordinates >= lo) & (zl.ordinates <= hi)]
-    if len(sel) < 100:
-        raise InsufficientDataError(
-            f"only {len(sel)} zeros in window, need at least 100"
-        )
-    dens = mean_density(e_center)
-    x = sel * dens
-    length = width * dens
+    in_window = (zl.ordinates >= lo) & (zl.ordinates <= hi)
+    if (n := int(np.count_nonzero(in_window))) < 100:
+        raise InsufficientDataError(f"only {n} zeros in window, need at least 100")
+    x = unfold(zl, e_center)[in_window]
+    length = width * mean_density(e_center)
     lam = len(x) / length
     nbins = int(round(eps_max / bin_width))
     if nbins * bin_width > length:  # a bin past the window has a negative norm
@@ -184,7 +180,7 @@ def empirical_r2(
     counts = np.histogram(diffs, bins=edges)[0].astype(np.float64)
     centers = 0.5 * (edges[:-1] + edges[1:])
     norms = lam * lam * bin_width * (length - centers)
-    return CorrelationEstimate(edges, (float(e_center), float(width)), counts, norms)
+    return CorrelationEstimate(edges, counts, norms)
 
 
 def aggregate(estimates: list[CorrelationEstimate]) -> CorrelationEstimate:
@@ -197,11 +193,7 @@ def aggregate(estimates: list[CorrelationEstimate]) -> CorrelationEstimate:
             raise GridMismatchError("estimates use different bin grids")
     counts = np.sum([e.counts for e in estimates], axis=0)
     norms = np.sum([e.norms for e in estimates], axis=0)
-    centers = np.array([e.window[0] for e in estimates])
-    widths = np.array([e.window[1] for e in estimates])
-    span = (np.max(centers + widths / 2) + np.min(centers - widths / 2)) / 2.0
-    total_w = float(np.max(centers + widths / 2) - np.min(centers - widths / 2))
-    return CorrelationEstimate(edges, (float(span), total_w), counts, norms)
+    return CorrelationEstimate(edges, counts, norms)
 
 
 # -- limiting (unfolded) theory ----------------------------------------------
@@ -311,10 +303,9 @@ class _PrimeTerms:
     log_const: float
 
 
-#: the prime terms of each SieveTables, per (p_cut, k_cut); an entry dies with
-#: its tables, and each tables keeps the _TERMS_PER_TABLES keys used last
+#: the prime terms of each SieveTables at the (p_cut, k_cut) it was last read
+#: at, as {(p_cut, k_cut): terms}; an entry dies with its tables
 _TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_TERMS_PER_TABLES = 4
 _TERMS_LOCK = threading.Lock()
 
 
@@ -324,8 +315,7 @@ def _prime_terms(tables: SieveTables, p_cut: int, k_cut: int) -> _PrimeTerms:
         raise ValueError(f"prime cutoff must be >= 2, got {p_cut}")
     key = (p_cut, k_cut)
     with _TERMS_LOCK:
-        per_tables = _TERMS.setdefault(tables, {})
-        terms = per_tables.pop(key, None)
+        terms = _TERMS.get(tables, {}).get(key)
         if terms is None:
             ps = tables.primes_upto(p_cut).astype(np.float64)
             n_small = int(np.count_nonzero(ps < _SMALL_PRIME))
@@ -333,9 +323,7 @@ def _prime_terms(tables: SieveTables, p_cut: int, k_cut: int) -> _PrimeTerms:
             terms = _PrimeTerms(
                 ps[:n_small], DirichletSum(coef if k_cut else coef[1:], x), log_const
             )
-        per_tables[key] = terms  # last used goes last
-        for old in list(per_tables)[:-_TERMS_PER_TABLES]:
-            del per_tables[old]
+            _TERMS[tables] = {key: terms}
         return terms
 
 
@@ -414,9 +402,6 @@ class TheoryCurve:
     constant_term: float
     diag: np.ndarray
     offdiag: np.ndarray
-    e_height: float
-    truncation: dict
-    unfolded: bool
 
     @property
     def total(self) -> np.ndarray:
@@ -458,15 +443,7 @@ def theory_curve(
     z, log_dd = zeta_and_log_dd(cfg, args)
     diag = scale * _diag_term(log_dd, power)
     off = scale * _off_term(z, args, e_height, product)
-    return TheoryCurve(
-        eps,
-        const,
-        diag,
-        off,
-        float(e_height),
-        {"prime_cutoff": p_cut, "power_cutoff": k_cut},
-        unfolded,
-    )
+    return TheoryCurve(eps, const, diag, off)
 
 
 # -- bin-averaged comparison ---------------------------------------------------
@@ -497,7 +474,7 @@ def theory_on_bins(
 def gue_on_bins(edges: np.ndarray) -> TheoryCurve:
     """The limit curve on the same quadrature layout (constant term 1)."""
     nodes = _bin_quadrature_nodes(np.asarray(edges))
-    return TheoryCurve(nodes, 1.0, r2_diag_limit(nodes), r2_off_limit(nodes), math.inf, {}, True)
+    return TheoryCurve(nodes, 1.0, r2_diag_limit(nodes), r2_off_limit(nodes))
 
 
 def _check_layout(curve: TheoryCurve, edges: np.ndarray) -> None:

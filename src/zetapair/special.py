@@ -1,4 +1,4 @@
-"""Special functions: zeta on the 1-line, mean zero density, Si, sinc, sgn.
+"""Special functions: zeta on the 1-line, mean zero density, Si, sgn, triangle.
 
 The zeta evaluator uses Euler-Maclaurin summation with the truncation
 point sized from the classical remainder bound (Backlund; see Rubinstein,
@@ -13,8 +13,8 @@ sums the inversion's E-side phases and the prime sums of ``paircorr``.  It
 holds the terms, plans a canonical tile, a power-of-two span of the
 t-grid set by the sum's band limit and the points' band alone, and reads
 the points from it; it keeps the plan of the last tile, so an object that
-is kept (``paircorr`` keeps one per sieve and cutoff pair) reads later
-points in the same tile without gridding the terms again.  Small sums
+is kept (``paircorr`` keeps one per sieve, at its last cutoff pair) reads
+later points in the same tile without gridding the terms again.  Small sums
 stay direct, with each block of phases formed once for all the rows of a
 stack.
 
@@ -49,8 +49,8 @@ __all__ = [
     "sine_integral",
     "sgn",
     "triangle",
-    "sinc",
     "triangle_ft",
+    "zeta_em",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -525,13 +525,6 @@ def triangle(x):
     """Unit triangle: 1 - |x| on [-1, 1], zero outside."""
     arr = np.asarray(x, dtype=np.float64)
     out = np.where(np.abs(arr) <= 1.0, 1.0 - np.abs(arr), 0.0)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.sinc(arr / np.pi)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

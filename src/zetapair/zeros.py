@@ -30,7 +30,9 @@ case measured is the pair whose mpmath roots are 4589.6434 and 4589.7488
 is 5.8e-4 too wide.
 
 All ordinates assume every zero sits on the critical line; no off-line
-search is attempted.
+search is attempted.  Heights start at ``T_FLOOR`` = 10: the enumeration
+and the smooth-count check both rest on the expansion of theta, which
+holds from t ~ 7, and a table whose range starts lower fails the check.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .special import TWO_PI, zeta_em
+from .special import TWO_PI, mean_density, zeta_em
 
 __all__ = [
     "ZeroList",
@@ -62,6 +64,8 @@ __all__ = [
 
 #: below this height Z goes through Euler-Maclaurin zeta
 Z_EM_SWITCH = 1000.0
+#: lowest height that the enumeration and the smooth count accept
+T_FLOOR = 10.0
 
 _GRAM_FLOOR = -1  # theta(t) = n pi has no solution above 2 pi for n < -1
 #: Newton on theta converges in about six steps at every n in the envelope
@@ -99,7 +103,6 @@ class ZeroList:
 
     ordinates: np.ndarray
     range: tuple[float, float]
-    source: str  # computed | ingested
     claimed_complete: bool
 
     def __post_init__(self):
@@ -342,8 +345,8 @@ def compute_zeros(t_min: float, t_max: float) -> ZeroList:
     0.105), where the Riemann-Siegel Z with its leading correction limits
     them.
     """
-    if not (10.0 <= t_min < t_max <= 1e5):
-        raise ValueError("computation envelope is 10 <= t_min < t_max <= 1e5")
+    if not (T_FLOOR <= t_min < t_max <= 1e5):
+        raise ValueError(f"computation envelope is {T_FLOOR:g} <= t_min < t_max <= 1e5")
 
     n_lo = max(_GRAM_FLOOR, int(math.floor(rs_theta(t_min) / math.pi)) - 1)
     n_hi = int(math.ceil(rs_theta(t_max) / math.pi)) + 2
@@ -364,7 +367,7 @@ def compute_zeros(t_min: float, t_max: float) -> ZeroList:
     anchors = anchors[(anchors >= below[-1]) & (anchors <= above[0])]
     zeros = np.sort(_refine(*_bracket_blocks(g, zg, anchors)))
     zeros = zeros[(zeros > t_min) & (zeros <= t_max)]
-    return ZeroList(zeros, (float(t_min), float(t_max)), "computed", True)
+    return ZeroList(zeros, (float(t_min), float(t_max)), True)
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -408,7 +411,7 @@ def load_zeros(path: str | Path) -> ZeroList:
     if not vals:
         raise ZeroTableFormatError(f"no ordinates in {path}")
     arr = np.array(vals)
-    zl = ZeroList(arr, (float(arr[0]), float(arr[-1])), "ingested", False)
+    zl = ZeroList(arr, (float(arr[0]), float(arr[-1])), False)
     return replace(zl, claimed_complete=not counting_check(zl).flagged)
 
 
@@ -443,11 +446,19 @@ class CountReport:
 
 
 def counting_check(zl: ZeroList) -> CountReport:
-    """Compare the stored count against the smooth count over zl.range."""
+    """Compare the stored count against the smooth count over zl.range.
+
+    A range that starts below ``T_FLOOR`` is outside the smooth count's
+    domain: it is not evaluated there, expected reads nan, and the report
+    is flagged, as is any discrepancy that is not finite.
+    """
     lo, hi = zl.range
-    expected = smooth_count(hi) - smooth_count(lo) if hi > lo else 0.0
+    if lo < T_FLOOR:
+        expected = math.nan
+    else:
+        expected = smooth_count(hi) - smooth_count(lo) if hi > lo else 0.0
     disc = len(zl) - expected
-    return CountReport(expected, len(zl), disc, abs(disc) > 2.0)
+    return CountReport(expected, len(zl), disc, not abs(disc) <= 2.0)
 
 
 def unfold(zl: ZeroList, e_center: float) -> np.ndarray:
@@ -456,6 +467,4 @@ def unfold(zl: ZeroList, e_center: float) -> np.ndarray:
         raise ValueError("cannot unfold an empty zero list")
     if not (zl.range[0] <= e_center <= zl.range[1]):
         raise ValueError("e_center outside the zero list range")
-    from .special import mean_density
-
     return zl.ordinates * mean_density(e_center)

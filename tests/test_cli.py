@@ -39,8 +39,9 @@ class TestGue:
 class TestGridErrors:
     MODE_ARGS = {"gue": (), "theory": ("--height", "10000", "--prime-cutoff", "10000")}
 
-    # a zero step, a non-finite stop, a stop below the start
-    @pytest.mark.parametrize("grid", ["0:3:0", "0:inf:0.1", "3:0.2:0.05"])
+    # a zero step, a non-finite stop, a stop below the start, a step that
+    # does not divide the span
+    @pytest.mark.parametrize("grid", ["0:3:0", "0:inf:0.1", "3:0.2:0.05", "0:1:0.3"])
     @pytest.mark.parametrize("mode", ["gue", "theory"])
     def test_bad_grid_names_the_form(self, mode, grid):
         code, out, err = run_cli("r2", mode, "--grid", grid, *self.MODE_ARGS[mode])
@@ -191,6 +192,18 @@ class TestZeros:
         code, out, _ = run_cli("zeros", "check", "--path", str(bad))
         assert code == 1
         assert parse_csv(out)[0]["flagged"] == "true"
+
+    # from 0 check printed expected nan, flagged false and claimed_complete
+    # true after divide-by-zero warnings, and exited 0; from 3.5 it read the
+    # smooth count outside its domain and passed
+    @pytest.mark.parametrize("first", ["0", "3.5"])
+    def test_check_flags_table_below_the_floor(self, tmp_path, first):
+        table = tmp_path / "z.txt"
+        table.write_text(f"{first}\n14.134725\n21.022040\n")
+        code, out, err = run_cli("zeros", "check", "--path", str(table))
+        assert (code, err) == (1, "")
+        row = parse_csv(out)[0]
+        assert (row["flagged"], row["claimed_complete"]) == ("true", "false")
 
     # check exited 0 and called an inf or all-nan table complete; ingest printed nan
     @pytest.mark.parametrize("action", ["check", "ingest"])
@@ -420,9 +433,7 @@ class TestIdentitiesCommand:
     def test_failed_check_exits_1(self, monkeypatch):
         monkeypatch.setattr(
             identities, "mobius_indicator_check",
-            lambda *args: identities.IdentityReport(
-                "mobius_indicator", [(500, 500)], 1.0, 0.0
-            ),
+            lambda *args: identities.IdentityReport("mobius_indicator", 1, 1.0, 0.0),
         )
         code, out, err = run_cli("identities", "--suite", "mobius")
         assert code == 1

@@ -85,18 +85,17 @@ class TestLocalFactorChain:
     def test_random_sample(self, tables_small):
         rep = local_factor_chain_sample(tables_small, 1000, seed=123)
         assert rep.max_residual < 1e-11
-        assert len(rep.sampled_points) == 1000
+        assert rep.samples == 1000
 
     def test_reproducible_given_seed(self, tables_small):
         a = local_factor_chain_sample(tables_small, 200, seed=9)
         b = local_factor_chain_sample(tables_small, 200, seed=9)
-        assert a.max_residual == b.max_residual
-        assert a.sampled_points == b.sampled_points
+        assert a == b
 
     def test_cutoff_past_the_sieve_rejected(self):
         # the primes were drawn from those the sieve holds, below 100
         with pytest.raises(ValueError, match="sieve limit 100"):
-            local_factor_chain_sample(build_sieve(100), 10, p_max=10_000)
+            local_factor_chain_sample(build_sieve(100), 10)
 
     def test_sign_symmetric_in_eps(self):
         for p, eps in ((2, 0.7), (101, 4.0)):

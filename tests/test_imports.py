@@ -6,6 +6,8 @@ a call site that wrongly relied on an earlier import would pass in process.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -68,3 +70,23 @@ def test_no_module_imports_another_modules_private_names():
                 found += [f"{path.name}: from {'.' * node.level}{node.module or ''} import "
                           f"{alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__")
+))
+def test_all_lists_exactly_the_public_functions_and_classes(name):
+    # a public name missing from __all__ is an export nobody declared, and a
+    # stale entry names a function or class that was deleted or made private
+    mod = importlib.import_module(f"zetapair.{name}")
+    assert all(hasattr(mod, entry) for entry in mod.__all__)
+    defined = {
+        attr for attr, obj in vars(mod).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == mod.__name__ and not attr.startswith("_")
+    }
+    exported = {
+        entry for entry in mod.__all__
+        if inspect.isfunction(getattr(mod, entry)) or inspect.isclass(getattr(mod, entry))
+    }
+    assert exported == defined

@@ -111,32 +111,39 @@ class TestContrast:
         assert neg.estimate == pytest.approx(pos.estimate, rel=1e-9)
 
     def test_diagnostics_fields(self, small_window):
-        diag = small_window[2].diagnostics
-        for key in (
+        # what the inversion worked out; the caller's own inputs are not echoed
+        assert set(small_window[2].diagnostics) == {
             "eps_support",
             "eps_roll",
             "e_roll",
             "resonance_band",
             "band_leakage",
+            "eps_nodes",
+            "e_nodes",
             "quad_error_est",
             "imag_fraction",
-            "normalization",
-        ):
-            assert key in diag
+        }
 
 
 class TestOracle:
     # the prime side shares only the sieve with the inversion; with prime
     # cutoff P both give the singular series of the primes up to P.  Measured
     # est/alpha - 1: -2.9e-4 (h = 2), -2.2e-4 (4), -6.2e-6 (6); est: -1.7e-5
-    # (h = 1), +2.6e-7 (3).  Wider bands, |h| (E_hi - E_lo) past 3000, run
-    # into the direct sum and take seconds each.
-    @pytest.mark.parametrize("h", [1, 2, 3, 4, 6])
-    def test_estimate_is_alpha(self, tables_1m, h):
-        res = windowed_inversion(h, (1000.0, 1500.0), tables=tables_1m, p_cut=4000)
+    # (h = 1), +2.6e-7 (3).  A narrower or higher window holds fewer atoms
+    # and scatters more, as the module docstring says: -1.06e-2 (h = 2) and
+    # +1.98e-2 (6) on (1000, 1100), +1.52e-2 (2) and -9.4e-4 (6) on
+    # (3000, 3500), and odd h at most 4.6e-3.  Wider bands, |h| (E_hi - E_lo)
+    # past 3000, run into the direct sum and take seconds each.
+    @pytest.mark.parametrize("h, window, even_tol, odd_tol", [
+        *(pytest.param(h, (1000.0, 1500.0), 1e-3, 1e-4, id=str(h)) for h in (1, 2, 3, 4, 6)),
+        *(pytest.param(h, w, 2.5e-2, 1e-2, id=f"{h}-{w[0]:g}:{w[1]:g}")
+          for w in ((1000.0, 1100.0), (3000.0, 3500.0)) for h in (1, 2, 3, 6)),
+    ])
+    def test_estimate_is_alpha(self, tables_1m, h, window, even_tol, odd_tol):
+        res = windowed_inversion(h, window, tables=tables_1m, p_cut=4000)
         assert res.ok
         alpha = alpha_product(h, tables_1m, twin_prime_constant(4000, tables_1m)).value
         if h % 2:
-            assert alpha == 0.0 and abs(res.estimate) <= 1e-4
+            assert alpha == 0.0 and abs(res.estimate) <= odd_tol
         else:
-            assert abs(res.estimate / alpha - 1.0) <= 1e-3
+            assert abs(res.estimate / alpha - 1.0) <= even_tol

@@ -38,7 +38,7 @@ def poisson_surrogate(center, width, seed):
     dens = mean_density(center)
     n = rng.poisson(dens * width)
     pts = np.sort(rng.uniform(center - width / 2, center + width / 2, n))
-    return ZeroList(pts, (center - width / 2, center + width / 2), "ingested", False)
+    return ZeroList(pts, (center - width / 2, center + width / 2), False)
 
 
 class TestEmpirical:
@@ -410,11 +410,16 @@ class TestTheoryCurve:
         # tile is set by the nodes and the targets; the product alone
         # (k_cut = 0) keeps the curve's nodes, so it reads the same tile
         eps = np.linspace(0.2, 3.0, 250)
-        theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)
-        paircorr.off_diagonal_product(tables_1m, 100_000, eps)
-        for k_cut in (20, 0):
+        tiles = []
+        for k_cut, evaluate in (
+            (20, lambda: theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)),
+            (0, lambda: paircorr.off_diagonal_product(tables_1m, 100_000, eps)),
+        ):
+            evaluate()
             sums = paircorr._TERMS[tables_1m][(100_000, k_cut)].sums
+            tiles.append(sums.plan.tile)
             assert sums.plan.tile == special._canonical_tile(sums.x, eps)
+        assert tiles[0] == tiles[1]
 
     def test_rejects_low_height(self, zeta_cfg, tables_1m):
         with pytest.raises(ValueError):
@@ -521,11 +526,10 @@ class TestPlanCache:
             cold = paircorr._prime_phase_sums(build_sieve(10_000), 5000, 6, eps)
             assert np.array_equal(power, cold[0])
             assert np.array_equal(product, cold[1])
-        # each tables keeps the prime terms of the last few (p_cut, k_cut) only
-        for p_cut in (1000, 2000, 3000, 4000, 5000, 6000):
+        # each tables keeps the prime terms of the (p_cut, k_cut) it was last read at
+        for p_cut in (1000, 2000, 3000):
             paircorr.off_diagonal_product(tables, p_cut, np.array([1.0]))
-        assert paircorr._TERMS_PER_TABLES == 4
-        assert list(paircorr._TERMS[tables]) == [(p, 0) for p in (3000, 4000, 5000, 6000)]
+        assert list(paircorr._TERMS[tables]) == [(3000, 0)]
 
     def test_threads_share_one_tables(self):
         # threads that replace each other's plan on one tables still read the

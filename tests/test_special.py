@@ -17,7 +17,6 @@ from zetapair.special import (
     ZetaEvaluator,
     mean_density,
     sgn,
-    sinc,
     sine_integral,
     triangle,
     triangle_ft,
@@ -466,10 +465,6 @@ class TestWindowFunctions:
         assert sgn(0.0) == -1.0
         assert sgn(-3.0) == -1.0
         assert sgn(1e-300) == 1.0
-
-    def test_sinc(self):
-        assert sinc(0.0) == 1.0
-        assert sinc(math.pi) == pytest.approx(0.0, abs=1e-16)
 
     def test_triangle_ft_values(self):
         assert triangle_ft(0.0) == 1.0

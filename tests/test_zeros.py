@@ -30,7 +30,6 @@ class TestIngestion:
         p.write_text("# comment\n14.134725\n\n21.022040\n25.010858\n")
         zl = load_zeros(p)
         assert len(zl) == 3
-        assert zl.source == "ingested"
         assert zl.range == (14.134725, 25.010858)
 
     def test_offset_header(self, tmp_path):
@@ -76,7 +75,7 @@ class TestIngestion:
     ])
     def test_zero_list_rejects_non_finite(self, ordinates, bounds):
         with pytest.raises(ValueError, match="must be finite"):
-            ZeroList(np.array(ordinates), bounds, "ingested", False)
+            ZeroList(np.array(ordinates), bounds, False)
 
     def test_fixture_is_complete(self, zero_fixture_path):
         zl = load_zeros(zero_fixture_path)
@@ -97,7 +96,7 @@ class TestIngestion:
         for v in sorted(drawn):
             if not ordinates or v - ordinates[-1] >= 1e-9:
                 ordinates.append(v)
-        zl = ZeroList(np.array(ordinates), (10.0, 1e5), "computed", True)
+        zl = ZeroList(np.array(ordinates), (10.0, 1e5), True)
         again = load_zeros(save_zeros(zl, tmp_path_factory.mktemp("rt") / "z.txt"))
         # each ordinate is written as the shortest decimal that reads back to it
         assert np.array_equal(again.ordinates, zl.ordinates)
@@ -292,14 +291,12 @@ class TestCounting:
         assert smooth_count(100.0) == pytest.approx(29.0, abs=0.2)
 
     def test_degenerate_range(self):
-        zl = ZeroList(np.array([50.0]), (50.0, 50.0), "ingested", False)
+        zl = ZeroList(np.array([50.0]), (50.0, 50.0), False)
         rep = counting_check(zl)
         assert rep.expected == 0.0
 
     def test_truncated_table_flagged(self, tmp_path, zeros_low):
-        decimated = ZeroList(
-            zeros_low.ordinates[::2], zeros_low.range, "ingested", False
-        )
+        decimated = ZeroList(zeros_low.ordinates[::2], zeros_low.range, False)
         rep = counting_check(decimated)
         assert rep.flagged
 
@@ -311,7 +308,6 @@ class TestUnfold:
         zl = ZeroList(
             np.array([3000.0, 3100.0, center, 3500.0]),
             (2990.0, 3600.0),
-            "ingested",
             False,
         )
         x = unfold(zl, center)
@@ -324,7 +320,7 @@ class TestUnfold:
         assert np.mean(np.diff(window)) == pytest.approx(1.0, abs=0.05)
 
     def test_empty_rejected(self):
-        zl = ZeroList(np.array([20.0]), (10.0, 30.0), "ingested", False)
+        zl = ZeroList(np.array([20.0]), (10.0, 30.0), False)
         with pytest.raises(ValueError):
             unfold(zl, 40.0)
 
