@@ -408,18 +408,15 @@ class TestTheoryCurve:
     def test_cached_sums_read_the_targets_tile(self, zeta_cfg, tables_1m):
         # at 250 points the prime sums read a plan of the transform, whose
         # tile is set by the nodes and the targets; the product alone
-        # (k_cut = 0) keeps the curve's nodes, so it reads the same tile
+        # (k_cut = 0) keeps the curve's nodes, so it reads the same tile; the
+        # tables keeps one key, so each key's sums are taken after its own read
         eps = np.linspace(0.2, 3.0, 250)
-        tiles = []
-        for k_cut, evaluate in (
-            (20, lambda: theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)),
-            (0, lambda: paircorr.off_diagonal_product(tables_1m, 100_000, eps)),
-        ):
-            evaluate()
-            sums = paircorr._TERMS[tables_1m][(100_000, k_cut)].sums
-            tiles.append(sums.plan.tile)
+        theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)
+        curve_sums = paircorr._TERMS[tables_1m][(100_000, 20)].sums
+        paircorr.off_diagonal_product(tables_1m, 100_000, eps)
+        product_sums = paircorr._TERMS[tables_1m][(100_000, 0)].sums
+        for sums in (curve_sums, product_sums):
             assert sums.plan.tile == special._canonical_tile(sums.x, eps)
-        assert tiles[0] == tiles[1]
 
     def test_rejects_low_height(self, zeta_cfg, tables_1m):
         with pytest.raises(ValueError):
