@@ -197,7 +197,7 @@ def _cmd_zeros(args) -> int:
     _emit(
         ["count", "t_min", "t_max", "expected", "discrepancy", "flagged",
          "claimed_complete"],
-        [{"count": rep.actual, "t_min": zl.range[0], "t_max": zl.range[1],
+        [{"count": len(zl), "t_min": zl.range[0], "t_max": zl.range[1],
           "expected": rep.expected, "discrepancy": rep.discrepancy,
           "flagged": rep.flagged, "claimed_complete": zl.claimed_complete}],
         args.format,

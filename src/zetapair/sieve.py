@@ -15,7 +15,7 @@ f(k) = step(f(k / p), p = spf[k]), vectorized in doubling blocks; the
 series weights mu(k) / phi(k)^2 are divided out of those two once per
 sieve.  A ``SieveTables`` instance is immutable after construction and
 safe to share across threads; the lazily built bulk arrays
-(``mobius_table`` etc.), the prime sum ``log_mu2_phi2_product`` and the
+(``mobius_table`` etc.), the prime sums ``log_mu2_phi2_product`` and the
 weight sums ``series_weight_abs_sum`` are plain caches of pure
 functions.  A bulk table that a call outgrows is rebuilt to
 min(limit, max(n, twice its old size)), so a run of rising requests
@@ -53,7 +53,7 @@ class SieveTables:
         primes.setflags(write=False)
         self.primes = primes
         self._bulk: dict = {}
-        self._log_mu2_phi2: float | None = None
+        self._log_mu2_phi2: dict[int, float] = {}
         self._weight_abs_sums: dict[int, float] = {}
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -139,24 +139,24 @@ class SieveTables:
             raise ValueError(f"primes up to {n} exceed the sieve limit {self.limit}")
         return self.primes[: np.searchsorted(self.primes, n, side="right")]
 
-    def log_mu2_phi2_product(self) -> float:
-        """ln prod_{p <= limit} (1 + (p-1)^-2), computed once per instance.
+    def log_mu2_phi2_product(self, n: int) -> float:
+        """ln prod_{p <= n} (1 + (p-1)^-2), computed once per n.
 
-        The product is the Euler product of sum mu(n)^2 / phi(n)^2 over the
-        sieve's primes.
+        The product is the Euler product of sum mu(k)^2 / phi(k)^2 over the
+        primes up to n.
         """
-        if self._log_mu2_phi2 is None:
-            self._log_mu2_phi2 = float(
-                np.sum(np.log1p(1.0 / (self.primes.astype(np.float64) - 1.0) ** 2))
-            )
-        return self._log_mu2_phi2
+        n = self._check(n)
+        if n not in self._log_mu2_phi2:
+            ps = self.primes_upto(n).astype(np.float64)
+            self._log_mu2_phi2[n] = float(np.sum(np.log1p(1.0 / (ps - 1.0) ** 2)))
+        return self._log_mu2_phi2[n]
 
     def series_weight_abs_sum(self, n: int) -> float:
         """sum_{k <= n} mu(k)^2 / phi(k)^2, computed once per n.
 
         The sum of |g| over ``series_weight_table(n)[1:]``, the partial sum
-        of the series whose full value is exp(``log_mu2_phi2_product``) as
-        the limit grows.
+        of the series whose full value is the limit of
+        exp(``log_mu2_phi2_product(n)``) as n grows.
         """
         n = self._check(n)
         if n not in self._weight_abs_sums:

@@ -5,7 +5,9 @@ alpha(h) is the density constant for weighted prime pairs at shift h:
 is the twin prime constant.  Besides that product form this module
 evaluates the Ramanujan-sum series sum (mu(n)/phi(n))^2 c_n(h) and the
 direct empirical average of von Mangoldt pair products, so the three can
-be played against each other in tests.
+be played against each other in tests.  The empirical average sums over
+the pairs of prime powers only, which it reads off the spf table; it forms
+no length-N von Mangoldt array.
 
 h = 0 is rejected everywhere: the h = 0 pair sum measures sum Lambda^2,
 which grows faster than the h != 0 normalization.
@@ -91,16 +93,18 @@ def _series_tail_constant(tables: SieveTables, n_max: int) -> float:
     """An upper bound on sum_{n > n_max} mu(n)^2 / phi(n)^2.
 
     The full sum is prod_p (1 + (p-1)^-2); the bound is that product minus
-    the partial sum up to n_max, which the sieve caches per cutoff.  The
-    sieve supplies the primes up to its limit L; for the rest,
-    ln(1 + x) <= x and pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld
-    1962) give by partial summation
+    the partial sum up to n_max, both of which the sieve caches per cutoff.
+    The product is taken over the primes up to L = max(n_max, 2); for the
+    rest, ln(1 + x) <= x and pi(x) < 1.25506 x / ln x (Rosser and
+    Schoenfeld 1962) give by partial summation
 
-        sum_{p > L} (p-1)^-2 <= (2.51012 / ln L) (1/(L-1) + 1/(2 (L-1)^2)).
+        sum_{p > L} (p-1)^-2 <= (2.51012 / ln L) (1/(L-1) + 1/(2 (L-1)^2)),
+
+    so the bound depends on n_max alone, not on the sieve's limit.
     """
-    total_log = tables.log_mu2_phi2_product()
-    lim = float(tables.limit)
-    total_log += 2.51012 / math.log(lim) * (1.0 / (lim - 1.0) + 0.5 / (lim - 1.0) ** 2)
+    lim = max(n_max, 2)
+    total_log = tables.log_mu2_phi2_product(lim)
+    total_log += 2.51012 / math.log(lim) * (1.0 / (lim - 1) + 0.5 / (lim - 1) ** 2)
     return max(math.exp(total_log) - tables.series_weight_abs_sum(n_max), 0.0)
 
 
@@ -135,7 +139,16 @@ def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
 
 
 def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
-    """Empirical form: (1/N) sum_{m <= N} Lambda(m) Lambda(m + |h|)."""
+    """Empirical form: (1/N) sum_{m <= N} Lambda(m) Lambda(m + |h|).
+
+    A term is nonzero only where m and m + |h| are both prime powers, so the
+    sum runs over those pairs and forms no length-N array.  The prime pairs
+    come from one gather of spf at p + |h| over the primes p <= N (a prime
+    is its own smallest factor).  The pairs with a higher power p^k, k >= 2,
+    come from the short list of those powers up to N + |h| (555 of them up
+    to 1e7 + 30): each q <= N with its partner q + |h|, and each q with its
+    prime partner q - |h| in [1, N], so every pair is counted once.
+    """
     h = _check_h(h, tables)
     n = int(n)
     ah = abs(h)
@@ -143,9 +156,29 @@ def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
         raise ValueError(f"sample length must be >= 1, got {n}")
     if n + ah > tables.limit:
         raise ValueError("sample window exceeds sieve limit")
-    lam = tables.von_mangoldt_table(n + ah)
-    value = float(np.dot(lam[1 : n + 1], lam[1 + ah : n + ah + 1])) / n
-    return AlphaResult(h, value, "empirical", {"sample_length": n})
+    spf = tables.spf
+    ps = tables.primes_upto(n)
+    t = ps + ah
+    hit = np.flatnonzero(spf[t] == t)
+    value = float(np.log(ps[hit]) @ np.log(t[hit]))
+    top = n + ah
+    powers = {}  # p^k -> ln p for k >= 2 and p^k <= n + |h|
+    for p in tables.primes_upto(math.isqrt(top)).tolist():
+        q, lp = p * p, math.log(p)
+        while q <= top:
+            powers[q] = lp
+            q *= p
+    for q, lp in powers.items():
+        r = q + ah
+        if q <= n:
+            if r in powers:
+                value += lp * powers[r]
+            elif spf[r] == r:
+                value += lp * math.log(r)
+        r = q - ah
+        if r > 1 and spf[r] == r:
+            value += lp * math.log(r)
+    return AlphaResult(h, value / n, "empirical", {"sample_length": n})
 
 
 @dataclass(frozen=True)

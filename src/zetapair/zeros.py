@@ -446,8 +446,11 @@ class CountReport:
 
 
 def counting_check(zl: ZeroList) -> CountReport:
-    """Compare the stored count against the smooth count over zl.range.
+    """Compare the ordinates in (lo, hi] with the smooth count over zl.range.
 
+    N(hi) - N(lo) counts the zeros in (lo, hi], so an ordinate at lo itself
+    is left out of ``actual``: an ingested table's range starts at its first
+    ordinate, and counting that one would spend 1 of the tolerance of 2.
     A range that starts below ``T_FLOOR`` is outside the smooth count's
     domain: it is not evaluated there, expected reads nan, and the report
     is flagged, as is any discrepancy that is not finite.
@@ -457,8 +460,9 @@ def counting_check(zl: ZeroList) -> CountReport:
         expected = math.nan
     else:
         expected = smooth_count(hi) - smooth_count(lo) if hi > lo else 0.0
-    disc = len(zl) - expected
-    return CountReport(expected, len(zl), disc, not abs(disc) <= 2.0)
+    actual = int(np.count_nonzero(zl.ordinates > lo))
+    disc = actual - expected
+    return CountReport(expected, actual, disc, not abs(disc) <= 2.0)
 
 
 def unfold(zl: ZeroList, e_center: float) -> np.ndarray:

@@ -17,11 +17,23 @@ from zetapair.singular import (
 
 
 def per_call_tail_constant(tables, g):
-    """The series tail constant with the prime sum and the |g| sum taken in the call."""
-    total = float(np.sum(np.log1p(1.0 / (tables.primes.astype(np.float64) - 1.0) ** 2)))
-    lim = float(tables.limit)
-    total += 2.51012 / math.log(lim) * (1.0 / (lim - 1.0) + 0.5 / (lim - 1.0) ** 2)
+    """The series tail constant with the prime sum and the |g| sum taken in the call.
+
+    g holds the weights up to the cutoff n_max, and the prime product runs to
+    max(n_max, 2).
+    """
+    lim = max(len(g), 2)
+    ps = tables.primes_upto(lim).astype(np.float64)
+    total = float(np.sum(np.log1p(1.0 / (ps - 1.0) ** 2)))
+    total += 2.51012 / math.log(lim) * (1.0 / (lim - 1) + 0.5 / (lim - 1) ** 2)
     return max(math.exp(total) - float(np.sum(np.abs(g))), 0.0)
+
+
+def dense_empirical(h, tables, n):
+    """The empirical average as the dot product over the von Mangoldt table."""
+    ah = abs(h)
+    lam = tables.von_mangoldt_table(n + ah)
+    return float(np.dot(lam[1 : n + 1], lam[1 + ah : n + ah + 1])) / n
 
 
 class TestTwinPrimeConstant:
@@ -127,12 +139,12 @@ class TestAlphaRamanujan:
         err = abs(res.value - alpha_product(2, tables_1m, c2_ref).value)
         assert err <= res.truncation["tail_bound"]
 
-    def test_tail_bound_prime_sum_taken_once_per_sieve(self):
+    def test_tail_bound_prime_sum_taken_once_per_cutoff(self):
         tables = build_sieve(50_000)
         n_max = 10_000
         got = [alpha_ramanujan(h, tables, n_max).truncation["tail_bound"] for h in (6, 30)]
-        log_sum = tables.log_mu2_phi2_product()
-        assert tables.log_mu2_phi2_product() is log_sum
+        log_sum = tables.log_mu2_phi2_product(n_max)
+        assert tables.log_mu2_phi2_product(n_max) is log_sum
         # the bound with the prime sum taken inside each call, bit for bit
         phi = tables.totient_table(n_max)[1:].astype(np.float64)
         constant = per_call_tail_constant(tables, tables.mobius_table(n_max)[1:] / phi**2)
@@ -160,12 +172,25 @@ class TestAlphaRamanujan:
 
     @pytest.mark.parametrize("h", [2, 6, 30])
     def test_tail_bound_covers_primes_beyond_sieve(self, tables_1m, tables_big, c2_ref, h):
-        # the primes above the sieve limit enter through a Rosser-Schoenfeld
-        # bound, so a smaller sieve can only loosen the bound, never shrink it
+        # the primes above the cutoff enter through a Rosser-Schoenfeld bound,
+        # whatever the sieve holds beyond it
         small = alpha_ramanujan(h, tables_1m, 1_000_000).truncation["tail_bound"]
         big = alpha_ramanujan(h, tables_big, 1_000_000)
         err = abs(big.value - alpha_product(h, tables_big, c2_ref).value)
         assert small >= big.truncation["tail_bound"] >= err
+
+
+    @pytest.mark.parametrize("h", [1, 2, 6, 30])
+    @pytest.mark.parametrize("n_max", [1, 1000, 5000])
+    def test_tail_bound_independent_of_the_sieve(self, tables_small, tables_1m, h, n_max):
+        # at the parent the bound took its prime product to the sieve limit,
+        # so the same series read a different bound on a larger sieve
+        small = alpha_ramanujan(h, tables_small, n_max)
+        big = alpha_ramanujan(h, tables_1m, n_max)
+        assert small == big
+        # the series moves no more than the bound from n_max to the sieve limit
+        rest = alpha_ramanujan(h, tables_1m, tables_1m.limit).value - big.value
+        assert abs(rest) <= big.truncation["tail_bound"]
 
 
 class TestAlphaEmpirical:
@@ -208,11 +233,50 @@ class TestAlphaEmpirical:
         with pytest.raises(ValueError):
             alpha_empirical(0, tables_small, 100)
 
+    def test_matches_dense_dot_at_ten_million(self, tables_big):
+        n = 10_000_000
+        for h in (2, 4, 6, 10, 12, 30):
+            ref = dense_empirical(h, tables_big, n)
+            assert abs(alpha_empirical(h, tables_big, n).value / ref - 1.0) <= 4e-15, h
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 24, 25, 100, 121, 1000, 4000])
+    def test_matches_dense_dot_on_a_small_sieve(self, tables_small, n):
+        for a in range(1, 201):
+            ref = dense_empirical(a, tables_small, n)
+            for h in (a, -a):
+                assert abs(alpha_empirical(h, tables_small, n).value - ref) <= 1e-14, h
+
+    @pytest.mark.parametrize(
+        "m, partner", [(2, 4), (7, 9), (8, 9), (25, 27), (121, 125), (125, 127)]
+    )
+    def test_counts_pairs_with_a_higher_prime_power(self, tables_small, m, partner):
+        # growing the sample from m - 1 to m adds the one term Lambda(m) Lambda(m + h)
+        h = partner - m
+        term = m * alpha_empirical(h, tables_small, m).value
+        term -= (m - 1) * alpha_empirical(h, tables_small, m - 1).value
+        expected = tables_small.von_mangoldt(m) * tables_small.von_mangoldt(partner)
+        assert term == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_builds_no_mangoldt_table(self, tables_small, monkeypatch):
+        tables = SieveTables(tables_small.limit, tables_small.spf, tables_small.primes)
+        builds = []
+        build = tables._build_mangoldt
+
+        def spy(n):
+            builds.append(n)
+            return build(n)
+
+        monkeypatch.setattr(tables, "_build_mangoldt", spy)
+        for h in (1, 2, -6, 30):
+            alpha_empirical(h, tables, 4000)
+        assert builds == []
+
 
 class TestCachedTablesKeepAnswers:
     """A bulk table reused or regrown never changes a value, bit for bit."""
 
     def test_empirical_shifts_build_the_mangoldt_table_twice(self, tables_big, monkeypatch):
+        # the table sizes n + h that the six prime-side shifts would ask for
         tables = SieveTables(tables_big.limit, tables_big.spf, tables_big.primes)
         builds = []
         build = tables._build_mangoldt
@@ -224,9 +288,9 @@ class TestCachedTablesKeepAnswers:
         monkeypatch.setattr(tables, "_build_mangoldt", spy)
         n = 10_000_000
         for h in (2, 4, 6, 10, 12, 30):
-            got = alpha_empirical(h, tables, n).value
+            got = tables.von_mangoldt_table(n + h)
             fresh = SieveTables(tables_big.limit, tables_big.spf, tables_big.primes)
-            assert got == alpha_empirical(h, fresh, n).value, h
+            assert np.array_equal(got, fresh.von_mangoldt_table(n + h)), h
         assert len(builds) <= 2
 
     @staticmethod

@@ -300,6 +300,26 @@ class TestCounting:
         rep = counting_check(decimated)
         assert rep.flagged
 
+    def test_ingested_table_counts_above_its_first_ordinate(self, zero_fixture_path):
+        # the smooth count covers (lo, hi], and the table's range starts at
+        # its first ordinate, so that one is left out of the count
+        rep = counting_check(load_zeros(zero_fixture_path))
+        assert rep.actual == 99
+        assert rep.discrepancy == pytest.approx(-0.36, abs=0.01)
+        assert not rep.flagged
+
+    def test_table_missing_two_zeros_flagged(self, tmp_path, zero_fixture_path):
+        # counting the first ordinate as well read -1.36 here and passed
+        lines = [l for l in zero_fixture_path.read_text().splitlines() if not l.startswith("#")]
+        del lines[49], lines[1]
+        short = tmp_path / "short.txt"
+        short.write_text("\n".join(lines) + "\n")
+        zl = load_zeros(short)
+        rep = counting_check(zl)
+        assert rep.discrepancy == pytest.approx(-2.36, abs=0.01)
+        assert rep.flagged
+        assert not zl.claimed_complete
+
 
 class TestUnfold:
     def test_identity_scaling_where_density_is_one(self):
