@@ -265,7 +265,8 @@ def _cmd_r2(args) -> int:
          "constant", "residual"],
         rows, args.format,
     )
-    print(f"ms_residual {rep.ms_residual:.17g}", file=sys.stderr)
+    for name in ("ms_residual", "ms_gue", "noise_floor"):
+        print(f"{name} {getattr(rep, name):.17g}", file=sys.stderr)
     return 0
 
 

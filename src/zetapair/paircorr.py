@@ -42,7 +42,8 @@ whatever ran before.
 Oscillatory theory is always bin-averaged (5-point Gauss-Legendre per
 bin) before it is compared with a histogram, by ``compare``, for one window
 or the 200-mean-spacing windows of ``pooled_windows``: it pools the
-histograms and the windows' binned theory, weighted by their norms.
+histograms and the windows' binned theory, weighted by their norms, and its
+report scores the bins in ``SCORED_RANGE`` against the Poisson noise floor.
 """
 
 from __future__ import annotations
@@ -82,13 +83,16 @@ __all__ = [
     "bin_average",
     "compare",
     "pooled_windows",
-    "poisson_noise_floor",
 ]
 
 DEFAULT_PRIME_CUTOFF = 100_000
 DEFAULT_POWER_CUTOFF = 20
 #: width of a ``pooled_windows`` window, in mean spacings at its start
 WINDOW_SPACINGS = 200.0
+#: the eps range, in mean spacings, over which ``CompareReport`` scores a
+#: comparison: acceptance criteria 5 and 6 read it.  Below 0.1 the zeros'
+#: repulsion leaves almost no pairs in a bin
+SCORED_RANGE = (0.1, 3.0)
 
 
 class InsufficientDataError(ValueError):
@@ -510,7 +514,15 @@ def pooled_windows(lo: float, hi: float) -> list[tuple[float, float]]:
 @dataclass(frozen=True)
 class CompareReport:
     """The pooled histogram; the pooled bin means of the theory and its
-    terms; the bin means of the GUE curve."""
+    terms; the bin means of the GUE curve.
+
+    Every score reads the scored bins alone, those centred in
+    ``SCORED_RANGE``.  The noise floor is the mean square that counting
+    noise alone leaves: a Poisson count gives Var(value_b) = R2_b / norm_b,
+    with the binned GUE curve as R2_b.  ``ms_residual`` and ``ms_gue`` are
+    the mean squares of the histogram about the theory and about the GUE
+    curve.  With no bin scored, each score is nan.
+    """
 
     estimate: CorrelationEstimate
     theory: np.ndarray
@@ -523,8 +535,27 @@ class CompareReport:
         return self.estimate.values - self.theory
 
     @property
+    def scored(self) -> np.ndarray:
+        """Mask of the bins whose centre lies in ``SCORED_RANGE``."""
+        lo, hi = SCORED_RANGE
+        centers = self.estimate.bin_centers
+        return (centers > lo) & (centers <= hi)
+
+    def _scored_mean(self, values: np.ndarray) -> float:
+        scored = self.scored
+        return float(np.mean(values[scored])) if scored.any() else math.nan
+
+    @property
+    def noise_floor(self) -> float:
+        return self._scored_mean(self.gue / self.estimate.norms)
+
+    @property
     def ms_residual(self) -> float:
-        return float(np.mean(self.residuals**2))
+        return self._scored_mean(self.residuals**2)
+
+    @property
+    def ms_gue(self) -> float:
+        return self._scored_mean((self.estimate.values - self.gue) ** 2)
 
 
 def compare(ests: list[CorrelationEstimate], curves: list[TheoryCurve]) -> CompareReport:
@@ -542,13 +573,3 @@ def compare(ests: list[CorrelationEstimate], curves: list[TheoryCurve]) -> Compa
     theory, diag, offdiag = (binned * weights[:, None]).sum(axis=0)
     gue = _bin_mean(gue_on_bins(pooled.bin_edges).total)
     return CompareReport(pooled, theory, diag, offdiag, gue)
-
-
-def poisson_noise_floor(est: CorrelationEstimate, reference: np.ndarray | None = None) -> float:
-    """Expected mean-square residual from counting noise alone.
-
-    Var(value_b) ~ R2_b / norm_b for Poisson counts; ``reference`` supplies
-    R2_b (bin-averaged theory), defaulting to 1.
-    """
-    ref = np.ones_like(est.norms) if reference is None else np.asarray(reference)
-    return float(np.mean(ref / est.norms))

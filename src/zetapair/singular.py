@@ -131,7 +131,8 @@ def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
     for p, _ in tables.factorize(abs(h)):
         signed = np.concatenate([signed, -p * signed])
     inner = np.array([g[d - 1 :: d].sum() for d in np.abs(signed)])
-    value = float(signed @ inner)
+    # a numpy sum, not a BLAS dot, whose bits would follow the thread count
+    value = float(np.sum(signed * inner))
     tail = tables.totient(abs(h)) * _series_tail_constant(tables, n_max)
     return AlphaResult(
         h, value, "ramanujan_series", {"series_cutoff": n_max, "tail_bound": tail}
@@ -160,7 +161,8 @@ def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
     ps = tables.primes_upto(n)
     t = ps + ah
     hit = np.flatnonzero(spf[t] == t)
-    value = float(np.log(ps[hit]) @ np.log(t[hit]))
+    # a numpy sum, not a BLAS dot, whose bits would follow the thread count
+    value = float(np.sum(np.log(ps[hit]) * np.log(t[hit])))
     top = n + ah
     powers = {}  # p^k -> ln p for k >= 2 and p^k <= n + |h|
     for p in tables.primes_upto(math.isqrt(top)).tolist():

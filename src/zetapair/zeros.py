@@ -201,7 +201,15 @@ def _z_euler_maclaurin(t: np.ndarray) -> np.ndarray:
 
 
 def zfunc(t):
-    """Hardy's Z(t): real, with Z(t) = 0 exactly at zero ordinates."""
+    """Hardy's Z(t): real, with Z(t) = 0 exactly at zero ordinates.
+
+    At and above ``Z_EM_SWITCH`` (Riemann-Siegel) a value depends on its t
+    alone, whatever else the call holds.  Below it the points of one call
+    share one Euler-Maclaurin truncation, set where the remainder bound holds
+    for all of them, so a value there can move in its last bits (by up to
+    2.5e-13 measured) with the other points of the call, and an ordinate with
+    the range asked for.
+    """
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise ValueError("Z evaluation needs a finite t")

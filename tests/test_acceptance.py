@@ -102,16 +102,13 @@ def test_criterion_4_zero_enumeration(zero_fixture_path):
 
 def test_criterion_5_pair_correlation_vs_gue(pooled_experiment):
     exp = pooled_experiment
-    pooled, gue = exp["report"].estimate, exp["report"].gue
-    sl = slice(2, None)  # eps in (0.1, 3]
-    floor = float(np.mean(gue[sl] / pooled.norms[sl]))
-    ms_gue = float(np.mean((pooled.values[sl] - gue[sl]) ** 2))
-    first_bin = float(pooled.values[2])
-    ok = exp["n_zeros"] >= 10_000 and ms_gue <= 4.0 * floor and first_bin < 0.2
+    rep = exp["report"]
+    first_bin = float(rep.estimate.values[rep.scored][0])
+    ok = exp["n_zeros"] >= 10_000 and rep.ms_gue <= 4.0 * rep.noise_floor and first_bin < 0.2
     verdict(
         5,
         ok,
-        f"{exp['n_zeros']} zeros, ms/floor = {ms_gue / floor:.2f}, "
+        f"{exp['n_zeros']} zeros, ms/floor = {rep.ms_gue / rep.noise_floor:.2f}, "
         f"bin(0.1,0.15] = {first_bin:.3f}",
     )
     assert ok
@@ -119,12 +116,8 @@ def test_criterion_5_pair_correlation_vs_gue(pooled_experiment):
 
 def test_criterion_6_finite_height_improvement(pooled_experiment):
     rep = pooled_experiment["report"]
-    pooled, gue, theory = rep.estimate, rep.gue, rep.theory
-    sl = slice(2, None)
-    ms_gue = float(np.mean((pooled.values[sl] - gue[sl]) ** 2))
-    ms_fin = float(np.mean((pooled.values[sl] - theory[sl]) ** 2))
-    ok = ms_fin <= ms_gue
-    verdict(6, ok, f"finite-height ms {ms_fin:.2e} <= GUE ms {ms_gue:.2e}")
+    ok = rep.ms_residual <= rep.ms_gue
+    verdict(6, ok, f"finite-height ms {rep.ms_residual:.2e} <= GUE ms {rep.ms_gue:.2e}")
     assert ok
 
 

@@ -22,6 +22,17 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_module(args, **env_vars):
+    """``python -m zetapair`` in a fresh process, on this tree's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "zetapair", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
@@ -148,16 +159,21 @@ class TestOutputContract:
 
     def test_python_dash_m_matches_main(self):
         args = ["alpha", "--method", "product", "--h", "2,6,30"]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "zetapair", *args],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module(args)
         code, out, _ = run_cli(*args)
         assert proc.returncode == code == 0
         assert proc.stdout == out
+
+    def test_empirical_alpha_independent_of_blas_threads(self):
+        # a BLAS dot splits its sum by thread, so its last bits follow the
+        # thread count; each process here fixes the count before numpy loads
+        args = ["alpha", "--method", "empirical", "--h", "2,6", "--sample-length", "1000000"]
+        outs = []
+        for threads in ("1", "2"):
+            proc = run_module(args, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestZeros:
@@ -245,7 +261,9 @@ class TestR2Pipeline:
             "epsilon", "empirical", "theory_total", "theory_diag",
             "theory_off", "constant", "residual",
         ]
-        assert "ms_residual" in err
+        scores = dict(line.split() for line in err.splitlines())
+        assert list(scores) == ["ms_residual", "ms_gue", "noise_floor"]
+        assert all(float(v) > 0.0 for v in scores.values())
         for row in rows:
             total = (
                 float(row["constant"]) + float(row["theory_diag"])

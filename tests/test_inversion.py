@@ -129,15 +129,19 @@ class TestOracle:
     # the prime side shares only the sieve with the inversion; with prime
     # cutoff P both give the singular series of the primes up to P.  Measured
     # est/alpha - 1: -2.9e-4 (h = 2), -2.2e-4 (4), -6.2e-6 (6); est: -1.7e-5
-    # (h = 1), +2.6e-7 (3).  A narrower or higher window holds fewer atoms
-    # and scatters more, as the module docstring says: -1.06e-2 (h = 2) and
+    # (h = 1), +2.6e-7 (3).  Elsewhere the error follows the window's width
+    # and height, as the module docstring's table shows: -1.06e-2 (h = 2) and
     # +1.98e-2 (6) on (1000, 1100), +1.52e-2 (2) and -9.4e-4 (6) on
-    # (3000, 3500), and odd h at most 4.6e-3.  Wider bands, |h| (E_hi - E_lo)
-    # past 3000, run into the direct sum and take seconds each.
+    # (3000, 3500), and odd h at most 4.6e-3.  Two cells of the table are
+    # pinned at 3-4x: +1.50e-2 (h = 2) on (4000, 4300), and -6.0e-7 (h = 1)
+    # and +4.5e-9 (3) on (1000, 1900).  Wider bands, |h| (E_hi - E_lo) past
+    # 3000, run into the direct sum and take seconds each.
     @pytest.mark.parametrize("h, window, even_tol, odd_tol", [
         *(pytest.param(h, (1000.0, 1500.0), 1e-3, 1e-4, id=str(h)) for h in (1, 2, 3, 4, 6)),
         *(pytest.param(h, w, 2.5e-2, 1e-2, id=f"{h}-{w[0]:g}:{w[1]:g}")
           for w in ((1000.0, 1100.0), (3000.0, 3500.0)) for h in (1, 2, 3, 6)),
+        pytest.param(2, (4000.0, 4300.0), 5e-2, None, id="2-4000:4300"),
+        *(pytest.param(h, (1000.0, 1900.0), None, 2.5e-6, id=f"{h}-1000:1900") for h in (1, 3)),
     ])
     def test_estimate_is_alpha(self, tables_1m, h, window, even_tol, odd_tol):
         res = windowed_inversion(h, window, tables=tables_1m, p_cut=4000)

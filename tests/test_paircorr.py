@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from zetapair import paircorr, special
 from zetapair.paircorr import (
+    CorrelationEstimate,
     GridMismatchError,
     InsufficientDataError,
     aggregate,
@@ -21,7 +22,6 @@ from zetapair.paircorr import (
     empirical_r2,
     gue_on_bins,
     gue_r2,
-    poisson_noise_floor,
     pooled_windows,
     r2_diag_limit,
     r2_off_limit,
@@ -39,6 +39,25 @@ def poisson_surrogate(center, width, seed):
     n = rng.poisson(dens * width)
     pts = np.sort(rng.uniform(center - width / 2, center + width / 2, n))
     return ZeroList(pts, (center - width / 2, center + width / 2), False)
+
+
+def gue_window(rng, n=400, levels=200, e0=7000.0):
+    """The histogram of one GUE matrix's central levels, taken as zeros at e0.
+
+    H = (G + G^H) / 2, with G's real and imaginary parts standard normal,
+    has E|H_ij|^2 = 1, so its levels fill the semicircle of radius 2 sqrt(n)
+    and count n (1/2 + (u sqrt(1 - u^2) + arcsin u) / pi) below 2 sqrt(n) u.
+    That count unfolds them to unit mean spacing, and the unfolded x sit at
+    e0 + x / mean_density(e0), where ``empirical_r2`` unfolds them back.  The
+    window spans the central ``levels`` units of the unfolded spectrum.
+    """
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    lam = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+    u = lam[(n - levels) // 2 :][:levels] / (2.0 * math.sqrt(n))
+    x = n * (0.5 + (u * np.sqrt(1.0 - u * u) + np.arcsin(u)) / np.pi)
+    dens = mean_density(e0)
+    zl = ZeroList(e0 + x / dens, (e0, e0 + n / dens), True)
+    return empirical_r2(zl, e0 + 0.5 * n / dens, levels / dens, 0.05, 3.0)
 
 
 class TestEmpirical:
@@ -633,17 +652,39 @@ class TestCompare:
         curve = gue_on_bins(edges)
         assert np.allclose(curve.total, gue_r2(curve.epsilons), atol=1e-14)
 
-    def test_noise_floor_matches_counts(self, zeros_high):
-        width = 400.0 / mean_density(7000.0)
-        est = empirical_r2(zeros_high, 7000.0, width, 0.05, 3.0)
-        floor = poisson_noise_floor(est)
-        assert floor == pytest.approx(float(np.mean(1.0 / est.norms)))
+    def test_scores_the_bins_centred_in_range(self):
+        # 0.05 bins to eps = 5: the scored ones run from (0.1, 0.15] to (2.95, 3]
+        edges = np.linspace(0.0, 5.0, 101)
+        est = CorrelationEstimate(edges, np.ones(100), np.ones(100))
+        rep = compare([est], [gue_on_bins(edges)])
+        assert np.array_equal(np.flatnonzero(rep.scored), np.arange(2, 60))
+        assert rep.ms_residual == rep.ms_gue == float(np.mean((1.0 - rep.gue[2:60]) ** 2))
+
+    def test_scores_nan_with_no_bin_in_range(self):
+        edges = np.linspace(0.0, 0.1, 3)
+        est = CorrelationEstimate(edges, np.ones(2), np.ones(2))
+        rep = compare([est], [gue_on_bins(edges)])
+        assert not rep.scored.any()
+        assert all(math.isnan(v) for v in (rep.noise_floor, rep.ms_gue, rep.ms_residual))
 
     def test_single_window_near_7005_within_noise_of_gue(self, zeros_high):
         width = 200.0 / mean_density(7005.0)
         est = empirical_r2(zeros_high, 7005.0, width, 0.05, 3.0)
-        gue = bin_average(gue_on_bins(est.bin_edges), est.bin_edges)
-        sl = slice(2, None)
-        ms = float(np.mean((est.values[sl] - gue[sl]) ** 2))
-        floor = float(np.mean(gue[sl] / est.norms[sl]))
-        assert ms <= 4.0 * floor
+        rep = compare([est], [gue_on_bins(est.bin_edges)])
+        assert rep.ms_gue <= 4.0 * rep.noise_floor
+
+
+class TestNoiseFloorOracle:
+    """The Poisson noise floor against spectra whose pair correlation is the
+    GUE curve: pooled windows of random-matrix levels, scored by ``compare``
+    against the binned GUE curve, leave a mean square of about one floor."""
+
+    def test_gue_spectra_within_twice_the_floor(self):
+        # 18 windows, as many as pooled_windows(3000, 6600) tiles; over seeds
+        # 0-49 ms_gue / floor read a median of 0.95, quartiles 0.82-1.07, and
+        # 0.61 to 1.61; seed 0 reads 1.13
+        rng = np.random.default_rng(0)
+        ests = [gue_window(rng) for _ in range(18)]
+        edges = ests[0].bin_edges
+        rep = compare(ests, [gue_on_bins(edges)] * len(ests))
+        assert 0.4 * rep.noise_floor <= rep.ms_gue <= 2.0 * rep.noise_floor

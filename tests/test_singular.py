@@ -301,7 +301,7 @@ class TestCachedTablesKeepAnswers:
         signed = np.ones(1, dtype=np.int64)
         for p, _ in tables.factorize(h):
             signed = np.concatenate([signed, -p * signed])
-        value = float(signed @ np.array([g[d - 1 :: d].sum() for d in np.abs(signed)]))
+        value = float(np.sum(signed * np.array([g[d - 1 :: d].sum() for d in np.abs(signed)])))
         return value, tables.totient(h) * per_call_tail_constant(tables, g)
 
     def test_series_matches_per_call_weights(self, tables_1m):

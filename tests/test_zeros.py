@@ -155,6 +155,22 @@ class TestComputation:
         assert np.all(np.diff(hits)[:20] >= 0)
 
 
+
+class TestCallIndependence:
+    """Above the switch a Z value, and so an ordinate, depends on its t alone."""
+
+    def test_zfunc_above_the_switch(self):
+        t = np.random.default_rng(20261020).uniform(1000.0, 99_000.0, 60)
+        whole = zfunc(t)
+        assert np.array_equal(whole, [zfunc(x) for x in t])
+        assert np.array_equal(whole, np.concatenate([zfunc(t[:30]), zfunc(t[30:])]))
+
+    def test_ordinates_above_the_switch_independent_of_the_range(self, zeros_high):
+        o = zeros_high.ordinates
+        sub = compute_zeros(5000.0, 5600.0)
+        assert np.array_equal(sub.ordinates, o[(o > 5000.0) & (o <= 5600.0)])
+
+
 class TestRefine:
     @staticmethod
     def fixed_sweeps(lo, hi, z_lo):
