@@ -155,7 +155,6 @@ class TestComputation:
         assert np.all(np.diff(hits)[:20] >= 0)
 
 
-
 class TestCallIndependence:
     """Above the switch a Z value, and so an ordinate, depends on its t alone."""
 
