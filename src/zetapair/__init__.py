@@ -1,9 +1,11 @@
 """Both sides of the prime-pair / zero-correlation equivalence, at desk scale.
 
 Modules by role: ``sieve`` (multiplicative arithmetic), ``special``
-(zeta on the 1-line, Si, window functions), ``singular`` (the prime-pair
-singular series in three forms), ``zeros`` (Riemann-Siegel enumeration
-and table ingestion), ``paircorr`` (empirical and theoretical two-point
+(zeta on the 1-line and the critical line, the ``DirichletSum`` kernel,
+Si, window functions), ``singular`` (the prime-pair singular series in
+three forms), ``zeros`` (Gram-block enumeration, with Z by
+Euler-Maclaurin below t = 1000 and by Riemann-Siegel above, and table
+ingestion), ``paircorr`` (empirical and theoretical two-point
 statistics), ``identities`` (stepwise checks of the derivation chain),
 ``inversion`` (the experimental windowed Fourier inversion), ``cli``.
 Each scipy submodule is imported by the function that calls it, so

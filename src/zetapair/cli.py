@@ -25,6 +25,8 @@ __all__ = ["main", "run"]
 SERIES_CUTOFF = 1_000_000
 #: prime cutoff, C2 cutoff and sieve size of ``identities`` (criterion 8's)
 IDENTITY_CUTOFF = 1_000_000
+#: C2 cutoff of ``avg-alpha``, and of ``alpha`` without ``--prime-cutoff``
+C2_CUTOFF = 1_000_000
 #: histogram bin width of ``r2 empirical`` and ``r2 compare``, in mean spacings
 BIN_WIDTH = 0.05
 
@@ -95,8 +97,8 @@ def _parse_range(text: str, form: str) -> tuple[float, float]:
 
 
 def _sieve(needed: int):
-    # at least 1000, so a cutoff below its domain (`invert --prime-cutoff 0`) reaches
-    # that cutoff's own check rather than build_sieve's
+    # at least 1000, so a prime cutoff below 3 (`constants` or `alpha --prime-cutoff`)
+    # reaches twin_prime_constant's check rather than build_sieve's
     return build_sieve(max(needed, 1000))
 
 
@@ -157,8 +159,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_avg_alpha(args) -> int:
-    tables = _sieve(max(args.h, args.prime_cutoff) + 1)
-    c2 = singular.twin_prime_constant(args.prime_cutoff, tables)
+    tables = _sieve(max(args.h, C2_CUTOFF) + 1)
+    c2 = singular.twin_prime_constant(C2_CUTOFF, tables)
     s = singular.smoothed_average(args.h, tables, c2)
     _emit(
         ["h", "average", "asymptote", "abs_deviation"],
@@ -216,10 +218,9 @@ def _cmd_r2(args) -> int:
 
     if args.mode == "theory":
         grid = _parse_grid(args.grid)
-        tables = _sieve(args.prime_cutoff + 1)
+        tables = _sieve(paircorr.DEFAULT_PRIME_CUTOFF + 1)
         curve = paircorr.theory_curve(
-            args.height, grid, zcfg, tables, args.prime_cutoff,
-            args.power_cutoff, unfolded=not args.absolute,
+            args.height, grid, zcfg, tables, unfolded=not args.absolute
         )
         rows = [
             {"epsilon": float(e), "theory_total": float(t), "theory_diag": float(d),
@@ -235,7 +236,7 @@ def _cmd_r2(args) -> int:
     width = args.width
     if width is None:
         width = paircorr.WINDOW_SPACINGS / mean_density(args.center)
-    est = paircorr.empirical_r2(zl, args.center, width, BIN_WIDTH, args.eps_max)
+    est = paircorr.empirical_r2(zl, args.center, width, BIN_WIDTH, paircorr.SCORED_RANGE[1])
     if args.mode == "empirical":
         rows = [
             {"epsilon": float(c), "empirical": float(v), "pairs": int(n)}
@@ -245,11 +246,8 @@ def _cmd_r2(args) -> int:
         return 0
 
     # compare
-    tables = _sieve(args.prime_cutoff + 1)
-    curve = paircorr.theory_on_bins(
-        args.center, est.bin_edges, zcfg, tables, args.prime_cutoff,
-        args.power_cutoff,
-    )
+    tables = _sieve(paircorr.DEFAULT_PRIME_CUTOFF + 1)
+    curve = paircorr.theory_on_bins(args.center, est.bin_edges, zcfg, tables)
     rep = paircorr.compare([est], [curve])
     rows = [
         {"epsilon": float(c), "empirical": float(v), "theory_total": float(t),
@@ -287,14 +285,11 @@ def _cmd_identities(args) -> int:
 def _cmd_invert(args) -> int:
     hs = _parse_int_list(args.h)
     e_lo, e_hi = _parse_range(args.window, "--window E_LO:E_HI")
-    tables = _sieve(args.prime_cutoff + 1)
+    tables = _sieve(inversion.DEFAULT_PRIME_CUTOFF + 1)
     rows = []
     any_failed = False
     for h in hs:
-        res = inversion.windowed_inversion(
-            h, (e_lo, e_hi), eps_cutoff=args.eps_cutoff, tables=tables,
-            p_cut=args.prime_cutoff,
-        )
+        res = inversion.windowed_inversion(h, (e_lo, e_hi), tables=tables)
         any_failed |= not res.ok
         rows.append({
             "h": h,
@@ -332,13 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("product", "series", "empirical"),
                    required=True)
     p.add_argument("--h", required=True, help="comma-separated shifts")
-    p.add_argument("--prime-cutoff", type=int, default=1_000_000)
+    p.add_argument("--prime-cutoff", type=int, default=C2_CUTOFF)
     p.add_argument("--sample-length", type=int, default=10_000_000,
                    help="N for the empirical average")
 
     p = sub.add_parser("avg-alpha", help="smoothed average of alpha")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--prime-cutoff", type=int, default=1_000_000)
 
     p = sub.add_parser("zeros", help="compute/ingest/check zero tables")
     zs = p.add_subparsers(dest="action", required=True)
@@ -358,8 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = rs.add_parser("theory")
     pt.add_argument("--grid", required=True)
     pt.add_argument("--height", type=float, required=True)
-    pt.add_argument("--prime-cutoff", type=int, default=paircorr.DEFAULT_PRIME_CUTOFF)
-    pt.add_argument("--power-cutoff", type=int, default=paircorr.DEFAULT_POWER_CUTOFF)
     pt.add_argument("--absolute", action="store_true",
                     help="absolute units instead of unfolded")
     for mode in ("empirical", "compare"):
@@ -370,10 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
         pe.add_argument("--width", type=float, default=None,
                         help=f"window width (default {paircorr.WINDOW_SPACINGS:g} "
                              "mean spacings at --center)")
-        pe.add_argument("--eps-max", type=float, default=3.0)
-        if mode == "compare":
-            pe.add_argument("--prime-cutoff", type=int, default=paircorr.DEFAULT_PRIME_CUTOFF)
-            pe.add_argument("--power-cutoff", type=int, default=paircorr.DEFAULT_POWER_CUTOFF)
 
     p = sub.add_parser("identities", help="run the derivation-chain checks")
     p.add_argument("--suite", choices=("all",) + idmod.SUITES, default="all")
@@ -381,8 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="windowed inversion of the off-diagonal curve")
     p.add_argument("--h", required=True, help="comma-separated shifts")
     p.add_argument("--window", required=True, help="E_LO:E_HI")
-    p.add_argument("--eps-cutoff", type=float, default=inversion.DEFAULT_EPS_CUTOFF)
-    p.add_argument("--prime-cutoff", type=int, default=inversion.DEFAULT_PRIME_CUTOFF)
     return ap
 
 

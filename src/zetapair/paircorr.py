@@ -393,7 +393,12 @@ def off_diagonal_product(tables: SieveTables, p_cut: int, eps: np.ndarray) -> np
 
     The primes below 50 multiply directly; the rest give exp of one
     ``DirichletSum`` of their log series: ``_prime_phase_sums`` with no
-    power sum, so the product is the one ``theory_curve`` uses.
+    power sum, so the product is the one ``theory_curve`` uses.  The
+    ``DirichletSum`` takes the direct sum or the transform per call, so a
+    value can move in the last bits with the rest of the call: on the 1e6
+    sieve at p_cut 4000 and 20000, 60 seeded eps in (0.1, 3) read one call,
+    one eps per call and two halves within 2.5e-16 of each other; on
+    (0.1, 3000), where each way takes the direct sum, bit for bit.
     """
     return _prime_phase_sums(tables, p_cut, 0, eps)[1]
 

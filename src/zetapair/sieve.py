@@ -82,36 +82,15 @@ class SieveTables:
 
     def von_mangoldt(self, n: int) -> float:
         """ln p if n is a prime power p^k (k >= 1), else 0."""
-        n = self._check(n)
-        if n == 1:
-            return 0.0
-        p = int(self.spf[n])
-        while n % p == 0:
-            n //= p
-        return math.log(p) if n == 1 else 0.0
+        factors = self.factorize(n)
+        return math.log(factors[0][0]) if len(factors) == 1 else 0.0
 
     def mobius(self, n: int) -> int:
-        n = self._check(n)
-        m = 1
-        while n > 1:
-            p = int(self.spf[n])
-            n //= p
-            if n % p == 0:
-                return 0
-            m = -m
-        return m
+        factors = self.factorize(n)
+        return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
     def totient(self, n: int) -> int:
-        n = self._check(n)
-        t = 1
-        while n > 1:
-            p = int(self.spf[n])
-            n //= p
-            t *= p - 1
-            while n % p == 0:
-                n //= p
-                t *= p
-        return t
+        return math.prod(p ** (e - 1) * (p - 1) for p, e in self.factorize(n))
 
     def ramanujan_sum(self, n: int, h: int) -> int:
         """c_n(h) via the Hoelder closed form mu(n/g) phi(n) / phi(n/g).

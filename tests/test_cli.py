@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from zetapair import cli, identities, paircorr
+from zetapair import cli, identities, inversion, paircorr
 from zetapair.cli import main
 
 
@@ -48,7 +49,7 @@ class TestGue:
 
 
 class TestGridErrors:
-    MODE_ARGS = {"gue": (), "theory": ("--height", "10000", "--prime-cutoff", "10000")}
+    MODE_ARGS = {"gue": (), "theory": ("--height", "10000")}
 
     # a zero step, a non-finite stop, a stop below the start, a step that
     # does not divide the span
@@ -253,7 +254,7 @@ class TestR2Pipeline:
         assert len(parse_csv(out)) == 60
         code, out, err = run_cli(
             "r2", "compare", "--zeros", str(table), "--center", "600",
-            "--width", "700", "--prime-cutoff", "10000",
+            "--width", "700",
         )
         assert code == 0
         rows = parse_csv(out)
@@ -276,28 +277,10 @@ class TestR2Pipeline:
 
     def test_theory_grid(self):
         code, out, _ = run_cli(
-            "r2", "theory", "--grid", "0.5:1.5:0.5", "--height", "10000",
-            "--prime-cutoff", "10000",
+            "r2", "theory", "--grid", "0.5:1.5:0.5", "--height", "10000"
         )
         assert code == 0
         assert len(parse_csv(out)) == 3
-
-
-class TestCutoffsBelowTheirDomain:
-    # a prime cutoff below 2 or a power cutoff below 1 would empty a sum or a
-    # product and still print plausible values
-    @pytest.mark.parametrize("argv, message", [
-        (("invert", "--h", "2", "--window", "1000:1100", "--prime-cutoff", "0"),
-         "prime cutoff must be >= 2, got 0"),
-        (("r2", "theory", "--grid", "0.5:1.5:0.5", "--height", "10000",
-          "--prime-cutoff", "0"), "prime cutoff must be >= 2, got 0"),
-        (("r2", "theory", "--grid", "0.5:1.5:0.5", "--height", "10000",
-          "--power-cutoff", "-3"), "power cutoff must be >= 1, got -3"),
-    ])
-    def test_exit_1_with_a_message(self, argv, message):
-        code, out, err = run_cli(*argv)
-        assert (code, out) == (1, "")
-        assert err == f"error: {message}\n"
 
 
 class TestNonFiniteHeight:
@@ -306,8 +289,7 @@ class TestNonFiniteHeight:
     @pytest.mark.parametrize("height", ["nan", "inf"])
     def test_theory_height(self, height):
         code, out, err = run_cli(
-            "r2", "theory", "--grid", "0.5:1.5:0.5", "--height", height,
-            "--prime-cutoff", "10000",
+            "r2", "theory", "--grid", "0.5:1.5:0.5", "--height", height
         )
         assert (code, out) == (1, "")
         assert err == (
@@ -323,7 +305,7 @@ class TestNonFiniteHeight:
         save_zeros(zeros_low, table)
         code, out, err = run_cli(
             "r2", "compare", "--zeros", str(table), "--center", center,
-            "--width", "700", "--prime-cutoff", "10000",
+            "--width", "700",
         )
         assert (code, out) == (1, "")
         assert err == (
@@ -341,12 +323,9 @@ class TestBadNumbers:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
-    # --width 0 histogrammed the default window; --eps-max inf raised OverflowError;
-    # --eps-max 400 printed -0 in every bin past the 200-spacing window
+    # --width 0 histogrammed the default window
     @pytest.mark.parametrize("flags,message", [
         (("--width", "0"), "finite positive width"),
-        (("--eps-max", "inf"), "need finite 0 < bin_width < eps_max"),
-        (("--eps-max", "400"), "past the window's unfolded length"),
     ])
     def test_empirical_window_and_bins(self, tmp_path, zeros_low, flags, message):
         from zetapair.zeros import save_zeros
@@ -387,6 +366,61 @@ class TestSettings:
             pages += TestSettings.help_pages((*prefix, name))
         return pages
 
+    # every value a user can set, by subcommand; each truncation without a flag
+    # is a library default or a cli constant
+    OPTIONS = {
+        (): ["--format", "--seed"],
+        ("constants",): ["--prime-cutoff"],
+        ("alpha",): ["--method", "--h", "--prime-cutoff", "--sample-length"],
+        ("avg-alpha",): ["--h"],
+        ("zeros",): [],
+        ("zeros", "compute"): ["--t-min", "--t-max", "--out"],
+        ("zeros", "ingest"): ["--path"],
+        ("zeros", "check"): ["--path"],
+        ("r2",): [],
+        ("r2", "gue"): ["--grid"],
+        ("r2", "theory"): ["--grid", "--height", "--absolute"],
+        ("r2", "empirical"): ["--zeros", "--compute", "--center", "--width"],
+        ("r2", "compare"): ["--zeros", "--compute", "--center", "--width"],
+        ("identities",): ["--suite"],
+        ("invert",): ["--h", "--window"],
+    }
+
+    @staticmethod
+    def options(parser, prefix=()):
+        """Subcommand path -> option strings of the settable values at that level."""
+        found = {prefix: []}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    found.update(TestSettings.options(sub, (*prefix, name)))
+            elif not isinstance(action, argparse._HelpAction):
+                found[prefix] += action.option_strings
+        return found
+
+    def test_settable_values_by_subcommand(self):
+        found = self.options(cli._build_parser())
+        assert found == self.OPTIONS
+        assert sum(map(len, found.values())) == 28
+
+    # each would set a truncation that the CLI fixes at its library default
+    @pytest.mark.parametrize("argv", [
+        ("avg-alpha", "--h", "100", "--prime-cutoff", "1000"),
+        ("r2", "theory", "--grid", "0:1:1", "--height", "1e4", "--prime-cutoff", "1000"),
+        ("r2", "theory", "--grid", "0:1:1", "--height", "1e4", "--power-cutoff", "5"),
+        ("r2", "empirical", "--compute", "10:100", "--center", "50", "--eps-max", "2"),
+        ("r2", "compare", "--compute", "10:100", "--center", "50", "--eps-max", "2"),
+        ("r2", "compare", "--compute", "10:100", "--center", "50", "--prime-cutoff", "1000"),
+        ("r2", "compare", "--compute", "10:100", "--center", "50", "--power-cutoff", "5"),
+        ("invert", "--h", "2", "--window", "1000:1100", "--eps-cutoff", "20"),
+        ("invert", "--h", "2", "--window", "1000:1100", "--prime-cutoff", "1000"),
+    ])
+    def test_fixed_truncation_flag_is_a_usage_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: zetapair")
+        assert err.endswith(f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
+
     def test_every_help_page_exits_0_without_config(self):
         pages = self.help_pages()
         argvs = [argv for argv, _, _ in pages]
@@ -420,8 +454,13 @@ class TestSettings:
         for phrase in (
             f"truncates the Ramanujan series at N = {cli.SERIES_CUTOFF},",
             f"cuts its primes, C2 and sieve at {cli.IDENTITY_CUTOFF},",
-            f"use bins {cli.BIN_WIDTH:g} wide",
+            f"`avg-alpha` cuts C2 at {cli.C2_CUTOFF} (as `alpha` does without",
+            f"sum the primes up to {paircorr.DEFAULT_PRIME_CUTOFF} and their powers up to"
+            f" k = {paircorr.DEFAULT_POWER_CUTOFF},",
+            f"use bins {cli.BIN_WIDTH:g} wide up to eps = {paircorr.SCORED_RANGE[1]:g}",
             f"a window {paircorr.WINDOW_SPACINGS:g} mean spacings wide at `--center`",
+            f"excises eps below {inversion.DEFAULT_EPS_CUTOFF:g} around the 1-line pole",
+            f"Euler product over the primes up to {inversion.DEFAULT_PRIME_CUTOFF}.",
         ):
             assert phrase in text
 

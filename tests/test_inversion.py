@@ -19,6 +19,11 @@ class TestValidation:
                 windowed_inversion(2, (1000.0, 1100.0), eps_cutoff=bad,
                                    tables=tables_small)
 
+    def test_prime_cutoff_domain(self, tables_small):
+        # a prime cutoff below 2 would empty the Euler product and still print a value
+        with pytest.raises(ValueError, match="prime cutoff must be >= 2, got 0"):
+            windowed_inversion(2, (1000.0, 1100.0), tables=tables_small, p_cut=0)
+
     def test_e_range_envelope(self, tables_small):
         with pytest.raises(ValueError):
             windowed_inversion(2, (500.0, 1100.0), tables=tables_small)

@@ -58,6 +58,20 @@ class TestZetaOneLine:
             b = zeta_one_line(-eps)
             assert abs(b - a.conjugate()) < 1e-12
 
+    # one call, one point per call and two halves: up to |eps| ~ 100 every
+    # point takes the floor truncation, past it the call shares the largest;
+    # measured bit-equal and 3.1e-14 relative to max(|zeta|, 1)
+    @pytest.mark.parametrize("eps_hi, tol", [(3.0, 0.0), (3000.0, 1e-13)])
+    def test_independent_of_the_call(self, eps_hi, tol):
+        eps = np.random.default_rng(20261020).uniform(0.1, eps_hi, 60)
+        whole = zeta_one_line(eps)
+        scale = np.maximum(np.abs(whole), 1.0)
+        for other in (
+            [zeta_one_line(e) for e in eps],
+            np.concatenate([zeta_one_line(eps[:30]), zeta_one_line(eps[30:])]),
+        ):
+            assert np.max(np.abs(whole - other) / scale) <= tol
+
     def test_laurent_behaviour_small_eps(self):
         devs = []
         for eps in (1e-1, 1e-2, 1e-3):

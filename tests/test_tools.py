@@ -107,6 +107,24 @@ class TestBenchJson:
         expected = bench_json.summarize(*(bench_json.load(d) for d in record_dirs))
         assert json.loads(capsys.readouterr().out) == expected
 
+    def test_main_names_unpaired_records(self, bench_json, record_dirs, capsys):
+        # a seed missing on one side and a workload on one side only were
+        # dropped from the summary without a word
+        parent, change = record_dirs
+        moved = change / "cli-readme-1-trace0.json"
+        rec = json.loads(moved.read_text())
+        rec["provenance"].update(workload="inversion", seed=0)
+        moved.unlink()
+        (change / "inversion-0-trace0.json").write_text(json.dumps(rec))
+        assert bench_json.main([str(parent), str(change)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "unpaired records:",
+            "cli-readme seed 1 only in PARENT_OUT",
+            "inversion seed 0 only in CHANGE_OUT",
+        ]
+
     @pytest.mark.parametrize("argv", [[], ["one"], ["one", "two", "three"]])
     def test_main_rejects_wrong_argument_count(self, bench_json, argv, capsys):
         assert bench_json.main(argv) == 2

@@ -4,13 +4,14 @@
 
 PARENT_OUT and CHANGE_OUT are the ``perfbench/out`` directories of two
 checkouts that ran ``perfbench/run.py --trace 0`` on the same workloads and
-seeds.  For each workload the output gives, per side, the median and
-quartiles over seeds of each run's ``job_s`` (median of its jobs), ``setup_s``
-(median of its spawns) and ``peak_rss_mb``, the seeds, for each of the three
-the number of seeds on which the change's value is lower
-(``change_<metric>_lower``, "k of n"), and each side's fail rate; for
-``cli-readme`` it adds the stdout sha256 digests per seed.  The machine and
-both commits come from the records' provenance.
+seeds; a record whose (workload, seed) the other directory lacks is an error
+(exit 2, naming it), not a pair to drop.  For each workload the output
+gives, per side, the median and quartiles over seeds of each run's ``job_s``
+(median of its jobs), ``setup_s`` (median of its spawns) and
+``peak_rss_mb``, the seeds, for each of the three the number of seeds on
+which the change's value is lower (``change_<metric>_lower``, "k of n"), and
+each side's fail rate; for ``cli-readme`` it adds the stdout sha256 digests
+per seed.  The machine and both commits come from the records' provenance.
 """
 
 from __future__ import annotations
@@ -67,12 +68,16 @@ def commit(records: dict) -> dict:
             "src_sha256": sorted({p["src_sha256"] for p in provs})}
 
 
+def unpaired(parent: dict, change: dict) -> list[str]:
+    """One line per (workload, seed) that only one of the two directories holds."""
+    return [f"{w} seed {s} only in {'PARENT_OUT' if (w, s) in parent else 'CHANGE_OUT'}"
+            for w, s in sorted(parent.keys() ^ change.keys())]
+
+
 def summarize(parent: dict, change: dict) -> dict:
     workloads = {}
     for name in sorted({w for w, _ in parent}):
-        keys = sorted(k for k in parent if k[0] == name and k in change)
-        if not keys:
-            continue
+        keys = sorted(k for k in parent if k[0] == name)
         pairs = [(run_values(parent[k]), run_values(change[k])) for k in keys]
         entry = {
             "seeds": [s for _, s in keys],
@@ -106,6 +111,9 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     parent, change = (load(Path(a)) for a in argv)
+    if missing := unpaired(parent, change):
+        print("unpaired records:\n" + "\n".join(missing), file=sys.stderr)
+        return 2
     print(json.dumps(summarize(parent, change), indent=1))
     return 0
 
