@@ -42,7 +42,6 @@ __all__ = [
     "ft_one_over_xsq_check",
     "AveragedAlphaRecovery",
     "averaged_alpha_recovery",
-    "local_factor_chain_check",
     "local_factor_chain_sample",
     "mobius_indicator_check",
     "ramanujan_closure_check",
@@ -193,10 +192,6 @@ def _local_factor_residual(p: int, eps: float) -> float:
     return float(
         max(abs(lhs1 - rhs1), abs(mid - rhs2a), abs(mid - rhs2b))
     )
-
-
-def local_factor_chain_check(p: int, eps: float) -> IdentityReport:
-    return IdentityReport("local_factor_chain", 1, _local_factor_residual(p, eps), 1e-12)
 
 
 def local_factor_chain_sample(

@@ -114,6 +114,8 @@ _G10_W = np.array([
 ])
 #: nodes per panel of the nested rule
 _GK_ORDER = 21
+#: most quadrature nodes on either axis, checked before anything is allocated
+_MAX_NODES = 1 << 20
 
 
 def _gk_rule():
@@ -128,14 +130,26 @@ def _gk_rule():
     )
 
 
-def _gk_panels(lo: float, hi: float, panel: float):
-    """Composite G10/K21 on [lo, hi] in panels of width <= panel.
+def _panel_counts(h: int, e_lo: float, e_hi: float, s_lo: float, s_hi: float):
+    """The numbers of G10/K21 panels on the eps support and on the E window.
+
+    A panel spans at most 0.7 x 21 radians of the integrand's phase, which
+    turns ln(E_hi/2pi) + 4 radians per unit of eps and |h| + s_hi/E_lo per
+    unit of E.
+    """
+    eps_panel = 0.7 * _GK_ORDER / (math.log(e_hi / TWO_PI) + 4.0)
+    e_panel = 0.7 * _GK_ORDER / (abs(h) + s_hi / e_lo)
+    return (max(1, math.ceil((s_hi - s_lo) / eps_panel)),
+            max(1, math.ceil((e_hi - e_lo) / e_panel)))
+
+
+def _gk_panels(lo: float, hi: float, n_panels: int):
+    """Composite G10/K21 on [lo, hi] in n_panels equal panels.
 
     Returns the nodes, the K21 weights and the G10 weights (zero on the
     Kronrod-only nodes), so one set of function values gives both rules.
     """
     nodes, w_fine, w_coarse = _gk_rule()
-    n_panels = max(1, int(math.ceil((hi - lo) / panel)))
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)[:, None]
@@ -143,7 +157,7 @@ def _gk_panels(lo: float, hi: float, panel: float):
     return x, (half * w_fine).ravel(), (half * w_coarse).ravel()
 
 
-def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, tables, p_cut):
+def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, panels, tables, p_cut):
     """The tapered double integral by the fine (K21) and embedded (G10) rules.
 
     zeta and the Euler product are evaluated once, on the K21 nodes, and
@@ -151,8 +165,7 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, tables, p_cut):
     sum_eps coef(eps) exp(-i eps ln(E/2pi)) of both rules are one
     ``DirichletSum`` with two rows.
     """
-    l_hi = math.log(e_hi / TWO_PI)
-    eps_x, eps_fine, eps_coarse = _gk_panels(s_lo, s_hi, 0.7 * _GK_ORDER / (l_hi + 4.0))
+    eps_x, eps_fine, eps_coarse = _gk_panels(s_lo, s_hi, panels[0])
     w_eps = _bump(eps_x, s_lo, s_hi, eps_roll)
 
     zeta = zeta_one_line(eps_x)
@@ -163,15 +176,14 @@ def _raw_integral(h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, tables, p_cut):
     )
     coef = np.stack([eps_fine, eps_coarse]) * (w_eps * x_val)
 
-    e_panel = 0.7 * _GK_ORDER / (abs(h) + s_hi / e_lo)
-    e_x, e_fine, e_coarse = _gk_panels(e_lo, e_hi, e_panel)
+    e_x, e_fine, e_coarse = _gk_panels(e_lo, e_hi, panels[1])
     w_e = _bump(e_x, e_lo, e_hi, e_roll)
     log_e = np.log(e_x / TWO_PI)
     f_of_e = DirichletSum(coef, eps_x)(log_e)
     kernel = w_e * np.exp(1j * h * e_x) * 2.0 * np.real(f_of_e)
     fine = np.sum(e_fine * kernel[0])
     coarse = np.sum(e_coarse * kernel[1])
-    return complex(fine), complex(coarse), float(np.sum(e_fine * w_e)), len(eps_x), len(e_x)
+    return complex(fine), complex(coarse), float(np.sum(e_fine * w_e))
 
 
 def windowed_inversion(
@@ -192,6 +204,11 @@ def windowed_inversion(
     otherwise degenerate) reports a diagnostic failure instead of raising.
     ``tables`` is a required keyword: the sieve whose primes up to
     ``p_cut`` give the Euler product.
+
+    A call needing more than 2^20 quadrature nodes on either axis raises
+    ``ValueError`` before anything is evaluated (h = 2 on (1000, 1e7) would
+    need 5.7e8 eps and 3.1e11 E nodes).  This bounds memory, not time: past
+    |h| (E_hi - E_lo) of about 3800 the prime sums take the direct sum.
     """
     h = int(h)
     if h == 0:
@@ -221,9 +238,14 @@ def windowed_inversion(
     # |h| E_lo, so the support never empties
     s_hi = band[1] + 2.0 * eps_roll
     s_lo = max(eps_cutoff, band[0] - 2.0 * eps_roll)
+    panels = _panel_counts(h, e_lo, e_hi, s_lo, s_hi)
+    n_eps, n_e = (_GK_ORDER * n for n in panels)
+    if max(n_eps, n_e) > _MAX_NODES:
+        raise ValueError(f"h = {h} on E in ({e_lo:g}, {e_hi:g}) needs {n_eps} eps and {n_e} "
+                         f"E nodes; the quadrature takes at most {_MAX_NODES} per axis")
 
-    raw, coarse, w_e_mass, n_eps, n_e = _raw_integral(
-        h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, tables, p_cut
+    raw, coarse, w_e_mass = _raw_integral(
+        h, e_lo, e_hi, s_lo, s_hi, eps_roll, e_roll, panels, tables, p_cut
     )
     norm = TWO_PI / w_e_mass
     estimate = raw.real * norm
@@ -235,10 +257,6 @@ def windowed_inversion(
     leakage = 1.0 - max(0.0, cov_hi - cov_lo) / (band[1] - band[0])
     ok = quad_err <= 0.05 * max(abs(estimate), 0.3)
     diag = {
-        "eps_support": (s_lo, s_hi),
-        "eps_roll": eps_roll,
-        "e_roll": e_roll,
-        "resonance_band": band,
         "band_leakage": leakage,
         "eps_nodes": n_eps,
         "e_nodes": n_e,

@@ -1,10 +1,11 @@
 """Special functions: zeta on the 1-line, mean zero density, Si, sgn, triangle.
 
-The zeta evaluator uses Euler-Maclaurin summation with the truncation
-point sized from the classical remainder bound (Backlund; see Rubinstein,
-*Computational methods and experiments in analytic number theory*, 2005),
-so one routine covers both the 1-line (singular series side) and the
-critical line (Z-function side, see ``zeros``).  All points on one line
+The zeta evaluator uses Euler-Maclaurin summation with ten Bernoulli
+corrections and the truncation point sized from the classical remainder
+bound (Backlund; see Rubinstein, *Computational methods and experiments
+in analytic number theory*, 2005), at least 64, so one routine with no
+settings covers both the 1-line (singular series side) and the critical
+line (Z-function side, see ``zeros``).  All points on one line
 Re s = sigma share the largest truncation point any of them needs, and
 their direct sum, the Dirichlet polynomial sum_n n^-sigma exp(-i t ln n),
 is one call of a ``DirichletSum``: a nonuniform FFT in O((N + points) log)
@@ -26,8 +27,8 @@ Euler-Maclaurin tail term by term, and returns zeta, zeta' and zeta''.
 eps = 150 and 3.5e-12 at eps = 2500, so a caller that needs both pays for
 one evaluation.
 
-Everything here is pure and thread-safe; ``ZetaEvaluator`` is immutable
-configuration, a plan is not changed by reading it, and a ``DirichletSum``
+Everything here is pure and thread-safe; ``ZetaEvaluator`` holds no
+state, a plan is not changed by reading it, and a ``DirichletSum``
 shared between threads gives each call the bits of a fresh one.
 """
 
@@ -39,6 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "EM_FLOOR",
+    "EM_ORDER",
     "EPS_MIN",
     "DirichletSum",
     "PoleProximityError",
@@ -68,6 +71,9 @@ _FACT2K = np.array([math.factorial(2 * k) for k in range(1, 12)], dtype=np.float
 
 #: target for the Euler-Maclaurin remainder bound
 _EM_TOL = 1e-14
+#: floor of the Euler-Maclaurin truncation point, and its Bernoulli correction terms
+EM_FLOOR = 64
+EM_ORDER = 10
 
 # Dirichlet-polynomial kernel: a t-grid oversampled _OVERSAMPLE times past the
 # band limit max|x|, filled by Gaussian gridding onto a fine grid _FINE_RATIO
@@ -95,28 +101,17 @@ class PoleProximityError(ValueError):
 
 @dataclass(frozen=True)
 class ZetaEvaluator:
-    """Euler-Maclaurin configuration.
+    """The Euler-Maclaurin zeta's configuration, which has no settings.
 
-    series_cutoff is the floor of the direct-sum truncation point;
-    correction_order is the number of Bernoulli correction terms (1..10).
-    Above the floor the truncation point is the smallest N at which the
-    remainder bound after correction_order terms is at most 1e-14, which
-    with the default order is about 0.62 |Im s| on the 1-line.
+    Every evaluation takes ``EM_ORDER`` Bernoulli correction terms and the
+    smallest N >= ``EM_FLOOR`` whose remainder bound is at most 1e-14, about
+    0.62 |Im s| on the 1-line above the floor; the ``cfg`` parameters take it.
     """
 
-    series_cutoff: int = 64
-    correction_order: int = 10
+    def truncation_point(self, s, order: int = EM_ORDER):
+        """Smallest N >= ``EM_FLOOR`` whose remainder bound is <= 1e-14.
 
-    def __post_init__(self):
-        if self.series_cutoff < 10:
-            raise ValueError("series_cutoff must be >= 10")
-        if not 1 <= self.correction_order <= 10:
-            raise ValueError("correction_order must be in 1..10")
-
-    def truncation_point(self, s):
-        """Smallest N >= series_cutoff whose remainder bound is <= 1e-14.
-
-        With k = correction_order the bound on the remainder is
+        With k = order correction terms (1..10) the bound on the remainder is
 
             |s + 2k + 1| / (sigma + 2k + 1) * |B_{2k+2} / (2k+2)! * (s)_{2k+1}|
                 * N^(-sigma - 2k - 1),
@@ -125,10 +120,12 @@ class ZetaEvaluator:
         sigma = Re s as well as on Im s.  Vectorized: an array of s gives
         an int64 array.
         """
+        if not 1 <= order <= 10:
+            raise ValueError(f"correction order must be in 1..10, got {order}")
         arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
         if not np.all(np.isfinite(arr)):
             raise ValueError("zeta needs a finite argument")
-        k = self.correction_order
+        k = order
         expo = arr.real + (2 * k + 1)
         if np.any(expo <= 0.0):
             raise ValueError(f"Euler-Maclaurin of order {k} needs Re s > {-(2 * k + 1)}")
@@ -139,7 +136,7 @@ class ZetaEvaluator:
                 + math.log(abs(_B2K[k]) / _FACT2K[k] / _EM_TOL)
                 + np.log(np.abs(arr[..., None] + np.arange(2 * k + 1))).sum(axis=-1)
             )
-        n = np.maximum(np.ceil(np.exp(log_c / expo)), self.series_cutoff)
+        n = np.maximum(np.ceil(np.exp(log_c / expo)), EM_FLOOR)
         # the closed form can land a rounding error below the true root
         n += log_c > expo * np.log(n)
         out = n.astype(np.int64)
@@ -441,7 +438,7 @@ def _zeta_em_rows(arr: np.ndarray, cfg: ZetaEvaluator, n_rows: int) -> np.ndarra
     out = np.empty((n_rows,) + arr.shape, dtype=np.complex128)
     for sigma in np.unique(arr.real):
         m = arr.real == sigma
-        out[:, m] = _zeta_em_block(arr[m], int(cuts[m].max()), cfg.correction_order, n_rows)
+        out[:, m] = _zeta_em_block(arr[m], int(cuts[m].max()), EM_ORDER, n_rows)
     return out
 
 
@@ -494,9 +491,8 @@ def zeta_and_log_dd(cfg: ZetaEvaluator, eps):
     mpmath's zeta(s, derivative=1|2) at 40 digits: at most 1.1e-13
     relative for eps in [0.01, 3], 3.9e-13 up to eps = 150, 7.6e-13 at 700
     and 3.5e-12 (5.8e-12 absolute) at 2500, where the double phase t ln n
-    limits it.  With the default ``cfg`` the zeta is ``zeta_one_line(eps)``
-    bit for bit: row 0 of the stack is nonzero at every n.  Scalars in give
-    complex scalars out.
+    limits it.  The zeta is ``zeta_one_line(eps)`` bit for bit: row 0 of
+    the stack is nonzero at every n.  Scalars in give complex scalars out.
     """
     w = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     _guard(w)

@@ -14,9 +14,9 @@ theta, started from the Lambert-W root of its leading terms; the index
 range is padded so good Gram points anchor both ends.
 
 Below t = 1000 the Z-function is evaluated through Euler-Maclaurin zeta
-on the critical line (``special.zeta_em``, with its one configuration:
-ten Bernoulli corrections, truncated where the remainder bound is 1e-14;
-no function here takes another), and the ordinates are within 1e-12 of
+on the critical line (``special.zeta_em``, which has no settings: ten
+Bernoulli corrections, and the direct sum truncated where the remainder
+bound is 1e-14, at no fewer than 64 terms), and the ordinates are within 1e-12 of
 mpmath's (at most 6.8e-13 over 16 sampled zeros, at the zero near
 986.756, and 3.4e-13 at the others; the low zeros are also checked to
 1e-6 against published tables).  Above, the main Riemann-Siegel sum with

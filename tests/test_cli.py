@@ -512,6 +512,12 @@ class TestInvert:
     def test_byte_identical_rerun(self):
         assert run_cli(*self.ARGS) == run_cli(*self.ARGS)
 
+    def test_window_past_the_node_bound_exits_1(self):
+        # the quadrature on this window would need 3.1e11 E nodes; it ran out of memory
+        code, out, err = run_cli("invert", "--h", "2", "--window", "1000:10000000")
+        assert (code, out) == (1, "")
+        assert "needs 574515291 eps and 314279997444 E nodes" in err
+
     @pytest.mark.parametrize("window", ["1000", "1000:1060:5", "a:b"])
     def test_malformed_window_names_the_form(self, window):
         code, out, err = run_cli("invert", "--h", "2", "--window", window)

@@ -8,7 +8,6 @@ from zetapair import identities
 from zetapair.identities import (
     averaged_alpha_recovery,
     ft_one_over_xsq_check,
-    local_factor_chain_check,
     local_factor_chain_sample,
     mobius_indicator_check,
     ramanujan_closure_check,
@@ -79,8 +78,8 @@ class TestAveragedRecovery:
 
 class TestLocalFactorChain:
     def test_fixed_points(self):
-        assert local_factor_chain_check(2, 1.0).max_residual < 1e-12
-        assert local_factor_chain_check(3, 0.001).max_residual < 1e-12
+        assert identities._local_factor_residual(2, 1.0) < 1e-12
+        assert identities._local_factor_residual(3, 0.001) < 1e-12
 
     def test_random_sample(self, tables_small):
         rep = local_factor_chain_sample(tables_small, 1000, seed=123)
@@ -99,8 +98,8 @@ class TestLocalFactorChain:
 
     def test_sign_symmetric_in_eps(self):
         for p, eps in ((2, 0.7), (101, 4.0)):
-            a = local_factor_chain_check(p, eps).max_residual
-            b = local_factor_chain_check(p, -eps).max_residual
+            a = identities._local_factor_residual(p, eps)
+            b = identities._local_factor_residual(p, -eps)
             assert abs(a - b) < 1e-13
 
 

@@ -1,8 +1,9 @@
-"""Importing the package loads numpy alone; scipy loads where it is called.
+"""A module loads numpy and the package modules it imports; scipy loads where it is called.
 
 Each check runs in a fresh interpreter.  This test session has imported
 scipy modules already (``test_special`` imports ``scipy.integrate``), so
 a call site that wrongly relied on an earlier import would pass in process.
+The source also keeps to the numpy API of the oldest numpy it supports.
 """
 
 import ast
@@ -16,11 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import zetapair
+import zetapair.identities
+import zetapair.special
 import zetapair.zeros
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 PACKAGE = Path(SRC) / "zetapair"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
@@ -42,20 +46,42 @@ def test_importing_the_package_and_cli_loads_no_scipy():
 # (N = 4100 terms at 4000 points) takes the nonuniform FFT, the only user of
 # scipy.sparse
 @pytest.mark.parametrize("expr, module", [
-    ("zetapair.sine_integral(2.0)", "scipy.special"),
+    ("zetapair.special.sine_integral(2.0)", "scipy.special"),
     ("float(zetapair.zeros.gram_point(1000))", "scipy.special"),
     ("complex(np.sum(zetapair.special.zeta_em(1.0 + 1j * np.linspace(6000.0, 6600.0, 4000))))",
      "scipy.sparse"),
-    ("zetapair.ft_one_over_xsq_check([0.5]).max_residual", "scipy.integrate"),
-    ("zetapair.averaged_alpha_recovery(100.0).integral_value", "scipy.integrate"),
+    ("zetapair.identities.ft_one_over_xsq_check([0.5]).max_residual", "scipy.integrate"),
+    ("zetapair.identities.averaged_alpha_recovery(100.0).integral_value", "scipy.integrate"),
 ])
 def test_each_call_site_imports_what_it_calls(expr, module):
     out = run_fresh(
-        "import sys\nimport numpy as np\nimport zetapair, zetapair.zeros\n"
+        "import sys\nimport numpy as np\n"
+        "import zetapair.identities, zetapair.special, zetapair.zeros\n"
         f"assert not {SCIPY_LOADED}\n"
         f"print(repr({expr}), {module!r} in sys.modules)"
     )
     assert out == f"{eval(expr)!r} True\n"
+
+
+def own_imports(name: str) -> list[str]:
+    """The package modules that importing zetapair.<name> loads: the closure
+    of the module-level ``from .x import`` and ``from . import x`` statements."""
+    seen, todo = set(), [name]
+    while todo:
+        mod = todo.pop()
+        if mod not in seen:
+            seen.add(mod)
+            for node in ast.parse((PACKAGE / f"{mod}.py").read_text()).body:
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    todo += [node.module] if node.module else [a.name for a in node.names]
+    return sorted({"zetapair"} | {f"zetapair.{m}" for m in seen})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_a_module_loads_only_what_it_imports(name):
+    out = run_fresh(f"import sys, zetapair.{name}\n"
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'zetapair'))")
+    assert out == f"{own_imports(name)}\n"
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -72,9 +98,7 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
-@pytest.mark.parametrize("name", sorted(
-    p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__")
-))
+@pytest.mark.parametrize("name", MODULES)
 def test_all_lists_exactly_the_public_functions_and_classes(name):
     # a public name missing from __all__ is an export nobody declared, and a
     # stale entry names a function or class that was deleted or made private
@@ -90,3 +114,56 @@ def test_all_lists_exactly_the_public_functions_and_classes(name):
         if inspect.isfunction(getattr(mod, entry)) or inspect.isclass(getattr(mod, entry))
     }
     assert exported == defined
+
+
+# numpy names that numpy 1.24, the oldest the package supports, lacks: added
+# in 1.25 and 2.x, or (bool, long) removed in 1.24 and added back in 2.0
+NEWER_THAN_NUMPY_1_24 = {
+    "numpy": {
+        "acos", "acosh", "asin", "asinh", "astype", "atan", "atan2", "atanh",
+        "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "bool",
+        "concat", "cumulative_prod", "cumulative_sum", "dtypes", "exceptions",
+        "isdtype", "long", "matrix_transpose", "matvec", "permute_dims", "pow",
+        "strings", "trapezoid", "ulong", "unique_all", "unique_counts",
+        "unique_inverse", "unique_values", "unstack", "vecdot", "vecmat",
+    },
+    "numpy.linalg": {
+        "cross", "diagonal", "matrix_norm", "matrix_transpose", "outer",
+        "svdvals", "tensordot", "trace", "vecdot", "vector_norm",
+    },
+}
+
+
+def numpy_names(tree: ast.AST) -> set[str]:
+    """Dotted numpy names a module reads, as np.x, np.linalg.x or a from-import."""
+    aliases = {"np": "numpy", "numpy": "numpy"}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in NEWER_THAN_NUMPY_1_24:
+            found |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                found.add(f"{aliases[base.id]}.{node.attr}")
+            elif (isinstance(base, ast.Attribute) and base.attr == "linalg"
+                  and isinstance(base.value, ast.Name) and base.value.id in aliases):
+                found.add(f"numpy.linalg.{node.attr}")
+    return found
+
+
+def test_numpy_names_exist_in_numpy_1_24():
+    # stands in for the oldest-deps CI leg where numpy 1.24 is not installed
+    paths = sorted(p for d in ("src", "tests", "tools") for p in (ROOT / d).rglob("*.py"))
+    assert len(paths) > 10
+    newer = {f"{mod}.{name}" for mod, names in NEWER_THAN_NUMPY_1_24.items() for name in names}
+    found = sorted(f"{path.relative_to(ROOT)}: {name}" for path in paths
+                   for name in numpy_names(ast.parse(path.read_text(), str(path))) & newer)
+    assert found == []
+
+
+def test_numpy_scan_finds_newer_names():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import vector_norm\n"
+                     "x = np.concat([np.trapezoid(y), np.linalg.vecdot(a, b), np.bool_(1)])")
+    assert numpy_names(tree) >= {"numpy.concat", "numpy.trapezoid", "numpy.linalg.vecdot",
+                                 "numpy.linalg.vector_norm"}
+    assert "numpy.bool" not in numpy_names(tree)

@@ -30,6 +30,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             windowed_inversion(2, (1000.0, 2e7), tables=tables_small)
 
+    @pytest.mark.parametrize("h, e_range, n_eps, n_e", [
+        (2, (1000.0, 1e7), 574_515_291, 314_279_997_444),
+        (1000, (1000.0, 1100.0), 1_571_178, 301_434),
+    ])
+    def test_node_bound_refuses_before_any_work(self, tables_small, monkeypatch,
+                                                h, e_range, n_eps, n_e):
+        # the first ran out of memory building its quadrature grid
+        calls = []
+        monkeypatch.setattr(inversion, "_raw_integral", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"needs {n_eps} eps and {n_e} E nodes"):
+            windowed_inversion(h, e_range, tables=tables_small)
+        assert calls == []
+
+    def test_largest_documented_call_passes_the_node_bound(self, tables_small, monkeypatch):
+        # h = 12 on (1000, 2000); the quadrature itself is stubbed out
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            return 1.0 + 0j, 1.0 + 0j, 1.0
+
+        monkeypatch.setattr(inversion, "_raw_integral", stub)
+        res = windowed_inversion(12, (1000.0, 2000.0), tables=tables_small)
+        assert len(calls) == 1
+        assert (res.diagnostics["eps_nodes"], res.diagnostics["e_nodes"]) == (200_844, 53_151)
+
     def test_tables_required(self, tables_small):
         # a required keyword: no call without it, and none that passes it by position
         with pytest.raises(TypeError, match="tables"):
@@ -118,10 +144,6 @@ class TestContrast:
     def test_diagnostics_fields(self, small_window):
         # what the inversion worked out; the caller's own inputs are not echoed
         assert set(small_window[2].diagnostics) == {
-            "eps_support",
-            "eps_roll",
-            "e_roll",
-            "resonance_band",
             "band_leakage",
             "eps_nodes",
             "e_nodes",

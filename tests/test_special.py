@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -110,12 +111,6 @@ class TestZetaOneLine:
             prod = cmath.exp(log_prod + tail)
             z = zeta_one_line(eps)
             assert abs(prod - z) / abs(z) < 1e-3
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ZetaEvaluator(series_cutoff=5)
-        with pytest.raises(ValueError):
-            ZetaEvaluator(correction_order=11)
 
 
 class TestZetaEM:
@@ -335,24 +330,22 @@ class TestTruncationPoint:
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
     def test_floor_and_monotone(self, sigma):
-        cfg = ZetaEvaluator()
         ts = np.linspace(0.0, 20_000.0, 4001)
         for sign in (1, -1):
-            n = cfg.truncation_point(sigma + 1j * sign * ts)
+            n = ZetaEvaluator().truncation_point(sigma + 1j * sign * ts)
             assert n.dtype == np.int64
-            assert np.all(n >= cfg.series_cutoff)
+            assert np.all(n >= special.EM_FLOOR)
             assert np.all(np.diff(n) >= 0)
-        assert n[0] == cfg.series_cutoff
-        assert n[-1] > cfg.series_cutoff
+        assert n[0] == special.EM_FLOOR
+        assert n[-1] > special.EM_FLOOR
 
     @pytest.mark.parametrize("order", [4, 8, 10])
     def test_meets_bound_and_is_smallest(self, order):
-        cfg = ZetaEvaluator(correction_order=order)
         for s in (1 + 3j, 1 + 150j, 1 + 987.5j, 1 - 4321j, 0.5 + 640j, 0.5 + 999j, 2 + 7000j):
-            n = cfg.truncation_point(s)
+            n = ZetaEvaluator().truncation_point(s, order=order)
             assert type(n) is int
             assert self.remainder_bound(s, n, order) <= 1e-14
-            if n > cfg.series_cutoff:
+            if n > special.EM_FLOOR:
                 assert self.remainder_bound(s, n - 1, order) > 1e-14
 
     def test_rejects_bad_arguments(self):
@@ -360,6 +353,14 @@ class TestTruncationPoint:
         for bad in (-21.0 + 5j, complex(math.nan, 1.0), complex(1.0, math.inf)):
             with pytest.raises(ValueError):
                 ZetaEvaluator().truncation_point(bad)
+        # B_{2k+2} is tabulated up to k = 10
+        for order in (0, 11):
+            with pytest.raises(ValueError, match=f"order must be in 1..10, got {order}"):
+                ZetaEvaluator().truncation_point(1 + 1j, order=order)
+
+    def test_no_settings(self):
+        # the floor and the order are constants; only tests ever set them
+        assert dataclasses.fields(ZetaEvaluator) == ()
 
 
 class TestLogZetaDD:

@@ -94,6 +94,28 @@ class TestBenchJson:
         assert cli["change_setup_s_lower"] == "0 of 2"
         assert cli["change_peak_rss_mb_lower"] == "0 of 2"
 
+    # parent job_s 1.0 .. 1.9 over ten seeds: median 1.45, quartiles 1.225 and 1.675
+    @pytest.mark.parametrize("change_job_s, expected", [
+        ([0.5] * 9 + [3.0], "lower"),       # lower on 9 of 10, median 0.95 below
+        ([3.0] * 9 + [0.5], "higher"),      # the mirror image
+        ([0.5] * 8 + [3.0] * 2, "unresolved"),  # lower on 8 of 10 only
+        # lower on all 10 and median 1.15 below q1, but by less than q3 - q1
+        ([1.0 + 0.1 * s - 0.3 for s in range(10)], "unresolved"),
+        ([1.0 + 0.1 * s for s in range(10)], "unresolved"),  # ties count for neither
+    ])
+    def test_verdict(self, bench_json, tmp_path, change_job_s, expected):
+        def runs(job_s):
+            return {("inversion", s): ([v], [0.2], 80.0, 0) for s, v in enumerate(job_s)}
+
+        parent = write_records(tmp_path / "parent", "aaa",
+                               runs([1.0 + 0.1 * s for s in range(10)]))
+        change = write_records(tmp_path / "change", "bbb", runs(change_job_s))
+        entry = bench_json.summarize(bench_json.load(parent), bench_json.load(change))[
+            "workloads"]["inversion"]
+        assert entry["change_job_s_verdict"] == expected
+        assert entry["change_setup_s_verdict"] == "unresolved"
+        assert entry["change_peak_rss_mb_verdict"] == "unresolved"
+
     def test_cli_readme_digests(self, bench_json, record_dirs):
         out = bench_json.summarize(*(bench_json.load(d) for d in record_dirs))
         assert out["workloads"]["cli-readme"]["stdout_sha256"] == {

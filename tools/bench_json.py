@@ -9,9 +9,16 @@ seeds; a record whose (workload, seed) the other directory lacks is an error
 gives, per side, the median and quartiles over seeds of each run's ``job_s``
 (median of its jobs), ``setup_s`` (median of its spawns) and
 ``peak_rss_mb``, the seeds, for each of the three the number of seeds on
-which the change's value is lower (``change_<metric>_lower``, "k of n"), and
-each side's fail rate; for ``cli-readme`` it adds the stdout sha256 digests
-per seed.  The machine and both commits come from the records' provenance.
+which the change's value is lower (``change_<metric>_lower``, "k of n"), the
+verdict on each of the three (``change_<metric>_verdict``), and each side's
+fail rate; for ``cli-readme`` it adds the stdout sha256 digests per seed.
+The machine and both commits come from the records' provenance.
+
+A verdict is ``lower`` when the change reads lower on at least 9 in 10 pairs
+(ties count for neither side) and its median lies below the parent's by more
+than the parent's interquartile distance q3 - q1, and so below the parent's
+q1 as well; ``higher`` is the mirror image, and anything else is
+``unresolved``.
 """
 
 from __future__ import annotations
@@ -53,6 +60,17 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(pairs: list[tuple[float, float]], parent: dict, change: dict) -> str:
+    """'lower', 'higher' or 'unresolved' for (parent, change) pairs and their spreads."""
+    iqr = parent["q3"] - parent["q1"]
+    shift = change["median"] - parent["median"]
+    if 10 * sum(c < p for p, c in pairs) >= 9 * len(pairs) and -shift > iqr:
+        return "lower"
+    if 10 * sum(c > p for p, c in pairs) >= 9 * len(pairs) and shift > iqr:
+        return "higher"
+    return "unresolved"
+
+
 def side(records: dict, keys: list) -> dict:
     runs = [run_values(records[k]) for k in keys]
     out = {m: spread([r[m] for r in runs]) for m in METRICS}
@@ -87,6 +105,8 @@ def summarize(parent: dict, change: dict) -> dict:
         for m in METRICS:
             wins = sum(c[m] < p[m] for p, c in pairs)
             entry[f"change_{m}_lower"] = f"{wins} of {len(keys)}"
+            entry[f"change_{m}_verdict"] = verdict(
+                [(p[m], c[m]) for p, c in pairs], entry["parent"][m], entry["change"][m])
         if name == "cli-readme":
             entry["stdout_sha256"] = {
                 str(s): {"parent": parent[(name, s)].get("stdout_sha256"),
