@@ -40,8 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EM_FLOOR",
-    "EM_ORDER",
     "EPS_MIN",
     "DirichletSum",
     "PoleProximityError",
@@ -72,8 +70,8 @@ _FACT2K = np.array([math.factorial(2 * k) for k in range(1, 12)], dtype=np.float
 #: target for the Euler-Maclaurin remainder bound
 _EM_TOL = 1e-14
 #: floor of the Euler-Maclaurin truncation point, and its Bernoulli correction terms
-EM_FLOOR = 64
-EM_ORDER = 10
+_EM_FLOOR = 64
+_EM_ORDER = 10
 
 # Dirichlet-polynomial kernel: a t-grid oversampled _OVERSAMPLE times past the
 # band limit max|x|, filled by Gaussian gridding onto a fine grid _FINE_RATIO
@@ -103,15 +101,15 @@ class PoleProximityError(ValueError):
 class ZetaEvaluator:
     """The Euler-Maclaurin zeta's configuration, which has no settings.
 
-    Every evaluation takes ``EM_ORDER`` Bernoulli correction terms and the
-    smallest N >= ``EM_FLOOR`` whose remainder bound is at most 1e-14, about
+    Every evaluation takes ten Bernoulli correction terms and the
+    smallest N >= 64 whose remainder bound is at most 1e-14, about
     0.62 |Im s| on the 1-line above the floor; the ``cfg`` parameters take it.
     """
 
-    def truncation_point(self, s, order: int = EM_ORDER):
-        """Smallest N >= ``EM_FLOOR`` whose remainder bound is <= 1e-14.
+    def truncation_point(self, s):
+        """Smallest N >= 64 whose remainder bound is <= 1e-14.
 
-        With k = order correction terms (1..10) the bound on the remainder is
+        With k = 10 correction terms the bound on the remainder is
 
             |s + 2k + 1| / (sigma + 2k + 1) * |B_{2k+2} / (2k+2)! * (s)_{2k+1}|
                 * N^(-sigma - 2k - 1),
@@ -120,12 +118,10 @@ class ZetaEvaluator:
         sigma = Re s as well as on Im s.  Vectorized: an array of s gives
         an int64 array.
         """
-        if not 1 <= order <= 10:
-            raise ValueError(f"correction order must be in 1..10, got {order}")
         arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
         if not np.all(np.isfinite(arr)):
             raise ValueError("zeta needs a finite argument")
-        k = order
+        k = _EM_ORDER
         expo = arr.real + (2 * k + 1)
         if np.any(expo <= 0.0):
             raise ValueError(f"Euler-Maclaurin of order {k} needs Re s > {-(2 * k + 1)}")
@@ -136,7 +132,7 @@ class ZetaEvaluator:
                 + math.log(abs(_B2K[k]) / _FACT2K[k] / _EM_TOL)
                 + np.log(np.abs(arr[..., None] + np.arange(2 * k + 1))).sum(axis=-1)
             )
-        n = np.maximum(np.ceil(np.exp(log_c / expo)), EM_FLOOR)
+        n = np.maximum(np.ceil(np.exp(log_c / expo)), _EM_FLOOR)
         # the closed form can land a rounding error below the true root
         n += log_c > expo * np.log(n)
         out = n.astype(np.int64)
@@ -438,7 +434,7 @@ def _zeta_em_rows(arr: np.ndarray, cfg: ZetaEvaluator, n_rows: int) -> np.ndarra
     out = np.empty((n_rows,) + arr.shape, dtype=np.complex128)
     for sigma in np.unique(arr.real):
         m = arr.real == sigma
-        out[:, m] = _zeta_em_block(arr[m], int(cuts[m].max()), EM_ORDER, n_rows)
+        out[:, m] = _zeta_em_block(arr[m], int(cuts[m].max()), _EM_ORDER, n_rows)
     return out
 
 

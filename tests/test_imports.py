@@ -153,7 +153,7 @@ def numpy_names(tree: ast.AST) -> set[str]:
 
 def test_numpy_names_exist_in_numpy_1_24():
     # stands in for the oldest-deps CI leg where numpy 1.24 is not installed
-    paths = sorted(p for d in ("src", "tests", "tools") for p in (ROOT / d).rglob("*.py"))
+    paths = sorted(p for d in ("src", "tests", "tools", "perfbench") for p in (ROOT / d).rglob("*.py"))
     assert len(paths) > 10
     newer = {f"{mod}.{name}" for mod, names in NEWER_THAN_NUMPY_1_24.items() for name in names}
     found = sorted(f"{path.relative_to(ROOT)}: {name}" for path in paths

@@ -60,13 +60,13 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def verdict(pairs: list[tuple[float, float]], parent: dict, change: dict) -> str:
-    """'lower', 'higher' or 'unresolved' for (parent, change) pairs and their spreads."""
+def verdict(lower: int, higher: int, n: int, parent: dict, change: dict) -> str:
+    """'lower', 'higher' or 'unresolved' from the pairs won each way of n, and the spreads."""
     iqr = parent["q3"] - parent["q1"]
     shift = change["median"] - parent["median"]
-    if 10 * sum(c < p for p, c in pairs) >= 9 * len(pairs) and -shift > iqr:
+    if 10 * lower >= 9 * n and -shift > iqr:
         return "lower"
-    if 10 * sum(c > p for p, c in pairs) >= 9 * len(pairs) and shift > iqr:
+    if 10 * higher >= 9 * n and shift > iqr:
         return "higher"
     return "unresolved"
 
@@ -104,9 +104,10 @@ def summarize(parent: dict, change: dict) -> dict:
         }
         for m in METRICS:
             wins = sum(c[m] < p[m] for p, c in pairs)
+            losses = sum(c[m] > p[m] for p, c in pairs)
             entry[f"change_{m}_lower"] = f"{wins} of {len(keys)}"
             entry[f"change_{m}_verdict"] = verdict(
-                [(p[m], c[m]) for p, c in pairs], entry["parent"][m], entry["change"][m])
+                wins, losses, len(keys), entry["parent"][m], entry["change"][m])
         if name == "cli-readme":
             entry["stdout_sha256"] = {
                 str(s): {"parent": parent[(name, s)].get("stdout_sha256"),
