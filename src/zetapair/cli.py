@@ -19,7 +19,7 @@ from . import inversion, paircorr, singular, zeros
 from .sieve import build_sieve
 from .special import ZetaEvaluator, mean_density
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 #: N of the Ramanujan series in ``alpha --method series`` (criterion 2's)
 SERIES_CUTOFF = 1_000_000
@@ -46,15 +46,17 @@ def _json_value(value):
     return value
 
 
-def _emit(fields: list[str], rows: list[dict], fmt: str) -> None:
+def _emit(fields: list[str], rows: list[tuple], fmt: str) -> None:
+    """Write rows, each a tuple of values in the order of ``fields``."""
     if fmt == "json":
-        payload = {"rows": [{k: _json_value(row[k]) for k in fields} for row in rows]}
-        json.dump(payload, sys.stdout, indent=1, default=_fmt, allow_nan=False)
+        payload = {"rows": [{k: _json_value(v) for k, v in zip(fields, row, strict=True)}
+                            for row in rows]}
+        json.dump(payload, sys.stdout, indent=1, allow_nan=False)
         sys.stdout.write("\n")
     else:
         sys.stdout.write(",".join(fields) + "\n")
         for row in rows:
-            sys.stdout.write(",".join(_fmt(row[k]) for k in fields) + "\n")
+            sys.stdout.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -117,12 +119,8 @@ def _cmd_constants(args) -> int:
     p = args.prime_cutoff
     tables = _sieve(p + 1)
     c2 = singular.twin_prime_constant(p, tables)
-    _emit(
-        ["prime_cutoff", "value", "tail_log_bound"],
-        [{"prime_cutoff": c2.prime_cutoff, "value": c2.value,
-          "tail_log_bound": c2.tail_log_bound}],
-        args.format,
-    )
+    _emit(["prime_cutoff", "value", "tail_log_bound"],
+          [(c2.prime_cutoff, c2.value, c2.tail_log_bound)], args.format)
     return 0
 
 
@@ -146,13 +144,8 @@ def _cmd_alpha(args) -> int:
             res = singular.alpha_ramanujan(h, tables, SERIES_CUTOFF)
         else:
             res = singular.alpha_empirical(h, tables, args.sample_length)
-        rows.append({
-            "h": h,
-            "method": res.method,
-            "value": res.value,
-            "truncation": ";".join(f"{k}={_fmt(v)}" for k, v in res.truncation.items()),
-            "reference_product": ref.value,
-        })
+        truncation = ";".join(f"{k}={_fmt(v)}" for k, v in res.truncation.items())
+        rows.append((h, res.method, res.value, truncation, ref.value))
     _emit(["h", "method", "value", "truncation", "reference_product"], rows,
           args.format)
     return 0
@@ -162,12 +155,8 @@ def _cmd_avg_alpha(args) -> int:
     tables = _sieve(max(args.h, C2_CUTOFF) + 1)
     c2 = singular.twin_prime_constant(C2_CUTOFF, tables)
     s = singular.smoothed_average(args.h, tables, c2)
-    _emit(
-        ["h", "average", "asymptote", "abs_deviation"],
-        [{"h": s.h, "average": s.average, "asymptote": s.asymptote,
-          "abs_deviation": s.deviation}],
-        args.format,
-    )
+    _emit(["h", "average", "asymptote", "abs_deviation"],
+          [(s.h, s.average, s.asymptote, s.deviation)], args.format)
     return 0
 
 
@@ -177,33 +166,22 @@ def _cmd_zeros(args) -> int:
     else:
         zl = zeros.load_zeros(args.path)
     if args.action == "ingest" or (args.action == "compute" and not args.out):
-        _emit(
-            ["index", "ordinate"],
-            [{"index": i + 1, "ordinate": float(v)}
-             for i, v in enumerate(zl.ordinates)],
-            args.format,
-        )
+        _emit(["index", "ordinate"],
+              [(i + 1, float(v)) for i, v in enumerate(zl.ordinates)], args.format)
         return 0
     rep = zeros.counting_check(zl)
     if args.action == "compute":
         zeros.save_zeros(zl, args.out)
-        _emit(
-            ["count", "t_min", "t_max", "expected", "discrepancy", "path"],
-            [{"count": len(zl), "t_min": zl.range[0], "t_max": zl.range[1],
-              "expected": rep.expected, "discrepancy": rep.discrepancy,
-              "path": str(args.out)}],
-            args.format,
-        )
+        _emit(["count", "t_min", "t_max", "expected", "discrepancy", "path"],
+              [(len(zl), *zl.range, rep.expected, rep.discrepancy, str(args.out))],
+              args.format)
         return 0
     # check
-    _emit(
-        ["count", "t_min", "t_max", "expected", "discrepancy", "flagged",
-         "claimed_complete"],
-        [{"count": len(zl), "t_min": zl.range[0], "t_max": zl.range[1],
-          "expected": rep.expected, "discrepancy": rep.discrepancy,
-          "flagged": rep.flagged, "claimed_complete": zl.claimed_complete}],
-        args.format,
-    )
+    _emit(["count", "t_min", "t_max", "expected", "discrepancy", "flagged",
+           "claimed_complete"],
+          [(len(zl), *zl.range, rep.expected, rep.discrepancy, rep.flagged,
+            zl.claimed_complete)],
+          args.format)
     return 1 if rep.flagged else 0
 
 
@@ -211,9 +189,8 @@ def _cmd_r2(args) -> int:
     zcfg = ZetaEvaluator()
     if args.mode == "gue":
         grid = _parse_grid(args.grid)
-        rows = [{"epsilon": float(e), "value": paircorr.gue_r2(float(e))}
-                for e in grid]
-        _emit(["epsilon", "value"], rows, args.format)
+        _emit(["epsilon", "value"],
+              [(float(e), paircorr.gue_r2(float(e))) for e in grid], args.format)
         return 0
 
     if args.mode == "theory":
@@ -222,12 +199,9 @@ def _cmd_r2(args) -> int:
         curve = paircorr.theory_curve(
             args.height, grid, zcfg, tables, unfolded=not args.absolute
         )
-        rows = [
-            {"epsilon": float(e), "theory_total": float(t), "theory_diag": float(d),
-             "theory_off": float(o), "constant": curve.constant_term}
-            for e, t, d, o in zip(curve.epsilons, curve.total, curve.diag,
-                                  curve.offdiag)
-        ]
+        rows = [(float(e), float(t), float(d), float(o), curve.constant_term)
+                for e, t, d, o in zip(curve.epsilons, curve.total, curve.diag,
+                                      curve.offdiag)]
         _emit(["epsilon", "theory_total", "theory_diag", "theory_off", "constant"],
               rows, args.format)
         return 0
@@ -238,10 +212,8 @@ def _cmd_r2(args) -> int:
         width = paircorr.WINDOW_SPACINGS / mean_density(args.center)
     est = paircorr.empirical_r2(zl, args.center, width, BIN_WIDTH, paircorr.SCORED_RANGE[1])
     if args.mode == "empirical":
-        rows = [
-            {"epsilon": float(c), "empirical": float(v), "pairs": int(n)}
-            for c, v, n in zip(est.bin_centers, est.values, est.counts)
-        ]
+        rows = [(float(c), float(v), int(n))
+                for c, v, n in zip(est.bin_centers, est.values, est.counts)]
         _emit(["epsilon", "empirical", "pairs"], rows, args.format)
         return 0
 
@@ -250,9 +222,7 @@ def _cmd_r2(args) -> int:
     curve = paircorr.theory_on_bins(args.center, est.bin_edges, zcfg, tables)
     rep = paircorr.compare([est], [curve])
     rows = [
-        {"epsilon": float(c), "empirical": float(v), "theory_total": float(t),
-         "theory_diag": float(d), "theory_off": float(o),
-         "constant": curve.constant_term, "residual": float(r)}
+        (float(c), float(v), float(t), float(d), float(o), curve.constant_term, float(r))
         for c, v, t, d, o, r in zip(
             rep.estimate.bin_centers, rep.estimate.values, rep.theory, rep.diag,
             rep.offdiag, rep.residuals,
@@ -274,7 +244,9 @@ def _cmd_identities(args) -> int:
     c2 = singular.twin_prime_constant(IDENTITY_CUTOFF, tables)
     reports = idmod.identity_suite(tables, c2, IDENTITY_CUTOFF, args.seed, wanted)
     _emit(["identity_name", "samples", "max_residual", "tolerance", "passed"],
-          [r.row() for r in reports], args.format)
+          [(r.identity_name, r.samples, r.max_residual, r.tolerance, r.passed)
+           for r in reports],
+          args.format)
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(f"FAILED {r.identity_name}: max_residual {r.max_residual:.6g} "
@@ -291,17 +263,11 @@ def _cmd_invert(args) -> int:
     for h in hs:
         res = inversion.windowed_inversion(h, (e_lo, e_hi), tables=tables)
         any_failed |= not res.ok
-        rows.append({
-            "h": h,
-            "estimate": res.estimate,
-            "ok": res.ok,
-            "quad_error_est": res.diagnostics.get("quad_error_est", math.nan),
-            "band_leakage": res.diagnostics.get("band_leakage", math.nan),
-            "imag_fraction": res.diagnostics.get("imag_fraction", math.nan),
-        })
+        diag = res.diagnostics
+        rows.append((h, res.estimate, res.ok, diag["quad_error_est"],
+                     diag["band_leakage"], diag["imag_fraction"]))
         if not res.ok:
-            print(f"h={h}: {res.diagnostics.get('error', 'failed')}",
-                  file=sys.stderr)
+            print(f"h={h}: quadrature estimate did not stabilize", file=sys.stderr)
     _emit(["h", "estimate", "ok", "quad_error_est", "band_leakage",
            "imag_fraction"], rows, args.format)
     return 1 if any_failed else 0
@@ -383,17 +349,14 @@ _HANDLERS = {
 }
 
 
-def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        return run(argv)
+        args = _build_parser().parse_args(argv)
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
-    except (ValueError, RuntimeError, OSError) as exc:
+    # a MemoryError is a refused allocation, such as a --grid of 1e16 points
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -64,15 +64,6 @@ class IdentityReport:
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
-    def row(self) -> dict:
-        return {
-            "identity_name": self.identity_name,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def triangle_relation_check(x_samples) -> IdentityReport:
     """T(x) = (1-x)sgn(1-x)/2 + (1+x)sgn(1+x)/2 - x sgn(x), pointwise.
@@ -208,8 +199,6 @@ def local_factor_chain_sample(
     for _ in range(n_samples):
         p = int(ps[rng.integers(len(ps))])
         eps = float(rng.uniform(-10.0, 10.0))
-        if abs(eps) < 1e-6:
-            eps = 1e-3
         worst = max(worst, _local_factor_residual(p, eps))
     return IdentityReport("local_factor_chain", n_samples, worst, 1e-11)
 

@@ -49,7 +49,9 @@ instead of a full phase matrix, on the canonical tile of the band of
 ln(E/2pi).
 ``quad_error_est`` is |K21 - G10| times the normalization, about 1e-5 on
 the documented windows: it tracks the coarse rule's error, which makes
-it a conservative figure for the K21 estimate.
+it a conservative figure for the K21 estimate.  ``ok`` is False when it
+exceeds 5% of max(|estimate|, 0.3), that is when the quadrature did not
+stabilize.  A window narrower than 8 x 2pi raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ DEFAULT_PRIME_CUTOFF = 4000
 
 @dataclass(frozen=True)
 class InversionResult:
-    h: int
     estimate: float
     ok: bool
     diagnostics: dict = field(repr=False)
@@ -200,15 +201,17 @@ def windowed_inversion(
     resonance band [|h| E_lo, |h| E_hi] and rolls off over 5% of its width
     on each side (no lower than ``eps_cutoff``), the E plateau rolls off
     over 12% of the window's width.  Returns the estimate of alpha(h), cut
-    at ``p_cut``, plus resolution diagnostics; a window too narrow to hold the oscillation (or
-    otherwise degenerate) reports a diagnostic failure instead of raising.
-    ``tables`` is a required keyword: the sieve whose primes up to
-    ``p_cut`` give the Euler product.
+    at ``p_cut``, plus resolution diagnostics.  ``ok`` is False when the
+    quadrature did not stabilize: the K21 and G10 estimates differ by more
+    than 5% of max(|estimate|, 0.3).  ``tables`` is a required keyword: the
+    sieve whose primes up to ``p_cut`` give the Euler product.
 
-    A call needing more than 2^20 quadrature nodes on either axis raises
-    ``ValueError`` before anything is evaluated (h = 2 on (1000, 1e7) would
-    need 5.7e8 eps and 3.1e11 E nodes).  This bounds memory, not time: past
-    |h| (E_hi - E_lo) of about 3800 the prime sums take the direct sum.
+    A window narrower than 8 x 2pi (reversed and empty ones included) holds
+    too few oscillation periods and raises ``ValueError``.  So does a call
+    needing more than 2^20 quadrature nodes on either axis, before anything
+    is evaluated (h = 2 on (1000, 1e7) would need 5.7e8 eps and 3.1e11 E
+    nodes).  This bounds memory, not time: past |h| (E_hi - E_lo) of about
+    3800 the prime sums take the direct sum.
     """
     h = int(h)
     if h == 0:
@@ -218,17 +221,10 @@ def windowed_inversion(
     e_lo, e_hi = float(e_range[0]), float(e_range[1])
     if not (1e3 <= e_lo <= 1e7 and e_hi <= 1e7):
         raise ValueError("E range must lie within [1e3, 1e7]")
-
-    def failure(msg: str) -> InversionResult:
-        return InversionResult(h, math.nan, False, {"error": msg})
-
-    if not e_lo < e_hi:
-        return failure("degenerate E window")
     width = e_hi - e_lo
     if width < 8.0 * TWO_PI:
-        return failure(
-            f"E window of width {width:.3g} holds too few oscillation periods"
-        )
+        raise ValueError(f"E window ({e_lo:g}, {e_hi:g}) of width {width:.3g} holds too few "
+                         f"oscillation periods; it must be at least 8 x 2pi = {8.0 * TWO_PI:.3g}")
 
     ah = abs(h)
     band = (ah * e_lo, ah * e_hi)
@@ -263,6 +259,4 @@ def windowed_inversion(
         "quad_error_est": quad_err,
         "imag_fraction": imag_frac,
     }
-    if not ok:
-        diag["error"] = "quadrature estimate did not stabilize"
-    return InversionResult(h, estimate, ok, diag)
+    return InversionResult(estimate, ok, diag)

@@ -45,7 +45,6 @@ class TwinPrimeConstant:
 
 @dataclass(frozen=True)
 class AlphaResult:
-    h: int
     value: float
     method: str  # product | ramanujan_series | empirical
     truncation: dict = field(default_factory=dict)
@@ -81,12 +80,12 @@ def alpha_product(h: int, tables: SieveTables, c2: TwinPrimeConstant) -> AlphaRe
     h = _check_h(h, tables)
     trunc = {"prime_cutoff": c2.prime_cutoff}
     if h % 2:
-        return AlphaResult(h, 0.0, "product", trunc)
+        return AlphaResult(0.0, "product", trunc)
     value = 2.0 * c2.value
     for p, _ in tables.factorize(abs(h)):
         if p > 2:
             value *= (p - 1) / (p - 2)
-    return AlphaResult(h, value, "product", trunc)
+    return AlphaResult(value, "product", trunc)
 
 
 def _series_tail_constant(tables: SieveTables, n_max: int) -> float:
@@ -134,9 +133,7 @@ def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
     # a numpy sum, not a BLAS dot, whose bits would follow the thread count
     value = float(np.sum(signed * inner))
     tail = tables.totient(abs(h)) * _series_tail_constant(tables, n_max)
-    return AlphaResult(
-        h, value, "ramanujan_series", {"series_cutoff": n_max, "tail_bound": tail}
-    )
+    return AlphaResult(value, "ramanujan_series", {"series_cutoff": n_max, "tail_bound": tail})
 
 
 def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
@@ -180,7 +177,7 @@ def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
         r = q - ah
         if r > 1 and spf[r] == r:
             value += lp * math.log(r)
-    return AlphaResult(h, value / n, "empirical", {"sample_length": n})
+    return AlphaResult(value / n, "empirical", {"sample_length": n})
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetapair import cli, identities, inversion, paircorr
@@ -132,20 +133,42 @@ class TestOutputContract:
         rows = json.loads(out_json)["rows"]
         assert list(rows[0].keys()) == header
 
-    def test_json_writes_non_finite_as_null(self):
-        # a window too narrow to invert reports nan; RFC 8259 has no NaN
+    def test_json_writes_non_finite_as_null(self, tmp_path):
+        # a table starting below the counting function's floor has no expected
+        # count, so check reports nan; RFC 8259 has no NaN
         def strict(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        args = ("invert", "--h", "2", "--window", "1000:1030")
-        code, out, err = run_cli("--format", "json", *args)
+        table = tmp_path / "z.txt"
+        table.write_text("0\n14.134725\n21.022040\n")
+        args = ("zeros", "check", "--path", str(table))
+        code, out, _ = run_cli("--format", "json", *args)
         assert code == 1
-        assert "holds too few oscillation periods" in err
         row = json.loads(out, parse_constant=strict)["rows"][0]
-        assert row["estimate"] is None and row["quad_error_est"] is None
-        assert row["ok"] is False
+        assert row["expected"] is None and row["discrepancy"] is None
         _, out_csv, _ = run_cli(*args)
-        assert parse_csv(out_csv)[0]["estimate"] == "nan"
+        assert parse_csv(out_csv)[0]["expected"] == "nan"
+
+    def test_json_keeps_integer_and_boolean_types(self, tmp_path):
+        table = tmp_path / "z.txt"
+        table.write_text("0\n14.134725\n21.022040\n")
+        _, out, _ = run_cli("--format", "json", "zeros", "check", "--path", str(table))
+        row = json.loads(out)["rows"][0]
+        assert row["count"] == 3 and type(row["count"]) is int
+        assert row["flagged"] is True and row["claimed_complete"] is False
+
+    def test_emit_refuses_numpy_scalars(self, capsys):
+        # a numpy integer or bool was written as a JSON string, "5" or "True"
+        for value in (np.int64(5), np.bool_(True)):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._emit(["a"], [(value,)], "json")
+        capsys.readouterr()
+
+    def test_refused_allocation_exits_1(self):
+        # 1e16 grid points, 71 PiB: past any address space, so refused at once
+        code, out, err = run_cli("r2", "gue", "--grid", "0:1e16:1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     def test_byte_identical_reruns(self):
         args = ("--seed", "77", "identities", "--suite", "local-factor")
@@ -511,6 +534,19 @@ class TestInvert:
 
     def test_byte_identical_rerun(self):
         assert run_cli(*self.ARGS) == run_cli(*self.ARGS)
+
+    def test_unstable_quadrature_prints_its_row_and_exits_1(self, monkeypatch):
+        # K21 and G10 disagree by far more than 5%, so ok is false
+        monkeypatch.setattr(inversion, "_raw_integral", lambda *args: (1 + 0j, 2 + 0j, 1.0))
+        code, out, err = run_cli("invert", "--h", "2", "--window", "1000:1060")
+        assert (code, err) == (1, "h=2: quadrature estimate did not stabilize\n")
+        assert parse_csv(out)[0]["ok"] == "false"
+
+    def test_window_too_narrow_exits_1(self):
+        # printed a row of nan with ok false
+        code, out, err = run_cli("invert", "--h", "2", "--window", "1000:1030")
+        assert (code, out) == (1, "")
+        assert "of width 30 holds too few oscillation periods" in err
 
     def test_window_past_the_node_bound_exits_1(self):
         # the quadrature on this window would need 3.1e11 E nodes; it ran out of memory

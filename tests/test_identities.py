@@ -81,6 +81,11 @@ class TestLocalFactorChain:
         assert identities._local_factor_residual(2, 1.0) < 1e-12
         assert identities._local_factor_residual(3, 0.001) < 1e-12
 
+    @pytest.mark.parametrize("p", [2, 3, 9973])
+    def test_regular_at_eps_zero(self, p):
+        # p^(-i eps) = 1 there, and every side of the chain equals 1
+        assert identities._local_factor_residual(p, 0.0) == 0.0
+
     def test_random_sample(self, tables_small):
         rep = local_factor_chain_sample(tables_small, 1000, seed=123)
         assert rep.max_residual < 1e-11

@@ -3,7 +3,8 @@
 Each check runs in a fresh interpreter.  This test session has imported
 scipy modules already (``test_special`` imports ``scipy.integrate``), so
 a call site that wrongly relied on an earlier import would pass in process.
-The source also keeps to the numpy API of the oldest numpy it supports.
+The source also keeps to the numpy and scipy APIs of the oldest versions
+it supports.
 """
 
 import ast
@@ -167,3 +168,58 @@ def test_numpy_scan_finds_newer_names():
     assert numpy_names(tree) >= {"numpy.concat", "numpy.trapezoid", "numpy.linalg.vecdot",
                                  "numpy.linalg.vector_norm"}
     assert "numpy.bool" not in numpy_names(tree)
+
+
+# every scipy name the code reads, each checked to exist in scipy 1.10, the
+# oldest the package supports; a new name fails the scan until it is checked
+# against 1.10 and added here
+SCIPY_1_10_NAMES = {
+    "scipy.special.sici", "scipy.special.lambertw", "scipy.special.exp1",
+    "scipy.integrate.quad", "scipy.fft.next_fast_len", "scipy.sparse.csc_matrix",
+    "scipy.__version__",
+}
+
+
+def scipy_names(tree: ast.AST) -> set[str]:
+    """Dotted scipy names a module reads, as a from-import or a full attribute chain."""
+    aliases = {"scipy": "scipy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname: a.name for a in node.names
+                        if a.asname and a.name.split(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            aliases |= {a.asname or a.name: f"scipy.{a.name}" for a in node.names}
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.startswith("scipy.")):
+            found |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Attribute) and id(node) not in inner:
+            chain = [node.attr]
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                found.add(".".join([aliases[base.id], *reversed(chain)]))
+    return found
+
+
+def test_scipy_names_exist_in_scipy_1_10():
+    # stands in for the oldest-deps CI leg where scipy 1.10 is not installed
+    paths = sorted(p for d in ("src", "tests", "tools", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    found = {(str(path.relative_to(ROOT)), name) for path in paths
+             for name in scipy_names(ast.parse(path.read_text(), str(path)))}
+    assert sorted(f"{path}: {name}" for path, name in found if name not in SCIPY_1_10_NAMES) == []
+    # the scan sees every listed name, so the list keeps no stale entry
+    assert {name for _, name in found} == SCIPY_1_10_NAMES
+
+
+def test_scipy_scan_finds_planted_names():
+    tree = ast.parse("import scipy.sparse\nimport scipy.stats as st\n"
+                     "from scipy import differentiate\nfrom scipy.integrate import cumulative_simpson\n"
+                     "x = scipy.sparse.csr_array(a) + st.qmc.Sobol(2) + differentiate.derivative(f, 1)")
+    assert scipy_names(tree) == {"scipy.sparse.csr_array", "scipy.stats.qmc.Sobol",
+                                 "scipy.differentiate.derivative",
+                                 "scipy.integrate.cumulative_simpson"}

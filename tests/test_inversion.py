@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -65,16 +63,13 @@ class TestValidation:
 
 
 class TestDegenerateWindows:
-    def test_zero_width_is_diagnostic_failure(self, tables_small):
-        res = windowed_inversion(2, (1000.0, 1000.0), tables=tables_small)
-        assert not res.ok
-        assert math.isnan(res.estimate)
-        assert "error" in res.diagnostics
-
-    def test_too_few_periods_is_diagnostic_failure(self, tables_small):
-        res = windowed_inversion(2, (1000.0, 1030.0), tables=tables_small)
-        assert not res.ok
-        assert "error" in res.diagnostics
+    # each returned a nan estimate with ok false
+    @pytest.mark.parametrize("e_range, width", [
+        ((1000.0, 1000.0), "0"), ((1100.0, 1000.0), "-100"), ((1000.0, 1030.0), "30"),
+    ], ids=["empty", "reversed", "narrow"])
+    def test_window_narrower_than_eight_periods_raises(self, tables_small, e_range, width):
+        with pytest.raises(ValueError, match=f"of width {width} holds too few oscillation periods"):
+            windowed_inversion(2, e_range, tables=tables_small)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +117,11 @@ class TestContrast:
         for res in small_window.values():
             assert res.ok
             assert res.diagnostics["band_leakage"] == 0.0
+
+    def test_diagnostics_hold_exactly_five_keys(self, small_window):
+        for res in small_window.values():
+            assert set(res.diagnostics) == {
+                "band_leakage", "eps_nodes", "e_nodes", "quad_error_est", "imag_fraction"}
 
     def test_even_beats_odd(self, small_window):
         assert abs(small_window[3].estimate) < abs(small_window[2].estimate)
