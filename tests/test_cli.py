@@ -134,8 +134,8 @@ class TestOutputContract:
         assert list(rows[0].keys()) == header
 
     def test_json_writes_non_finite_as_null(self, tmp_path):
-        # a table starting below the counting function's floor has no expected
-        # count, so check reports nan; RFC 8259 has no NaN
+        # a table starting below t = 10 has no expected count, so check
+        # reports nan; RFC 8259 has no NaN
         def strict(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
@@ -146,16 +146,11 @@ class TestOutputContract:
         assert code == 1
         row = json.loads(out, parse_constant=strict)["rows"][0]
         assert row["expected"] is None and row["discrepancy"] is None
-        _, out_csv, _ = run_cli(*args)
-        assert parse_csv(out_csv)[0]["expected"] == "nan"
-
-    def test_json_keeps_integer_and_boolean_types(self, tmp_path):
-        table = tmp_path / "z.txt"
-        table.write_text("0\n14.134725\n21.022040\n")
-        _, out, _ = run_cli("--format", "json", "zeros", "check", "--path", str(table))
-        row = json.loads(out)["rows"][0]
+        # integers and booleans keep their JSON types
         assert row["count"] == 3 and type(row["count"]) is int
         assert row["flagged"] is True and row["claimed_complete"] is False
+        _, out_csv, _ = run_cli(*args)
+        assert parse_csv(out_csv)[0]["expected"] == "nan"
 
     def test_emit_refuses_numpy_scalars(self, capsys):
         # a numpy integer or bool was written as a JSON string, "5" or "True"
