@@ -51,8 +51,8 @@ def _emit(fields: list[str], rows: list[tuple], fmt: str) -> None:
     if fmt == "json":
         payload = {"rows": [{k: _json_value(v) for k, v in zip(fields, row, strict=True)}
                             for row in rows]}
-        json.dump(payload, sys.stdout, indent=1, allow_nan=False)
-        sys.stdout.write("\n")
+        # encoded whole before any write, so a value JSON refuses leaves stdout empty
+        sys.stdout.write(json.dumps(payload, indent=1, allow_nan=False) + "\n")
     else:
         sys.stdout.write(",".join(fields) + "\n")
         for row in rows:

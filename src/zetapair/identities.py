@@ -26,6 +26,7 @@ finite content of that manipulation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +233,7 @@ def ramanujan_closure_check(
     zero for odd h; for even h the truncated product must land on the
     product form of alpha(h).
     """
-    h = int(h)
+    h = operator.index(h)
     if h == 0:
         raise ValueError("h = 0 is excluded")
     ps = tables.primes_upto(p_cut)

@@ -57,6 +57,7 @@ stabilize.  A window narrower than 8 x 2pi raises ``ValueError``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,7 +214,7 @@ def windowed_inversion(
     nodes).  This bounds memory, not time: past |h| (E_hi - E_lo) of about
     3800 the prime sums take the direct sum.
     """
-    h = int(h)
+    h = operator.index(h)
     if h == 0:
         raise ValueError("h = 0 is excluded")
     if not 0.0 < eps_cutoff <= 50.0:

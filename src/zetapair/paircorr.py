@@ -28,14 +28,13 @@ ln(1 + u/(p - 2)) + ln(1 - u/p).  The product factors of the primes below
 The kernel grids the terms onto a canonical tile: a power-of-two span of
 its t-grid, centred on a multiple of half that span, which the band of
 the eps alone selects, and a ``DirichletSum`` keeps the plan of the last
-tile it read.  Each ``SieveTables`` carries, in a module-level weak
-mapping keyed by the tables, the prime terms of the (prime cutoff, power
-cutoff) pair it was last read at, the stack held as one
-``DirichletSum``.  Evaluations whose eps fall in the tile it last read,
-such as the windows of a pooled experiment, read its plan without
-gridding again.
-The cache is weak (an entry dies with its tables), bounded (one pair
-per tables, one tile per pair) and answer-neutral: a tile is set by the
+tile it read.  Each ``SieveTables`` holds, in its ``memo`` slot
+"prime_terms", the prime terms of the (prime cutoff, power cutoff) pair
+it was last read at, the stack held as one ``DirichletSum``.
+Evaluations whose eps fall in the tile it last read, such as the windows
+of a pooled experiment, read its plan without gridding again.
+The cache lives and dies with its tables, is bounded (one pair per
+tables, one tile per pair) and is answer-neutral: a tile is set by the
 eps alone, so a cached read has the bits a cold evaluation gives,
 whatever ran before.
 
@@ -49,8 +48,6 @@ report scores the bins in ``SCORED_RANGE`` against the Poisson noise floor.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,28 +304,19 @@ class _PrimeTerms:
     log_const: float
 
 
-#: the prime terms of each SieveTables at the (p_cut, k_cut) it was last read
-#: at, as {(p_cut, k_cut): terms}; an entry dies with its tables
-_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_TERMS_LOCK = threading.Lock()
-
-
 def _prime_terms(tables: SieveTables, p_cut: int, k_cut: int) -> _PrimeTerms:
-    """The cached prime terms of (tables, p_cut, k_cut), built on first use."""
+    """The prime terms of (tables, p_cut, k_cut), held in the tables' ``memo``
+    slot "prime_terms", keyed by (p_cut, k_cut)."""
     if p_cut < 2:
         raise ValueError(f"prime cutoff must be >= 2, got {p_cut}")
-    key = (p_cut, k_cut)
-    with _TERMS_LOCK:
-        terms = _TERMS.get(tables, {}).get(key)
-        if terms is None:
-            ps = tables.primes_upto(p_cut).astype(np.float64)
-            n_small = int(np.count_nonzero(ps < _SMALL_PRIME))
-            x, coef, log_const = _prime_sum_terms(ps, n_small, k_cut)
-            terms = _PrimeTerms(
-                ps[:n_small], DirichletSum(coef if k_cut else coef[1:], x), log_const
-            )
-            _TERMS[tables] = {key: terms}
-        return terms
+
+    def build() -> _PrimeTerms:
+        ps = tables.primes_upto(p_cut).astype(np.float64)
+        n_small = int(np.count_nonzero(ps < _SMALL_PRIME))
+        x, coef, log_const = _prime_sum_terms(ps, n_small, k_cut)
+        return _PrimeTerms(ps[:n_small], DirichletSum(coef if k_cut else coef[1:], x), log_const)
+
+    return tables.memo("prime_terms", (p_cut, k_cut), build)
 
 
 def _prime_phase_sums(tables: SieveTables, p_cut: int, k_cut: int, eps: np.ndarray):

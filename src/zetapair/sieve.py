@@ -14,17 +14,18 @@ The bulk Mobius and totient tables come from the spf recurrence
 f(k) = step(f(k / p), p = spf[k]), vectorized in doubling blocks; the
 series weights mu(k) / phi(k)^2 are divided out of those two once per
 sieve.  A ``SieveTables`` instance is immutable after construction and
-safe to share across threads; the lazily built bulk arrays
-(``mobius_table`` etc.), the prime sums ``log_mu2_phi2_product`` and the
-weight sums ``series_weight_abs_sum`` are plain caches of pure
-functions.  A bulk table that a call outgrows is rebuilt to
-min(limit, max(n, twice its old size)), so a run of rising requests
-rebuilds it once, not once per request.
+safe to share across threads.  The lazily built bulk arrays
+(``mobius_table`` etc.) are plain caches of pure functions: one that a
+call outgrows is rebuilt at the size asked.  Every other value derived
+from the sieve lives in ``SieveTables.memo``, one (key, value) pair per
+named slot, so no other module keeps per-sieve state of its own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
 
 import numpy as np
 
@@ -53,8 +54,8 @@ class SieveTables:
         primes.setflags(write=False)
         self.primes = primes
         self._bulk: dict = {}
-        self._log_mu2_phi2: dict[int, float] = {}
-        self._weight_abs_sums: dict[int, float] = {}
+        self._memo: dict = {}
+        self._memo_lock = threading.RLock()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SieveTables(limit={self.limit}, primes={len(self.primes)})"
@@ -62,7 +63,7 @@ class SieveTables:
     # -- scalar operations -------------------------------------------------
 
     def _check(self, n: int) -> int:
-        n = int(n)
+        n = operator.index(n)
         if n < 1 or n > self.limit:
             raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
         return n
@@ -99,7 +100,7 @@ class SieveTables:
         by the gcd(n, 0) = n convention.
         """
         n = self._check(n)
-        g = math.gcd(n, abs(int(h)))
+        g = math.gcd(n, abs(operator.index(h)))
         m = n // g
         mu = self.mobius(m)
         if mu == 0:
@@ -118,29 +119,22 @@ class SieveTables:
             raise ValueError(f"primes up to {n} exceed the sieve limit {self.limit}")
         return self.primes[: np.searchsorted(self.primes, n, side="right")]
 
-    def log_mu2_phi2_product(self, n: int) -> float:
-        """ln prod_{p <= n} (1 + (p-1)^-2), computed once per n.
+    def memo(self, slot: str, key, build):
+        """The value of ``build()`` held in ``slot`` at ``key``.
 
-        The product is the Euler product of sum mu(k)^2 / phi(k)^2 over the
-        primes up to n.
+        A slot holds one (key, value) pair for the life of the tables.  If
+        the held key equals ``key`` the held value is returned; otherwise
+        ``build()`` runs and its value replaces the pair.  Calls hold a
+        reentrant lock per tables, so threads sharing the tables build a
+        key once, and a build may read another slot.  ``build`` must be a
+        pure function of the tables and the key, so a held value equals a
+        fresh one and no answer depends on what ran before.
         """
-        n = self._check(n)
-        if n not in self._log_mu2_phi2:
-            ps = self.primes_upto(n).astype(np.float64)
-            self._log_mu2_phi2[n] = float(np.sum(np.log1p(1.0 / (ps - 1.0) ** 2)))
-        return self._log_mu2_phi2[n]
-
-    def series_weight_abs_sum(self, n: int) -> float:
-        """sum_{k <= n} mu(k)^2 / phi(k)^2, computed once per n.
-
-        The sum of |g| over ``series_weight_table(n)[1:]``, the partial sum
-        of the series whose full value is the limit of
-        exp(``log_mu2_phi2_product(n)``) as n grows.
-        """
-        n = self._check(n)
-        if n not in self._weight_abs_sums:
-            self._weight_abs_sums[n] = float(np.sum(np.abs(self.series_weight_table(n)[1:])))
-        return self._weight_abs_sums[n]
+        with self._memo_lock:
+            held = self._memo.get(slot)
+            if held is None or held[0] != key:
+                held = self._memo[slot] = (key, build())
+            return held[1]
 
     # -- bulk arrays (lazy, cached) ----------------------------------------
 
@@ -148,16 +142,12 @@ class SieveTables:
         n = self._check(n)
         have = self._bulk.get(kind)
         if have is None or len(have) < n + 1:
-            # a table that must grow at least doubles, so a run of slowly
-            # rising requests rebuilds it once rather than each time
-            size = n if have is None else min(self.limit, max(n, 2 * (len(have) - 1)))
             # free the shorter table first, so the two never coexist
             del have
             self._bulk.pop(kind, None)
-            arr = builder(size)
+            arr = builder(n)
             arr.setflags(write=False)
-            self._bulk[kind] = arr
-            have = arr
+            have = self._bulk[kind] = arr
         return have[: n + 1]
 
     def mobius_table(self, n: int) -> np.ndarray:

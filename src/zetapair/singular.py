@@ -16,6 +16,7 @@ which grows faster than the h != 0 normalization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,7 @@ def twin_prime_constant(prime_cutoff: int, tables: SieveTables) -> TwinPrimeCons
 
 
 def _check_h(h: int, tables: SieveTables) -> int:
-    h = int(h)
+    h = operator.index(h)
     if h == 0:
         raise ValueError("shift h = 0 is outside the singular series domain")
     if abs(h) > tables.limit:
@@ -92,19 +93,27 @@ def _series_tail_constant(tables: SieveTables, n_max: int) -> float:
     """An upper bound on sum_{n > n_max} mu(n)^2 / phi(n)^2.
 
     The full sum is prod_p (1 + (p-1)^-2); the bound is that product minus
-    the partial sum up to n_max, both of which the sieve caches per cutoff.
-    The product is taken over the primes up to L = max(n_max, 2); for the
-    rest, ln(1 + x) <= x and pi(x) < 1.25506 x / ln x (Rosser and
-    Schoenfeld 1962) give by partial summation
+    the partial sum up to n_max.  The product is taken over the primes up
+    to L = max(n_max, 2); for the rest, ln(1 + x) <= x and
+    pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld 1962) give by partial
+    summation
 
         sum_{p > L} (p-1)^-2 <= (2.51012 / ln L) (1/(L-1) + 1/(2 (L-1)^2)),
 
-    so the bound depends on n_max alone, not on the sieve's limit.
+    so the bound depends on n_max alone, not on the sieve's limit.  The
+    tables hold it in ``memo`` slot "series_tail", keyed by n_max, so the
+    shifts of one cutoff take the prime sum and the |g| sum once.
     """
-    lim = max(n_max, 2)
-    total_log = tables.log_mu2_phi2_product(lim)
-    total_log += 2.51012 / math.log(lim) * (1.0 / (lim - 1) + 0.5 / (lim - 1) ** 2)
-    return max(math.exp(total_log) - tables.series_weight_abs_sum(n_max), 0.0)
+
+    def build() -> float:
+        lim = max(n_max, 2)
+        ps = tables.primes_upto(lim).astype(np.float64)
+        total_log = float(np.sum(np.log1p(1.0 / (ps - 1.0) ** 2)))
+        total_log += 2.51012 / math.log(lim) * (1.0 / (lim - 1) + 0.5 / (lim - 1) ** 2)
+        weight_sum = float(np.sum(np.abs(tables.series_weight_table(n_max)[1:])))
+        return max(math.exp(total_log) - weight_sum, 0.0)
+
+    return tables.memo("series_tail", n_max, build)
 
 
 def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
@@ -148,7 +157,7 @@ def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
     prime partner q - |h| in [1, N], so every pair is counted once.
     """
     h = _check_h(h, tables)
-    n = int(n)
+    n = operator.index(n)
     ah = abs(h)
     if n < 1:
         raise ValueError(f"sample length must be >= 1, got {n}")
@@ -198,7 +207,7 @@ def smoothed_average(h: int, tables: SieveTables, c2: TwinPrimeConstant) -> Smoo
     H = 0 is excluded (alpha is undefined there).  The summand is the
     product form, accumulated with a divisor sieve over odd primes.
     """
-    h = int(h)
+    h = operator.index(h)
     if h < 2:
         raise ValueError("average needs h >= 2")
     odd_primes = tables.primes_upto(h)[1:]

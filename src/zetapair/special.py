@@ -379,7 +379,7 @@ class DirichletSum:
         return out[0] if self.c.ndim == 1 else out
 
 
-def _zeta_em_block(s: np.ndarray, n_cut: int, order: int, n_rows: int = 1) -> np.ndarray:
+def _zeta_em_block(s: np.ndarray, n_cut: int, n_rows: int = 1) -> np.ndarray:
     """Euler-Maclaurin zeta for an array of s sharing Re s and one truncation point.
 
     The direct sum takes the rows n^-sigma (-ln n)^j, j < n_rows, as one
@@ -387,7 +387,7 @@ def _zeta_em_block(s: np.ndarray, n_cut: int, order: int, n_rows: int = 1) -> np
 
         h(s) = N/(s - 1) - 1/2 + sum_k B_2k/(2k)! (s)_(2k-1) N^(1-2k),
 
-    summed by one recurrence over k.  n_rows is 1 or 3.  With 1 the result
+    summed by one recurrence over k <= ``_EM_ORDER``.  n_rows is 1 or 3.  With 1 the result
     is zeta, shape (M,), and the recurrence carries h alone.  With 3 it
     stacks zeta, zeta' and zeta'' (d/ds), shape (3, M): the recurrence
     carries h, h' and h'' too, with the Pochhammer products built by the
@@ -407,7 +407,7 @@ def _zeta_em_block(s: np.ndarray, n_cut: int, order: int, n_rows: int = 1) -> np
         p1, p2 = np.ones_like(s), np.zeros_like(s)
     scale = 1.0 / n_cut
     inv_n2 = 1.0 / (n_cut * n_cut)
-    for k in range(1, order + 1):
+    for k in range(1, _EM_ORDER + 1):
         b = (_B2K[k - 1] / _FACT2K[k - 1]) * scale
         h0 = h0 + b * p0
         q0 = (s + (2 * k - 1)) * (s + 2 * k)
@@ -434,7 +434,7 @@ def _zeta_em_rows(arr: np.ndarray, cfg: ZetaEvaluator, n_rows: int) -> np.ndarra
     out = np.empty((n_rows,) + arr.shape, dtype=np.complex128)
     for sigma in np.unique(arr.real):
         m = arr.real == sigma
-        out[:, m] = _zeta_em_block(arr[m], int(cuts[m].max()), _EM_ORDER, n_rows)
+        out[:, m] = _zeta_em_block(arr[m], int(cuts[m].max()), n_rows)
     return out
 
 

@@ -153,11 +153,12 @@ class TestOutputContract:
         assert parse_csv(out_csv)[0]["expected"] == "nan"
 
     def test_emit_refuses_numpy_scalars(self, capsys):
-        # a numpy integer or bool was written as a JSON string, "5" or "True"
+        # a numpy integer or bool was written as a JSON string, "5" or "True";
+        # a streamed document stopped at the value, after '{"rows": [{"a": 1.0, "b": '
         for value in (np.int64(5), np.bool_(True)):
             with pytest.raises(TypeError, match="not JSON serializable"):
-                cli._emit(["a"], [(value,)], "json")
-        capsys.readouterr()
+                cli._emit(["a", "b"], [(1.0, value)], "json")
+            assert capsys.readouterr().out == ""
 
     def test_refused_allocation_exits_1(self):
         # 1e16 grid points, 71 PiB: past any address space, so refused at once

@@ -150,6 +150,16 @@ class TestRamanujanClosure:
         with pytest.raises(ValueError):
             ramanujan_closure_check(0, tables_1m, 1000, c2_ref)
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(4.0)])
+    def test_non_integral_h_raises(self, tables_small, c2_ref, bad):
+        # int() truncated 2.5 to the shift 2
+        with pytest.raises(TypeError):
+            ramanujan_closure_check(bad, tables_small, 1000, c2_ref)
+
+    def test_numpy_integer_h_accepted(self, tables_small, c2_ref):
+        got = ramanujan_closure_check(np.int64(6), tables_small, 1000, c2_ref)
+        assert got == ramanujan_closure_check(6, tables_small, 1000, c2_ref)
+
     def test_cutoff_past_the_sieve_rejected(self, c2_ref):
         # the product ran over the primes up to 100 alone and reported
         # p_cut 1e6 with a residual of 2.4e-3

@@ -11,6 +11,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             windowed_inversion(0, (1000.0, 1100.0), tables=tables_small)
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(4.0)])
+    def test_non_integral_h_raises(self, tables_small, bad):
+        # int() truncated 2.5 to the shift 2
+        with pytest.raises(TypeError):
+            windowed_inversion(bad, (1000.0, 1100.0), tables=tables_small)
+
     def test_eps_cutoff_domain(self, tables_small):
         for bad in (0.0, -1.0, 51.0):
             with pytest.raises(ValueError):

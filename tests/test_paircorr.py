@@ -33,6 +33,12 @@ from zetapair.special import TWO_PI, mean_density, zeta_and_log_dd, zeta_one_lin
 from zetapair.zeros import ZeroList
 
 
+def held_terms(tables, p_cut, k_cut):
+    """The prime terms tables holds at (p_cut, k_cut); fails if it holds another pair."""
+    return tables.memo("prime_terms", (p_cut, k_cut),
+                       lambda: pytest.fail(f"no prime terms held at {(p_cut, k_cut)}"))
+
+
 def poisson_surrogate(center, width, seed):
     rng = np.random.default_rng(seed)
     dens = mean_density(center)
@@ -448,9 +454,9 @@ class TestTheoryCurve:
         # tables keeps one key, so each key's sums are taken after its own read
         eps = np.linspace(0.2, 3.0, 250)
         theory_curve(1e4, eps, zeta_cfg, tables_1m, 100_000, 20, unfolded=False)
-        curve_sums = paircorr._TERMS[tables_1m][(100_000, 20)].sums
+        curve_sums = held_terms(tables_1m, 100_000, 20).sums
         paircorr.off_diagonal_product(tables_1m, 100_000, eps)
-        product_sums = paircorr._TERMS[tables_1m][(100_000, 0)].sums
+        product_sums = held_terms(tables_1m, 100_000, 0).sums
         for sums in (curve_sums, product_sums):
             assert sums.plan.tile == special._canonical_tile(sums.x, eps)
 
@@ -524,11 +530,11 @@ class TestPlanCache:
         tables = build_sieve(20_000)
         forward = self.curves(centres, tables, zeta_cfg)
         # one tile holds every window, so the whole run grids once
-        plan = paircorr._TERMS[tables][(20_000, 14)].sums.plan
+        plan = held_terms(tables, 20_000, 14).sums.plan
         assert plan.tile[1:] == (128, 3 * 256 // 4 + 31)
         backward = self.curves(centres[::-1], build_sieve(20_000), zeta_cfg)[::-1]
         alone = [self.curves([c], build_sieve(20_000), zeta_cfg)[0] for c in centres]
-        assert paircorr._TERMS[tables][(20_000, 14)].sums.plan is plan
+        assert held_terms(tables, 20_000, 14).sums.plan is plan
         for a, b, c in zip(forward, backward, alone):
             for name in ("diag", "offdiag", "total"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -553,7 +559,7 @@ class TestPlanCache:
         for lo in (0.1, 40.0, 0.2, 900.0):
             eps = np.linspace(lo, lo + 3.0, 300)
             power, product = paircorr._prime_phase_sums(tables, 5000, 6, eps)
-            sums = paircorr._TERMS[tables][(5000, 6)].sums
+            sums = held_terms(tables, 5000, 6).sums
             assert sums.plan.tile == special._canonical_tile(sums.x, eps)
             # the same answer as on tables with nothing cached
             cold = paircorr._prime_phase_sums(build_sieve(10_000), 5000, 6, eps)
@@ -562,7 +568,10 @@ class TestPlanCache:
         # each tables keeps the prime terms of the (p_cut, k_cut) it was last read at
         for p_cut in (1000, 2000, 3000):
             paircorr.off_diagonal_product(tables, p_cut, np.array([1.0]))
-        assert list(paircorr._TERMS[tables]) == [(3000, 0)]
+        held_terms(tables, 3000, 0)
+        for p_cut in (1000, 2000):
+            with pytest.raises(pytest.fail.Exception, match="no prime terms held"):
+                held_terms(tables, p_cut, 0)
 
     def test_threads_share_one_tables(self):
         # threads that replace each other's plan on one tables still read the
@@ -583,10 +592,16 @@ class TestPlanCache:
             assert np.array_equal(p1, p2)
             assert np.array_equal(q1, q2)
 
+    def test_no_module_level_cache(self):
+        # the prime terms live on the tables, not in a map of paircorr's own
+        assert not hasattr(paircorr, "_TERMS")
+        assert not hasattr(paircorr, "_TERMS_LOCK")
+        assert "weakref" not in vars(paircorr) and "threading" not in vars(paircorr)
+
     def test_entry_dies_with_its_tables(self):
         tables = build_sieve(10_000)
         paircorr.off_diagonal_product(tables, 5000, np.linspace(0.1, 3.0, 300))
-        entry = weakref.ref(paircorr._TERMS[tables][(5000, 0)])
+        entry = weakref.ref(held_terms(tables, 5000, 0))
         tables_ref = weakref.ref(tables)
         del tables
         gc.collect()

@@ -1,5 +1,9 @@
+import gc
 import math
+import sys
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -282,7 +286,7 @@ def test_growing_a_table_frees_the_shorter_one_first(monkeypatch):
     assert freed == [True]
 
 
-def test_rising_requests_rebuild_a_table_once(monkeypatch):
+def test_outgrown_table_is_rebuilt_at_the_size_asked(monkeypatch):
     tables = build_sieve(5000)
     sizes = []
     build = tables._build_mangoldt
@@ -292,13 +296,89 @@ def test_rising_requests_rebuild_a_table_once(monkeypatch):
         return build(n)
 
     monkeypatch.setattr(tables, "_build_mangoldt", spy)
-    for n in range(1000, 1100):
+    for n in (1000, 1001, 3000):
         assert len(tables.von_mangoldt_table(n)) == n + 1
-    # a growing table doubles, capped at the sieve limit
-    tables.von_mangoldt_table(3000)
-    assert sizes == [1000, 2000, 4000]
-    tables.von_mangoldt_table(4500)
-    assert sizes == [1000, 2000, 4000, 5000]
+    assert sizes == [1000, 1001, 3000]
+    # a request within the held size slices it and builds nothing
+    for n in (1, 1001, 2999, 3000):
+        assert len(tables.von_mangoldt_table(n)) == n + 1
+    assert sizes == [1000, 1001, 3000]
+
+
+class TestMemo:
+    def test_one_key_per_slot(self):
+        tables = build_sieve(100)
+        builds = []
+
+        def build(value):
+            builds.append(value)
+            return [value]
+
+        first = tables.memo("a", 1, lambda: build("a1"))
+        assert tables.memo("a", 1, lambda: build("again")) is first
+        # slots are independent
+        assert tables.memo("b", 1, lambda: build("b1")) == ["b1"]
+        assert tables.memo("a", 1, lambda: build("again")) is first
+        # a different key rebuilds and replaces the pair
+        assert tables.memo("a", 2, lambda: build("a2")) == ["a2"]
+        assert tables.memo("a", 1, lambda: build("a1 again")) == ["a1 again"]
+        assert builds == ["a1", "b1", "a2", "a1 again"]
+
+    def test_failed_build_keeps_the_held_pair(self):
+        tables = build_sieve(100)
+        held = tables.memo("a", 1, lambda: [1])
+
+        def fail():
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            tables.memo("a", 2, fail)
+        assert tables.memo("a", 1, fail) is held
+
+    def test_threads_build_a_key_once(self):
+        tables = build_sieve(100)
+        builds = []
+
+        def build():
+            builds.append(None)
+            time.sleep(1e-3)  # holds the window where an unlocked check-then-set races
+            return object()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(tables.memo, "a", 1, build) for _ in range(16)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 1
+        assert all(value is got[0] for value in got)
+
+    def test_held_value_dies_with_its_tables(self):
+        class Value:
+            pass
+
+        tables = build_sieve(100)
+        held = weakref.ref(tables.memo("a", 1, Value))
+        assert held() is not None
+        del tables
+        gc.collect()
+        assert held() is None
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(4.0)])
+def test_non_integral_arguments_raise(tables_small, bad):
+    # int() truncated them: factorize(12.9) was the factorization of 12
+    for call in (tables_small.factorize, tables_small.mobius, tables_small.mobius_table,
+                 lambda n: tables_small.ramanujan_sum(6, n)):
+        with pytest.raises(TypeError):
+            call(bad)
+
+
+def test_numpy_integers_accepted(tables_small):
+    assert tables_small.factorize(np.int64(12)) == [(2, 2), (3, 1)]
+    assert tables_small.ramanujan_sum(np.int64(6), np.int64(4)) == tables_small.ramanujan_sum(6, 4)
 
 
 def test_series_weight_table_values(tables_small):

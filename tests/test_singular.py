@@ -29,6 +29,12 @@ def per_call_tail_constant(tables, g):
     return max(math.exp(total) - float(np.sum(np.abs(g))), 0.0)
 
 
+def held_tail(tables, n_max):
+    """The series tail constant tables holds at n_max; fails if it holds another."""
+    return tables.memo("series_tail", n_max,
+                       lambda: pytest.fail(f"no tail constant held at {n_max}"))
+
+
 def dense_empirical(h, tables, n):
     """The empirical average as the dot product over the von Mangoldt table."""
     ah = abs(h)
@@ -139,15 +145,25 @@ class TestAlphaRamanujan:
         err = abs(res.value - alpha_product(2, tables_1m, c2_ref).value)
         assert err <= res.truncation["tail_bound"]
 
-    def test_tail_bound_prime_sum_taken_once_per_cutoff(self):
+    def test_tail_bound_prime_sum_taken_once_per_cutoff(self, monkeypatch):
         tables = build_sieve(50_000)
         n_max = 10_000
+        primes_upto = tables.primes_upto
+        asked = []
+
+        def spy(n):
+            asked.append(n)
+            return primes_upto(n)
+
+        monkeypatch.setattr(tables, "primes_upto", spy)
         got = [alpha_ramanujan(h, tables, n_max).truncation["tail_bound"] for h in (6, 30)]
-        log_sum = tables.log_mu2_phi2_product(n_max)
-        assert tables.log_mu2_phi2_product(n_max) is log_sum
+        # one prime sum serves both shifts
+        assert asked == [n_max]
+        monkeypatch.undo()
         # the bound with the prime sum taken inside each call, bit for bit
         phi = tables.totient_table(n_max)[1:].astype(np.float64)
         constant = per_call_tail_constant(tables, tables.mobius_table(n_max)[1:] / phi**2)
+        assert held_tail(tables, n_max) == constant
         assert got == [tables.totient(6) * constant, tables.totient(30) * constant]
 
     def test_tail_weight_sum_taken_once_per_cutoff(self, monkeypatch):
@@ -165,9 +181,8 @@ class TestAlphaRamanujan:
             got = [alpha_ramanujan(h, tables, n_max).truncation["tail_bound"] for h in (6, 30)]
             # one slice per call for the divisor sums, one for the |g| sum
             assert asked == [n_max] * 3
-            g = weight_table(n_max)[1:]
-            assert tables.series_weight_abs_sum(n_max) == float(np.sum(np.abs(g)))
-            constant = per_call_tail_constant(tables, g)
+            constant = per_call_tail_constant(tables, weight_table(n_max)[1:])
+            assert held_tail(tables, n_max) == constant
             assert got == [tables.totient(6) * constant, tables.totient(30) * constant]
 
     @pytest.mark.parametrize("h", [2, 6, 30])
@@ -275,8 +290,9 @@ class TestAlphaEmpirical:
 class TestCachedTablesKeepAnswers:
     """A bulk table reused or regrown never changes a value, bit for bit."""
 
-    def test_empirical_shifts_build_the_mangoldt_table_twice(self, tables_big, monkeypatch):
-        # the table sizes n + h that the six prime-side shifts would ask for
+    def test_regrown_mangoldt_table_keeps_its_values(self, tables_big, monkeypatch):
+        # the table sizes n + h that the six prime-side shifts would ask for;
+        # each outgrows the last, so each rebuilds at the size asked
         tables = SieveTables(tables_big.limit, tables_big.spf, tables_big.primes)
         builds = []
         build = tables._build_mangoldt
@@ -291,7 +307,7 @@ class TestCachedTablesKeepAnswers:
             got = tables.von_mangoldt_table(n + h)
             fresh = SieveTables(tables_big.limit, tables_big.spf, tables_big.primes)
             assert np.array_equal(got, fresh.von_mangoldt_table(n + h)), h
-        assert len(builds) <= 2
+        assert builds == [n + h for h in (2, 4, 6, 10, 12, 30)]
 
     @staticmethod
     def per_call_alpha(h, tables, n_max):
@@ -315,9 +331,34 @@ class TestCachedTablesKeepAnswers:
 
         assert series() == expected
         assert len(tables.series_weight_table(n_max)) == n_max + 1
-        tables.series_weight_table(n_max + 1)  # regrows to the sieve limit
-        assert len(tables.series_weight_table(n_max).base) == tables.limit + 1
+        tables.series_weight_table(n_max + 1)  # regrows to the size asked
+        assert len(tables.series_weight_table(n_max).base) == n_max + 2
         assert series() == expected
+
+
+class TestIntegerArguments:
+    """A shift or a sample length that is not an integer raises; int() truncated it."""
+
+    @pytest.mark.parametrize("bad", [2.5, np.float64(4.0)])
+    def test_non_integral_raises(self, tables_small, c2_ref, bad):
+        calls = (
+            lambda: alpha_product(bad, tables_small, c2_ref),
+            lambda: alpha_ramanujan(bad, tables_small, 100),
+            lambda: alpha_empirical(bad, tables_small, 1000),
+            lambda: alpha_empirical(2, tables_small, bad * 100),
+            lambda: smoothed_average(bad * 10, tables_small, c2_ref),
+        )
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+    def test_numpy_integers_accepted(self, tables_small, c2_ref):
+        h, n = np.int64(6), np.int64(1000)
+        assert alpha_product(h, tables_small, c2_ref) == alpha_product(6, tables_small, c2_ref)
+        assert alpha_ramanujan(h, tables_small, n) == alpha_ramanujan(6, tables_small, 1000)
+        assert alpha_empirical(h, tables_small, n) == alpha_empirical(6, tables_small, 1000)
+        assert smoothed_average(np.int64(40), tables_small, c2_ref) == smoothed_average(
+            40, tables_small, c2_ref)
 
 
 class TestSmoothedAverage:
