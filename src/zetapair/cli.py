@@ -29,6 +29,9 @@ IDENTITY_CUTOFF = 1_000_000
 C2_CUTOFF = 1_000_000
 #: histogram bin width of ``r2 empirical`` and ``r2 compare``, in mean spacings
 BIN_WIDTH = 0.05
+#: the largest sieve a command may ask for: 10x the README's ``constants``
+#: (about 100 MB of bitmap and primes; an spf to the limit adds 400 MB)
+MAX_SIEVE_LIMIT = 100_000_000
 
 
 def _fmt(value) -> str:
@@ -101,7 +104,11 @@ def _parse_range(text: str, form: str) -> tuple[float, float]:
 def _sieve(needed: int):
     # at least 1000, so a prime cutoff below 3 (`constants` or `alpha --prime-cutoff`)
     # reaches twin_prime_constant's check rather than build_sieve's
-    return build_sieve(max(needed, 1000))
+    limit = max(needed, 1000)
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(f"the sieve this asks for, up to {limit}, "
+                         f"exceeds the bound of {MAX_SIEVE_LIMIT}")
+    return build_sieve(limit)
 
 
 def _load_zero_list(args) -> zeros.ZeroList:

@@ -1,24 +1,27 @@
-"""Smallest-prime-factor sieve and the multiplicative functions built on it.
+"""Prime sieve and the multiplicative functions built on it.
 
-One table serves everything: factorization, the Mobius and totient
-functions, von Mangoldt weights and Ramanujan sums are all O(log n)
-lookups against the spf array.  The sieve is segmented (Bays and Hudson):
-it finishes one cache-sized segment of the table before it starts the
-next.  In each, it takes the odd primes p <= sqrt(L) in descending order
-and writes p over their odd multiples from max(p^2, segment start) with
-no mask, so the smallest odd factor writes last; then the even entries
-get 2, and every odd entry left at 0 is a prime, collected in the same
-pass into the ascending prime list.
+``build_sieve(L)`` sieves primality only: an odd-only bool bitmap (one byte
+per odd number, L / 2 bytes) and the ascending prime list.  The sieve is
+segmented (Bays and Hudson): it finishes one cache-sized segment of the
+bitmap before it starts the next, clearing in each the odd multiples of
+every odd prime p <= sqrt(L) from max(p^2, segment start), and collects
+the entries left set into the prime list in the same pass.  The primes,
+the twin prime constant, the smoothed average and the empirical pair sums
+need nothing more.
 
+Factorization, the Mobius and totient functions, von Mangoldt weights and
+Ramanujan sums are O(log n) lookups against a smallest-prime-factor (spf)
+table, which ``SieveTables`` builds on demand, only as far as it is asked.
 The bulk Mobius and totient tables come from the spf recurrence
 f(k) = step(f(k / p), p = spf[k]), vectorized in doubling blocks; the
 series weights mu(k) / phi(k)^2 are divided out of those two once per
-sieve.  A ``SieveTables`` instance is immutable after construction and
-safe to share across threads.  The lazily built bulk arrays
-(``mobius_table`` etc.) are plain caches of pure functions: one that a
-call outgrows is rebuilt at the size asked.  Every other value derived
-from the sieve lives in ``SieveTables.memo``, one (key, value) pair per
-named slot, so no other module keeps per-sieve state of its own.
+sieve.  A ``SieveTables`` instance is safe to share across threads: every
+derived value is a plain cache of a pure function, so a table rebuilt or
+read by another thread holds the same values.  The derived arrays (spf and
+the bulk tables) live in one store that rebuilds a table a call outgrows;
+every other value derived from the sieve lives in ``SieveTables.memo``, one
+(key, value) pair per named slot, so no other module keeps per-sieve state
+of its own.
 """
 
 from __future__ import annotations
@@ -36,20 +39,45 @@ _SEGMENT = 1 << 18
 
 
 class SieveTables:
-    """Factorization oracle for the integers in [2, limit].
+    """Primality and factorization oracle for the integers in [2, limit].
 
     Attributes:
         limit: largest integer covered.
-        spf: uint32 array, spf[n] = smallest prime factor of n (spf[p] = p).
+        bitmap: read-only bool array of ``limit // 2 + 1`` entries;
+            ``bitmap[n >> 1]`` tells whether an odd n <= limit is prime
+            (entry i stands for 2 i + 1, and no entry past the limit is set).
         primes: ascending int64 array of the primes <= limit; the primes up
             to a cutoff are ``primes_upto(n)``.
+
+    Derived arrays are built on first use and kept in one store, under two
+    growth rules fitted to their traffic:
+
+    * The spf table, read by ``factorize`` (and so ``mobius``, ``totient``
+      and ``ramanujan_sum``) and by the bulk tables' recurrence.  The scalar
+      calls come at rising n: ``alpha_product`` and the closure check over
+      h = 1..100, a CLI list of shifts.  Rebuilt at the size asked, such a
+      run would re-sieve at each new maximum, so an outgrown spf is rebuilt
+      at max(n, twice its size), capped at the limit: O(log n) builds, to
+      at most twice the largest n asked for.  The series cutoff (1e6) asks
+      first on the prime side, so the 1e7 sieve builds spf once, to 1e6.
+    * The bulk tables (``mobius_table``, ``totient_table``,
+      ``series_weight_table``, ``von_mangoldt_table``), asked for at one n
+      per job: the series cutoff, or one bound of an identity check.  A
+      table that a call outgrows is rebuilt at the size asked, so none
+      holds more than a call has read.
     """
 
-    def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
+    def __init__(self, limit: int, bitmap: np.ndarray, primes: np.ndarray):
         self.limit = int(limit)
-        spf = np.ascontiguousarray(spf, dtype=np.uint32)
-        spf.setflags(write=False)
-        self.spf = spf
+        dtype = getattr(bitmap, "dtype", None)
+        if not isinstance(bitmap, np.ndarray) or dtype != np.bool_:
+            raise TypeError(f"bitmap must be a numpy bool array, got dtype {dtype}")
+        if bitmap.shape != (self.limit // 2 + 1,):
+            raise ValueError(f"bitmap of shape {bitmap.shape} does not fit limit {self.limit}: "
+                             f"it needs {self.limit // 2 + 1} entries")
+        bitmap = np.ascontiguousarray(bitmap)
+        bitmap.setflags(write=False)
+        self.bitmap = bitmap
         primes = np.ascontiguousarray(primes, dtype=np.int64)
         primes.setflags(write=False)
         self.primes = primes
@@ -71,9 +99,10 @@ class SieveTables:
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization of n as ascending (prime, exponent) pairs."""
         n = self._check(n)
+        spf = self._spf_table(n)
         out = []
         while n > 1:
-            p = int(self.spf[n])
+            p = int(spf[n])
             e = 0
             while n % p == 0:
                 n //= p
@@ -138,17 +167,29 @@ class SieveTables:
 
     # -- bulk arrays (lazy, cached) ----------------------------------------
 
-    def _cached(self, kind: str, n: int, builder):
+    def _cached(self, kind: str, n: int, builder, doubling: bool = False):
+        """builder(m)[: n + 1] for the held m >= n, built when none is held.
+
+        An outgrown table is rebuilt at m = n, or with ``doubling`` at
+        max(n, twice the held size) up to the limit (see the class docstring).
+        """
         n = self._check(n)
         have = self._bulk.get(kind)
         if have is None or len(have) < n + 1:
+            size = n
+            if doubling and have is not None:
+                size = min(self.limit, max(n, 2 * (len(have) - 1)))
             # free the shorter table first, so the two never coexist
             del have
             self._bulk.pop(kind, None)
-            arr = builder(n)
+            arr = builder(size)
             arr.setflags(write=False)
             have = self._bulk[kind] = arr
         return have[: n + 1]
+
+    def _spf_table(self, n: int) -> np.ndarray:
+        """uint32 array spf[0..n] of smallest prime factors (spf[0] = spf[1] = 0)."""
+        return self._cached("spf", n, lambda m: _spf_array(m)[0], doubling=True)
 
     def mobius_table(self, n: int) -> np.ndarray:
         """int8 array mu[0..n] (mu[0] = 0)."""
@@ -175,14 +216,15 @@ class SieveTables:
         spf[1] = 0 makes primes (m = 1) the "p does not divide m" case.
         Blocks double up to a fixed size, which bounds the temporaries.
         """
+        spf = self._spf_table(n)
         out = np.zeros(n + 1, dtype=dtype)
         out[1] = 1
         lo = 2
         while lo <= n:
             hi = min(2 * lo, lo + _RECURRENCE_BLOCK, n + 1)
-            p = self.spf[lo:hi]
+            p = spf[lo:hi]
             m = np.arange(lo, hi, dtype=np.uint32) // p
-            out[lo:hi] = step(out[m], p, self.spf[m] == p)
+            out[lo:hi] = step(out[m], p, spf[m] == p)
             lo = hi
         return out
 
@@ -199,9 +241,10 @@ class SieveTables:
         )
 
     def _build_series_weight(self, n: int) -> np.ndarray:
-        g = np.zeros(n + 1, dtype=np.float64)
-        phi = self.totient_table(n)[1:].astype(np.float64)
-        g[1:] = self.mobius_table(n)[1:] / phi**2
+        # mu / phi^2 formed in the one float64 output; g[0] = phi(0)^2 = 0
+        g = self.totient_table(n).astype(np.float64)
+        np.square(g, out=g)
+        np.divide(self.mobius_table(n)[1:], g[1:], out=g[1:])
         return g
 
     def _build_mangoldt(self, n: int) -> np.ndarray:
@@ -221,10 +264,10 @@ class SieveTables:
 def _spf_array(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """spf[0..limit] with spf[0] = spf[1] = 0, and the primes <= limit (>= 2).
 
-    The odd primes p <= isqrt(limit) come from a sieve of that root.  Each
-    segment of ``_SEGMENT`` entries is finished before the next: in
-    descending order, each p with p^2 in reach writes p over its odd
-    multiples from max(p^2, lo) with no mask, so the smallest odd prime
+    The odd primes p <= isqrt(limit) come from the bitmap sieve of that
+    root.  Each segment of ``_SEGMENT`` entries is finished before the
+    next: in descending order, each p with p^2 in reach writes p over its
+    odd multiples from max(p^2, lo) with no mask, so the smallest odd prime
     factor of an odd composite writes last.  The even entries get 2, and an
     odd entry still 0 is a prime; the segment's primes are kept as a chunk.
     """
@@ -232,7 +275,7 @@ def _spf_array(limit: int) -> tuple[np.ndarray, np.ndarray]:
     spf = np.zeros(limit + 1, dtype=np.uint32)
     odd = np.zeros(0, dtype=np.int64)
     if root >= 3:
-        odd = _spf_array(root)[1][1:]
+        odd = _prime_bitmap(root)[1][1:]
     chunks = [np.array([2], dtype=np.uint32)]
     for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
@@ -255,9 +298,45 @@ def _spf_array(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return spf, np.concatenate(chunks, dtype=np.int64)
 
 
+def _prime_bitmap(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``SieveTables.bitmap`` of ``limit`` and the primes <= limit (>= 2).
+
+    Entry i stands for 2 i + 1.  The odd primes p <= isqrt(limit) come from a
+    sieve of that root.  Each segment of ``_SEGMENT`` entries is finished
+    before the next: each p with p^2 in reach clears every p-th entry, the
+    odd multiples of p, from the first at or past max(p^2, lo), and the
+    entries still set are the segment's primes, kept as a chunk.
+    """
+    size = limit // 2 + 1
+    bitmap = np.ones(size, dtype=bool)
+    bitmap[0] = False
+    if limit % 2 == 0:
+        bitmap[-1] = False  # limit + 1
+    root = math.isqrt(limit)
+    odd = np.zeros(0, dtype=np.int64)
+    if root >= 3:
+        odd = _prime_bitmap(root)[1][1:]
+    chunks = [np.array([2], dtype=np.int64)]
+    for lo in range(0, size, _SEGMENT):
+        hi = min(lo + _SEGMENT, size)
+        seg = bitmap[lo:hi]
+        ps = odd[odd * odd <= 2 * hi - 1]
+        # the entry of p^2, moved on by whole steps of p to lo or past it
+        first = ps * ps // 2
+        first += -(-np.maximum(lo - first, 0) // ps) * ps
+        first -= lo
+        for p, at in zip(ps.tolist(), first.tolist()):
+            seg[at::p] = False
+        rest = np.flatnonzero(seg)
+        rest *= 2
+        rest += 2 * lo + 1
+        chunks.append(rest)
+    return bitmap, np.concatenate(chunks, dtype=np.int64)
+
+
 def build_sieve(limit: int) -> SieveTables:
-    """Sieve smallest prime factors up to ``limit`` (>= 2)."""
+    """Sieve the primes up to ``limit`` (>= 2); factor tables follow on demand."""
     limit = int(limit)
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    return SieveTables(limit, *_spf_array(limit))
+    return SieveTables(limit, *_prime_bitmap(limit))

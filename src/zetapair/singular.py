@@ -6,8 +6,8 @@ is the twin prime constant.  Besides that product form this module
 evaluates the Ramanujan-sum series sum (mu(n)/phi(n))^2 c_n(h) and the
 direct empirical average of von Mangoldt pair products, so the three can
 be played against each other in tests.  The empirical average sums over
-the pairs of prime powers only, which it reads off the spf table; it forms
-no length-N von Mangoldt array.
+the pairs of prime powers only, which it finds with the sieve's primality
+bitmap; it forms no length-N von Mangoldt array and needs no factor table.
 
 h = 0 is rejected everywhere: the h = 0 pair sum measures sum Lambda^2,
 which grows faster than the h != 0 normalization.
@@ -125,9 +125,13 @@ def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
 
         S(h) = sum_{d | rad(h)} d mu(d) sum_{k <= n_max, d | k} g(k),
 
-    one strided sum of g per squarefree divisor d of h (empty for d > n_max).
-    The tail bound phi(|h|) sum_{n > n_max} mu(n)^2 / phi(n)^2 holds since
-    |c_n(h)| = phi(gcd(n, h)) <= phi(|h|) for squarefree n.
+    one strided sum G(d) of g per squarefree divisor d of h (empty for
+    d > n_max).  The tables hold the G(d) taken so far in ``memo`` slot
+    "series_divisor_sums", keyed by n_max, so the shifts of one cutoff sum
+    each distinct d once (h = 1..30 need 89 sums of 19 distinct d); each h
+    still reduces its own products, so a value does not depend on the shifts
+    asked before it.  The tail bound phi(|h|) sum_{n > n_max} mu(n)^2 / phi(n)^2
+    holds since |c_n(h)| = phi(gcd(n, h)) <= phi(|h|) for squarefree n.
     """
     h = _check_h(h, tables)
     n_max = int(n_max)
@@ -138,7 +142,12 @@ def alpha_ramanujan(h: int, tables: SieveTables, n_max: int) -> AlphaResult:
     signed = np.ones(1, dtype=np.int64)
     for p, _ in tables.factorize(abs(h)):
         signed = np.concatenate([signed, -p * signed])
-    inner = np.array([g[d - 1 :: d].sum() for d in np.abs(signed)])
+    sums = tables.memo("series_divisor_sums", n_max, dict)  # d -> G(d)
+    divisors = np.abs(signed).tolist()
+    for d in divisors:
+        if d not in sums:
+            sums[d] = g[d - 1 :: d].sum()
+    inner = np.array([sums[d] for d in divisors])
     # a numpy sum, not a BLAS dot, whose bits would follow the thread count
     value = float(np.sum(signed * inner))
     tail = tables.totient(abs(h)) * _series_tail_constant(tables, n_max)
@@ -150,11 +159,12 @@ def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
 
     A term is nonzero only where m and m + |h| are both prime powers, so the
     sum runs over those pairs and forms no length-N array.  The prime pairs
-    come from one gather of spf at p + |h| over the primes p <= N (a prime
-    is its own smallest factor).  The pairs with a higher power p^k, k >= 2,
-    come from the short list of those powers up to N + |h| (555 of them up
-    to 1e7 + 30): each q <= N with its partner q + |h|, and each q with its
-    prime partner q - |h| in [1, N], so every pair is counted once.
+    come from one gather of the primality bitmap at p + |h| over the primes
+    p <= N for which p + |h| is odd: the odd p for even |h|, and p = 2 for
+    odd |h|.  The pairs with a higher power p^k, k >= 2, come from the short
+    list of those powers up to N + |h| (555 of them up to 1e7 + 30): each
+    q <= N with its partner q + |h|, and each q with its prime partner
+    q - |h| in [1, N], so every pair is counted once.
     """
     h = _check_h(h, tables)
     n = operator.index(n)
@@ -163,12 +173,18 @@ def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
         raise ValueError(f"sample length must be >= 1, got {n}")
     if n + ah > tables.limit:
         raise ValueError("sample window exceeds sieve limit")
-    spf = tables.spf
+    bitmap = tables.bitmap
+
+    def is_prime(r: int) -> bool:
+        return r == 2 or (r % 2 == 1 and bool(bitmap[r >> 1]))
+
     ps = tables.primes_upto(n)
-    t = ps + ah
-    hit = np.flatnonzero(spf[t] == t)
+    ps = ps[:1] if ah % 2 else ps[1:]
+    at = ps + ah
+    at >>= 1
+    p_hit = ps[np.flatnonzero(bitmap[at])]
     # a numpy sum, not a BLAS dot, whose bits would follow the thread count
-    value = float(np.sum(np.log(ps[hit]) * np.log(t[hit])))
+    value = float(np.sum(np.log(p_hit) * np.log(p_hit + ah)))
     top = n + ah
     powers = {}  # p^k -> ln p for k >= 2 and p^k <= n + |h|
     for p in tables.primes_upto(math.isqrt(top)).tolist():
@@ -181,10 +197,10 @@ def alpha_empirical(h: int, tables: SieveTables, n: int) -> AlphaResult:
         if q <= n:
             if r in powers:
                 value += lp * powers[r]
-            elif spf[r] == r:
+            elif is_prime(r):
                 value += lp * math.log(r)
         r = q - ah
-        if r > 1 and spf[r] == r:
+        if r > 1 and is_prime(r):
             value += lp * math.log(r)
     return AlphaResult(value / n, "empirical", {"sample_length": n})
 

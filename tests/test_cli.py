@@ -124,6 +124,29 @@ class TestAlpha:
         assert code == 2
 
 
+class TestSieveBound:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--prime-cutoff", "1000000000"),
+        ("alpha", "--method", "product", "--h", "2,1000000000"),
+        ("avg-alpha", "--h", "1000000000"),
+    ])
+    def test_sieve_past_the_bound_exits_1_before_building(self, monkeypatch, argv):
+        built = []
+        monkeypatch.setattr(cli, "build_sieve", lambda limit: built.append(limit))
+        code, out, err = run_cli(*argv)
+        assert (code, out, built) == (1, "", [])
+        assert err == ("error: the sieve this asks for, up to 1000000001, "
+                       f"exceeds the bound of {cli.MAX_SIEVE_LIMIT}\n")
+
+    def test_bound_covers_the_readme_and_is_stated(self):
+        # `constants --prime-cutoff 10000000` asks for 10,000,001
+        assert cli.MAX_SIEVE_LIMIT >= 10_000_001
+        text = " ".join(self.README.read_text().split())
+        assert f"a sieve past {cli.MAX_SIEVE_LIMIT:,}" in text
+
+
 class TestOutputContract:
     def test_json_mirrors_csv_fields(self):
         args = ("alpha", "--method", "product", "--h", "2,6", "--prime-cutoff", "10000")

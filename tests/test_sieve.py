@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zetapair import sieve
-from zetapair.sieve import _spf_array, build_sieve
+from zetapair.sieve import SieveTables, _prime_bitmap, _spf_array, build_sieve
 
 
 def eratosthenes_flags(limit):
@@ -100,7 +100,7 @@ def test_primes_filled_per_block_match_boolean_sieve(monkeypatch, limit):
         tables = build_sieve(limit)
         assert np.array_equal(tables.primes, np.flatnonzero(flags)), segment
         assert tables.primes.dtype == np.int64
-        assert np.array_equal(tables.spf, ref), segment
+        assert np.array_equal(tables._spf_table(limit), ref), segment
 
 
 @pytest.mark.parametrize("segment, top", [(6, 600), (7, 600), (64, 3000)])
@@ -116,8 +116,84 @@ def test_segments_at_every_small_limit(monkeypatch, segment, top):
         assert np.array_equal(primes, ref_primes[ref_primes <= limit]), limit
 
 
+@pytest.mark.parametrize("segment, top", [(6, 600), (7, 600), (64, 3000)])
+def test_bitmap_matches_spf_at_every_small_limit(monkeypatch, segment, top):
+    # as test_segments_at_every_small_limit: the last bitmap segment is cut at
+    # each limit in turn, and its primes and flags are _spf_array's
+    monkeypatch.setattr(sieve, "_SEGMENT", segment)
+    spf, spf_primes = _spf_array(top)
+    odd = np.arange(1, top + 3, 2)
+    for limit in range(2, top + 1):
+        bitmap, primes = _prime_bitmap(limit)
+        assert np.array_equal(primes, spf_primes[spf_primes <= limit]), limit
+        n = odd[: limit // 2 + 1]
+        assert np.array_equal(bitmap, (n <= limit) & (spf[np.minimum(n, top)] == n)), limit
+
+
+def test_constructor_checks_the_bitmap(tables_small):
+    limit, primes = tables_small.limit, tables_small.primes
+    # the old form, SieveTables(limit, spf, primes), passed a uint32 spf
+    with pytest.raises(TypeError, match="bool"):
+        SieveTables(limit, _spf_array(limit)[0], primes)
+    for size in (limit // 2, limit // 2 + 2, limit + 1):
+        with pytest.raises(ValueError, match=f"needs {limit // 2 + 1} entries"):
+            SieveTables(limit, np.zeros(size, dtype=bool), primes)
+    fresh = SieveTables(limit, tables_small.bitmap, primes)
+    assert not fresh.bitmap.flags.writeable
+    assert fresh.factorize(9_999) == tables_small.factorize(9_999)
+
+
+def spf_spy(monkeypatch):
+    """The limits of the spf tables built from here on, in order."""
+    sizes = []
+    build = sieve._spf_array
+
+    def spy(limit):
+        sizes.append(limit)
+        return build(limit)
+
+    monkeypatch.setattr(sieve, "_spf_array", spy)
+    return sizes
+
+
+def test_factor_functions_past_a_grown_spf(monkeypatch):
+    limit = 5000
+    tables = build_sieve(limit)
+    ref = SieveTables(limit, tables.bitmap, tables.primes)
+    ref.factorize(limit)  # the full spf, built at once
+    sizes = spf_spy(monkeypatch)
+    largest = 0
+    # rising, falling and repeated requests, the limit last
+    for n in (1, 2, 3, 12, 7, 100, 101, 99, 250, 1000, 1999, 2001, 4097, 4999, 5000):
+        assert tables.factorize(n) == ref.factorize(n), n
+        assert tables.mobius(n) == ref.mobius(n), n
+        assert tables.totient(n) == ref.totient(n), n
+        largest = max(largest, n)
+        assert len(tables._spf_table(n).base) <= min(2 * largest, limit) + 1, n
+    assert sizes == [1, 2, 4, 12, 100, 200, 400, 1000, 2000, 4000, 5000]
+    assert max(sizes) == limit
+
+
+def test_spf_grows_to_at_most_twice_the_largest_n(monkeypatch):
+    tables = build_sieve(100_000)
+    sizes = spf_spy(monkeypatch)
+    tables.mobius_table(1000)
+    assert sizes == [1000]
+    for h in range(1, 1001):
+        tables.factorize(h)
+    # a table asks first, at its own size; scalars within it build nothing
+    assert sizes == [1000]
+    tables.factorize(1001)
+    tables.totient_table(1500)
+    tables.factorize(30_000)
+    tables.factorize(70_000)
+    assert sizes == [1000, 2000, 30_000, 70_000]
+    tables.factorize(99_999)
+    assert sizes[-1] == 100_000  # twice 70_000, cut at the limit
+
+
 def test_spf_invariants(tables_small):
-    spf = tables_small.spf
+    spf = tables_small._spf_table(tables_small.limit)
     n = np.arange(2, tables_small.limit + 1)
     assert np.all(n % spf[2:] == 0)
     # spf values are themselves primes

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetapair.sieve import SieveTables, build_sieve
+from zetapair import identities, sieve
+from zetapair.sieve import SieveTables, _spf_array, build_sieve
 from zetapair.singular import (
     alpha_empirical,
     alpha_product,
@@ -33,6 +35,15 @@ def held_tail(tables, n_max):
     """The series tail constant tables holds at n_max; fails if it holds another."""
     return tables.memo("series_tail", n_max,
                        lambda: pytest.fail(f"no tail constant held at {n_max}"))
+
+
+def unbuilt(tables):
+    """New tables on the same bitmap and primes, with nothing built or held."""
+    return SieveTables(tables.limit, tables.bitmap, tables.primes)
+
+
+PRIME_SIDE_SERIES = range(1, 31)
+PRIME_SIDE_SHIFTS = (2, 4, 6, 10, 12, 30)
 
 
 def dense_empirical(h, tables, n):
@@ -254,6 +265,44 @@ class TestAlphaEmpirical:
             ref = dense_empirical(h, tables_big, n)
             assert abs(alpha_empirical(h, tables_big, n).value / ref - 1.0) <= 4e-15, h
 
+    @staticmethod
+    def spf_gather(h, tables, n, spf):
+        """The empirical average as it read primality off a full spf table."""
+        ah = abs(h)
+        ps = tables.primes_upto(n)
+        t = ps + ah
+        hit = np.flatnonzero(spf[t] == t)
+        value = float(np.sum(np.log(ps[hit]) * np.log(t[hit])))
+        top = n + ah
+        powers = {}
+        for p in tables.primes_upto(math.isqrt(top)).tolist():
+            q, lp = p * p, math.log(p)
+            while q <= top:
+                powers[q] = lp
+                q *= p
+        for q, lp in powers.items():
+            r = q + ah
+            if q <= n:
+                if r in powers:
+                    value += lp * powers[r]
+                elif spf[r] == r:
+                    value += lp * math.log(r)
+            r = q - ah
+            if r > 1 and spf[r] == r:
+                value += lp * math.log(r)
+        return value / n
+
+    def test_bit_equal_to_the_spf_gather(self, tables_big, tables_small):
+        spf = _spf_array(tables_big.limit)[0]
+        for h in PRIME_SIDE_SHIFTS + (1, 3, -7):
+            want = self.spf_gather(h, tables_big, 10_000_000, spf)
+            assert alpha_empirical(h, tables_big, 10_000_000).value == want, h
+        spf = _spf_array(tables_small.limit)[0]
+        for n in (1, 2, 3, 8, 9, 4000):
+            for h in range(1, 41):
+                want = self.spf_gather(h, tables_small, n, spf)
+                assert alpha_empirical(h, tables_small, n).value == want, (h, n)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 24, 25, 100, 121, 1000, 4000])
     def test_matches_dense_dot_on_a_small_sieve(self, tables_small, n):
         for a in range(1, 201):
@@ -273,7 +322,7 @@ class TestAlphaEmpirical:
         assert term == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_builds_no_mangoldt_table(self, tables_small, monkeypatch):
-        tables = SieveTables(tables_small.limit, tables_small.spf, tables_small.primes)
+        tables = SieveTables(tables_small.limit, tables_small.bitmap, tables_small.primes)
         builds = []
         build = tables._build_mangoldt
 
@@ -293,7 +342,7 @@ class TestCachedTablesKeepAnswers:
     def test_regrown_mangoldt_table_keeps_its_values(self, tables_big, monkeypatch):
         # the table sizes n + h that the six prime-side shifts would ask for;
         # each outgrows the last, so each rebuilds at the size asked
-        tables = SieveTables(tables_big.limit, tables_big.spf, tables_big.primes)
+        tables = SieveTables(tables_big.limit, tables_big.bitmap, tables_big.primes)
         builds = []
         build = tables._build_mangoldt
 
@@ -305,7 +354,7 @@ class TestCachedTablesKeepAnswers:
         n = 10_000_000
         for h in (2, 4, 6, 10, 12, 30):
             got = tables.von_mangoldt_table(n + h)
-            fresh = SieveTables(tables_big.limit, tables_big.spf, tables_big.primes)
+            fresh = SieveTables(tables_big.limit, tables_big.bitmap, tables_big.primes)
             assert np.array_equal(got, fresh.von_mangoldt_table(n + h)), h
         assert builds == [n + h for h in (2, 4, 6, 10, 12, 30)]
 
@@ -321,7 +370,7 @@ class TestCachedTablesKeepAnswers:
         return value, tables.totient(h) * per_call_tail_constant(tables, g)
 
     def test_series_matches_per_call_weights(self, tables_1m):
-        tables = SieveTables(tables_1m.limit, tables_1m.spf, tables_1m.primes)
+        tables = SieveTables(tables_1m.limit, tables_1m.bitmap, tables_1m.primes)
         n_max = 1_000_000
         expected = [self.per_call_alpha(h, tables, n_max) for h in range(1, 31)]
 
@@ -334,6 +383,76 @@ class TestCachedTablesKeepAnswers:
         tables.series_weight_table(n_max + 1)  # regrows to the size asked
         assert len(tables.series_weight_table(n_max).base) == n_max + 2
         assert series() == expected
+
+
+    def test_series_bit_equal_with_and_without_the_memo(self, tables_1m):
+        n_max = 100_000
+        # each shift on tables of its own, which hold no divisor sums before it
+        alone = {h: alpha_ramanujan(h, unbuilt(tables_1m), n_max) for h in PRIME_SIDE_SERIES}
+        shared = unbuilt(tables_1m)
+        for order in (PRIME_SIDE_SERIES, reversed(PRIME_SIDE_SERIES)):
+            assert {h: alpha_ramanujan(h, shared, n_max) for h in order} == alone
+        sums = shared.memo("series_divisor_sums", n_max, lambda: pytest.fail("no sums held"))
+        # h = 1..30 need 89 strided sums over 19 distinct divisors
+        assert sorted(sums) == [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26,
+                                29, 30]
+        assert sum(2 ** len(shared.factorize(h)) for h in PRIME_SIDE_SERIES) == 89
+
+
+class TestPrimeSideTraffic:
+    """The prime-side job's calls, as ``perfbench``'s prime_job makes them."""
+
+    @staticmethod
+    def big_sieve_calls(tables):
+        c2 = twin_prime_constant(10_000_000, tables)
+        for h in PRIME_SIDE_SERIES:
+            alpha_ramanujan(h, tables, 1_000_000)
+            if h % 2 == 0:
+                alpha_product(h, tables, c2)
+        for h in PRIME_SIDE_SHIFTS:
+            alpha_empirical(h, tables, 10_000_000)
+            alpha_product(h, tables, c2)
+        smoothed_average(1_000, tables, c2)
+        smoothed_average(10_000, tables, c2)
+        return c2
+
+    def test_one_spf_build_on_the_big_sieve(self, tables_big, tables_1m, monkeypatch):
+        sizes = []
+        build = sieve._spf_array
+
+        def spy(limit):
+            sizes.append(limit)
+            return build(limit)
+
+        monkeypatch.setattr(sieve, "_spf_array", spy)
+        c2 = self.big_sieve_calls(unbuilt(tables_big))
+        # the series cutoff asks first, so the 1e7 sieve holds spf[0..1e6] alone
+        assert sizes == [1_000_000]
+        sizes.clear()
+        small = unbuilt(tables_1m)
+        for h in range(1, 101):
+            identities.ramanujan_closure_check(h, small, 1_000_000, c2)
+        identities.local_factor_chain_sample(small, 1000, seed=0)
+        identities.mobius_indicator_check(500, 500, small)
+        # the identity sieve is asked only at rising small n: alpha_product at
+        # h = 2..100, then mu up to 500, so its spf doubles from 2
+        assert sizes == [2, 4, 8, 16, 32, 64, 128, 500]
+
+    def test_memory_budget(self, tables_big):
+        # traced peaks of the sieve, then of the calls on it with the sieve held;
+        # 14.9 and 39.8 MiB, where a 1e7 spf (38 MiB) living with the sieve and
+        # the series weights' three 8 MB temporaries read 45.8 and 82.4 MiB
+        tracemalloc.start()
+        try:
+            tables = build_sieve(tables_big.limit)
+            _, sieve_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            self.big_sieve_calls(tables)
+            _, calls_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sieve_peak < 24 << 20
+        assert calls_peak < 60 << 20
 
 
 class TestIntegerArguments:
